@@ -10,7 +10,8 @@ configuration, regardless of --threads.
 The seed is resolved from --seed, then the ENTROSTEER_SEED environment
 variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
-violation), 2 configuration error.
+violation), 2 configuration error (including a negative seed or an --out path
+whose directory does not exist, both rejected before any work starts).
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ class RunConfig:
     def __post_init__(self):
         if self.n_states < 1 or self.n_trials < 1 or self.threads < 1:
             raise ConfigError("counts must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError("tolerance must be positive")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.out_path:
+            # checked before the run, not when its result is written
+            if os.path.isdir(self.out_path):
+                raise ConfigError(f"--out {self.out_path} is a directory")
+            parent = os.path.dirname(os.path.abspath(self.out_path))
+            if not os.path.isdir(parent):
+                raise ConfigError(f"--out directory {parent} does not exist")
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +390,17 @@ def dispatch(config: RunConfig) -> int:
 # argument parsing
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("ENTROSTEER_SEED")
-    if env is None:
-        return 0
+    source = "--seed"
+    if value is None:
+        source = "ENTROSTEER_SEED"
+        value = os.environ.get(source, "0")
     try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"ENTROSTEER_SEED must be an integer, got {env!r}") from exc
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

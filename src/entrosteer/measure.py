@@ -7,7 +7,8 @@ Omega for eigenbases and its POVM generalization built from operator norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,13 +46,23 @@ class ProjectiveBasis:
         """Unitary whose columns are the basis vectors."""
         return self.vectors.T
 
+    @cached_property
+    def povm(self) -> Povm:
+        """The rank-1 projector POVM, built and validated on first use only."""
+        return Povm(self.dim, tuple(np.outer(v, v.conj()) for v in self.vectors))
+
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure: PSD elements summing to identity."""
+    """A positive operator-valued measure: PSD elements summing to identity.
+
+    ``stacked`` is the read-only ``(n, dim, dim)`` array of the elements, and
+    each of ``elements`` is a view of one of its slices.
+    """
 
     dim: int
     elements: tuple
+    stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         els = []
@@ -64,15 +75,17 @@ class Povm:
                 raise ValueError(f"element {k} is not Hermitian within 1e-10")
             if np.linalg.eigvalsh(m).min() < -POVM_TOL:
                 raise ValueError(f"element {k} is not positive semidefinite within 1e-10")
-            m.setflags(write=False)
             els.append(m)
             total += m
         if not els:
             raise ValueError("a POVM needs at least one element")
         if np.max(np.abs(total - np.eye(self.dim))) > POVM_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-10")
+        stacked = np.stack(els)
+        stacked.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "elements", tuple(els))
+        object.__setattr__(self, "elements", tuple(stacked))
+        object.__setattr__(self, "stacked", stacked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +190,14 @@ def rotate_basis(basis: ProjectiveBasis, u: np.ndarray) -> ProjectiveBasis:
 
 
 def as_povm(meas) -> Povm:
-    """Promote a projective basis to its rank-1 POVM; pass POVMs through."""
+    """Promote a projective basis to its rank-1 POVM; pass POVMs through.
+
+    A basis's POVM is built once and cached on the basis object.
+    """
     if isinstance(meas, Povm):
         return meas
     if isinstance(meas, ProjectiveBasis):
-        els = tuple(np.outer(v, v.conj()) for v in meas.vectors)
-        return Povm(meas.dim, els)
+        return meas.povm
     raise TypeError(f"expected ProjectiveBasis or Povm, got {type(meas).__name__}")
 
 
@@ -191,6 +206,13 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
 
     Both measurements may be projective bases or POVMs; projective inputs are
     promoted to rank-1 POVMs so a single code path serves both.
+
+    The contraction has two fixed steps and no path search. A matmul forms
+    ``T[b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]`` in O(n_b d_A^2 d_B^2);
+    then ``P[a, b] = sum_(i,k) E_a[i, k] T[b, (i, k)]`` in O(n_a n_b d_A^2).
+    The second step is a plain two-operand einsum: a BLAS product there
+    rounds an entry differently depending on its column, so relabelling
+    Bob's outcomes would not permute P exactly.
     """
     d_a, d_b = rho.dims
     f = as_povm(meas_a)
@@ -199,10 +221,10 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
         raise ValueError(
             f"measurement dims ({f.dim}, {g.dim}) do not match state dims {rho.dims}"
         )
-    rr = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    fa = np.stack(f.elements)
-    gb = np.stack(g.elements)
-    p = np.einsum("aik,bjl,klij->ab", fa, gb, rr, optimize=True)
+    # rr[j, l, i, k] = rho[(k, l), (i, j)]
+    rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)
+    t = g.stacked.reshape(len(g.elements), -1) @ rr.reshape(d_b * d_b, d_a * d_a)
+    p = np.einsum("ax,bx->ab", f.stacked.reshape(len(f.elements), -1), t)
     if np.max(np.abs(p.imag)) > 1e-8:
         raise ValueError("joint probabilities acquired a non-negligible imaginary part")
     return JointDistribution(len(f.elements), len(g.elements), p.real)
@@ -214,7 +236,7 @@ def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state shape {a.shape} does not match measurement dim {m.dim}")
-    p = np.einsum("aij,ji->a", np.stack(m.elements), a).real
+    p = np.einsum("aij,ji->a", m.stacked, a).real
     if p.min() < -CLAMP_TOL:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
     return np.where(p < 0.0, 0.0, p)

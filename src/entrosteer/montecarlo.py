@@ -303,9 +303,11 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
 
     `witness_family` maps a parameter to a signed violation; it must be
     negative at `lo` and positive at `hi` (monotonicity is the caller's
-    responsibility). Returns the crossing within `tol`.
+    responsibility). Returns the crossing within `tol`, or within one float
+    spacing when `tol` is finer than that: bisection stops as soon as the
+    midpoint is no longer strictly inside the bracket.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     f_lo, f_hi = witness_family(lo), witness_family(hi)
     if not (f_lo < 0.0 < f_hi):
@@ -314,6 +316,8 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if witness_family(mid) < 0.0:
             lo = mid
         else:
@@ -382,8 +386,8 @@ def soundness_audit(states, threads: int = 1, eta: float = 0.2) -> dict[str, flo
     povm_x = _smeared_povm(x_basis, eta)
     povm_z = _smeared_povm(z_basis, eta)
     bound_povm = math.log2(povm_omega(povm_x, povm_z))
-    els_x = np.stack(povm_x.elements)
-    els_z = np.stack(povm_z.elements)
+    els_x = povm_x.stacked
+    els_z = povm_z.stacked
 
     def block(idx):
         p = _joint_probs_states(mats[idx], k, 2, 2)       # (s, 3, 2, 2)

@@ -54,6 +54,14 @@ def loop_joint_probs(rho_mat, kets_a, kets_b):
     return p
 
 
+def loop_povm_joint_probs(rho_mat, els_a, els_b):
+    p = np.zeros((len(els_a), len(els_b)))
+    for a, ea in enumerate(els_a):
+        for b, eb in enumerate(els_b):
+            p[a, b] = np.real(np.trace(np.kron(ea, eb) @ rho_mat))
+    return p
+
+
 def loop_entropy(p):
     return float(-sum(x * np.log2(x) for x in np.asarray(p).ravel() if x > 1e-15))
 
@@ -70,3 +78,16 @@ def random_basis(rng, d):
     from entrosteer.measure import ProjectiveBasis
 
     return ProjectiveBasis(d, random_unitary(d, rng).T)
+
+
+def random_povm(rng, d, n):
+    """A random n-outcome POVM on dimension d: S^(-1/2) A_k S^(-1/2) for
+    random PSD A_k with sum S."""
+    from entrosteer import Povm
+
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    parts = [m @ m.conj().T for m in g]
+    vals, vecs = np.linalg.eigh(sum(parts))
+    s_inv_half = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    els = [s_inv_half @ a @ s_inv_half for a in parts]
+    return Povm(d, tuple((e + e.conj().T) / 2 for e in els))

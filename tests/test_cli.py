@@ -201,6 +201,15 @@ class TestWernerThresholdCommand:
         assert code == 2
 
 
+    def test_tolerance_below_float_spacing_terminates(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", "werner-threshold", "--tol", "1e-300"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["p_star"] - 0.7799442711232785) < 1e-9
+
+
 class TestCvScanCommand:
     def test_rows_match_library(self, tmp_path):
         code, out = run(tmp_path, "cv-scan", "--r-min", "0", "--r-max", "2",
@@ -310,6 +319,40 @@ class TestValidation:
     def test_zero_threads_rejected(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--n", "5", "--threads", "0")
         assert code == 2
+
+
+class TestConfigurationErrors:
+    """Bad configuration exits 2 with one error line, before any work."""
+
+    def fails_cleanly(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_negative_seed_flag(self):
+        self.fails_cleanly("fig1", "--n", "5", "--seed", "-3")
+
+    def test_negative_env_seed(self, monkeypatch):
+        monkeypatch.setenv("ENTROSTEER_SEED", "-3")
+        self.fails_cleanly("fig1", "--n", "5")
+
+    def test_out_directory_missing(self, tmp_path):
+        out = tmp_path / "missing" / "fig1.csv"
+        self.fails_cleanly("fig1", "--n", "5", "--out", str(out))
+        assert not out.parent.exists()
+
+    def test_out_is_a_directory(self, tmp_path):
+        self.fails_cleanly("fig1", "--n", "5", "--out", str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_tolerance(self):
+        self.fails_cleanly("werner-threshold", "--tol", "nan")
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,16 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from conftest import loop_joint_probs, random_basis, random_density
+from conftest import (
+    loop_joint_probs,
+    loop_povm_joint_probs,
+    random_basis,
+    random_density,
+    random_povm,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrosteer import (
     DensityMatrix,
@@ -10,15 +20,23 @@ from entrosteer import (
     is_mub_set,
     joint_distribution,
     measurement_distribution,
+    mub_conditional,
     mub_set,
     overlap_omega,
+    pair_conditional,
     pauli_bases,
     povm_omega,
+    random_pure_state,
     random_unitary,
     rotate_basis,
     werner_state,
 )
 from entrosteer.measure import ProjectiveBasis
+
+try:
+    from numpy._core import einsumfunc
+except ImportError:  # numpy < 2
+    from numpy.core import einsumfunc
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -161,6 +179,62 @@ class TestJointDistributionComputation:
         assert np.max(np.abs(j.probs.sum(axis=1) - pa)) < 1e-12
         assert np.max(np.abs(j.probs.sum(axis=0) - pb)) < 1e-12
 
+    @pytest.mark.parametrize("dims", [(3, 2), (5, 5)])
+    def test_bases_match_loop_oracle_across_dims(self, rng, dims):
+        d_a, d_b = dims
+        for _ in range(5):
+            rho = random_density(rng, d_a, d_b)
+            a, b = random_basis(rng, d_a), random_basis(rng, d_b)
+            got = joint_distribution(rho, a, b).probs
+            want = loop_joint_probs(rho.mat, list(a.vectors), list(b.vectors))
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (5, 5)])
+    def test_general_povms_match_kron_oracle(self, rng, dims):
+        # outcome counts differ from the local dimensions on both sides
+        d_a, d_b = dims
+        f, g = random_povm(rng, d_a, d_a + 2), random_povm(rng, d_b, d_b - 1)
+        rho = random_density(rng, d_a, d_b)
+        got = joint_distribution(rho, f, g).probs
+        assert got.shape == (d_a + 2, d_b - 1)
+        want = loop_povm_joint_probs(rho.mat, f.elements, g.elements)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_smeared_and_trine_povms_on_rank_one_state(self, rng):
+        eta = 0.2
+        x, _, _ = pauli_bases()
+        eye = np.eye(2, dtype=complex)
+        smeared = Povm(2, tuple((1 - eta) * np.outer(v, v.conj()) + eta * eye / 2
+                                for v in x.vectors))
+        kets = [np.array([np.cos(t), np.sin(t)]) for t in 2 * np.pi * np.arange(3) / 3]
+        trine = Povm(2, tuple(2 / 3 * np.outer(v, v) for v in kets))
+        rho = random_pure_state(2, 2, rng).to_density()
+        assert np.linalg.matrix_rank(rho.mat, tol=1e-10) == 1
+        for f, g in ((smeared, trine), (trine, smeared), (trine, trine)):
+            got = joint_distribution(rho, f, g).probs
+            want = loop_povm_joint_probs(rho.mat, f.elements, g.elements)
+            assert np.max(np.abs(got - want)) < 1e-12
+        got = joint_distribution(rho, trine, x).probs
+        want = loop_povm_joint_probs(rho.mat, trine.elements, as_povm(x).elements)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(2, 4), st.integers(1, 5), st.integers(1, 5),
+        st.integers(0, 2**32 - 1), st.randoms(use_true_random=False),
+    )
+    def test_relabelling_outcomes_permutes_joint_exactly(self, d_a, d_b, n_a, n_b, seed, rand):
+        rng = np.random.default_rng(seed)
+        f, g = random_povm(rng, d_a, n_a), random_povm(rng, d_b, n_b)
+        rho = random_density(rng, d_a, d_b)
+        perm_a = rand.sample(range(n_a), n_a)
+        perm_b = rand.sample(range(n_b), n_b)
+        f_perm = Povm(d_a, tuple(f.elements[i] for i in perm_a))
+        g_perm = Povm(d_b, tuple(g.elements[j] for j in perm_b))
+        p = joint_distribution(rho, f, g).probs
+        assert np.array_equal(joint_distribution(rho, f_perm, g).probs, p[perm_a])
+        assert np.array_equal(joint_distribution(rho, f, g_perm).probs, p[:, perm_b])
+
     def test_product_state_factorizes(self, rng):
         a_mat = random_density(rng, 2, 1).mat
         b_mat = random_density(rng, 2, 1).mat
@@ -169,6 +243,80 @@ class TestJointDistributionComputation:
         j = joint_distribution(rho, ba, bb).probs
         want = np.outer(j.sum(axis=1), j.sum(axis=0))
         assert np.max(np.abs(j - want)) < 1e-12
+
+
+class TestOneTimeWork:
+    """Measurements are validated once, when built; the witness path then
+    builds, validates and plans nothing per call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for cls in (Povm, ProjectiveBasis):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counting(cls.__name__, cls.__post_init__))
+        path = counting("einsum_path", einsumfunc.einsum_path)
+        monkeypatch.setattr(einsumfunc, "einsum_path", path)
+        monkeypatch.setattr(np, "einsum_path", path)
+        return counts
+
+    def test_counters_see_builds_and_path_searches(self, counts):
+        x, _, _ = pauli_bases()
+        as_povm(x)
+        a = np.eye(2)
+        np.einsum("ij,jk->ik", a, a, optimize=True)
+        assert counts == {"ProjectiveBasis": 3, "Povm": 1, "einsum_path": 1}
+
+    def test_basis_povm_is_built_lazily_and_cached(self, counts):
+        bases = mub_set(3)
+        assert counts["Povm"] == 0
+        p = as_povm(bases[1])
+        assert as_povm(bases[1]) is p
+        assert counts["Povm"] == 1
+
+    def test_repeated_witness_calls_do_no_one_time_work(self, counts):
+        qubits = pauli_bases()
+        x, _, z = qubits
+        eye = np.eye(2, dtype=complex)
+        fx, fz = (Povm(2, tuple(0.8 * np.outer(v, v.conj()) + 0.1 * eye for v in b.vectors))
+                  for b in (x, z))
+        qutrits = mub_set(3)
+        rho2 = werner_state(0.8)
+        rho3 = random_density(np.random.default_rng(3), 3, 3)
+        rho_b = np.eye(2, dtype=complex) / 2
+
+        def calls():
+            mub_conditional(rho2, qubits, qubits)
+            mub_conditional(rho3, qutrits, qutrits, direction="BtoA")
+            pair_conditional(rho2, x, z, x, z)
+            pair_conditional(rho2, fx, fz, fx, fz)
+            measurement_distribution(rho_b, z)
+            measurement_distribution(rho_b, fx)
+
+        calls()   # warm-up: promotes each basis once
+        counts.clear()
+        for _ in range(50):
+            calls()
+        assert counts == {}
+
+    def test_cached_arrays_are_read_only(self):
+        x, _, _ = pauli_bases()
+        smeared = Povm(2, (np.diag([0.9, 0.1]), np.diag([0.1, 0.9])))
+        for povm in (as_povm(x), smeared):
+            for arr in (povm.stacked, *povm.elements):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.5
+            assert povm.stacked.shape == (2, 2, 2)
+        with pytest.raises(ValueError):
+            x.vectors[0, 0] = 0.0
 
 
 class TestMeasurementDistribution:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,20 @@ class TestThresholdBisect:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             threshold_bisect(lambda x: x, -1.0, 1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            threshold_bisect(lambda x: x, -1.0, 1.0, tol=float("nan"))
+
+    def test_tolerance_below_float_spacing_stops(self):
+        calls = []
+
+        def fam(p):
+            calls.append(p)
+            if len(calls) > 200:
+                raise AssertionError("bisection did not stop")
+            return p - 0.7
+
+        p_star = threshold_bisect(fam, 0.5, 0.99, tol=1e-300)
+        assert abs(p_star - 0.7) <= math.ulp(0.7)
 
 
 class TestSeparableSample:
