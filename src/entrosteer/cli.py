@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -163,15 +164,40 @@ def _write_manifest(config: RunConfig, wall_s: float) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     path = stem + ".manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     log.info("manifest written to %s", path)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`: a write that fails leaves no partial file, and a file already at
+    `path` keeps its old bytes and its permission bits. A symlink keeps
+    pointing at the file it names, and a path that is not a regular file (a
+    pipe or a device such as /dev/stdout) cannot be renamed over, so it is
+    written in place. The new file is a new inode: hard links to the old one
+    keep the old bytes, owner and group are the writer's, and the directory
+    must be writable."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"   # no two live processes share the name
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_atomic(config.out_path, text)
         log.info("wrote %s", config.out_path)
     else:
         sys.stdout.write(text)

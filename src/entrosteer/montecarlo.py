@@ -14,13 +14,20 @@ pins the two paths against each other to 1e-12 on subsamples.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import Povm, mub_set, pauli_bases, povm_omega
-from .qmat import DensityMatrix, random_mixed_state, random_pure_state
+from .qmat import (
+    DensityMatrix,
+    ginibre_density,
+    random_mixed_state,
+    random_pure_state,
+    validate_density_stack,
+)
 from .witness import sanchez_ruiz_bound
 
 _ZERO = 1e-15
@@ -62,9 +69,17 @@ def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
 
 
+def _worker_count(threads: int, items: int, cpus: int | None) -> int:
+    """Threads worth starting: no more than requested, than there are work
+    items, or than the machine has CPUs (`os.cpu_count()`; None if unknown,
+    which leaves the other two caps)."""
+    return max(1, min(threads, items, cpus or threads))
+
+
 def _parallel_map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, len(items), os.cpu_count())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -76,16 +91,62 @@ def _ensemble_maker(ensemble: str):
         # arbitrary-purity ensemble: Ginibre-induced with rank drawn uniformly
         # from {1..4}, so the survey spans maximally mixed through pure
         return lambda g: random_mixed_state(2, 2, int(g.integers(1, 5)), g)
-    raise ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
+    raise _unknown_ensemble(ensemble)
+
+
+def _unknown_ensemble(ensemble: str) -> ValueError:
+    return ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
+
+
+def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
+    """The states `_ensemble_maker(ensemble)` builds from each seed, as one
+    unvalidated (n, 4, 4) stack.
+
+    Only the draws run per item, from each item's own generator and in the
+    scalar order (rank, then the real and imaginary Gaussian blocks, which
+    one call draws in sequence). The matrix arithmetic then runs once per
+    stack with the per-element operations of the scalar constructors, so every
+    item is bit-identical to its replay from the recorded seed.
+    """
+    n = len(seeds)
+    if ensemble == "pure":
+        draws = np.empty((n, 2, 4))
+        for i, seed in enumerate(seeds):
+            draws[i] = np.random.default_rng(seed).standard_normal((2, 4))
+        v = draws[:, 0] + 1j * draws[:, 1]
+        # per-row dots on the strided real and imaginary views: the BLAS calls
+        # np.linalg.norm makes for one vector, so the norms match it bit for bit
+        re, im = v.real[:, None, :], v.imag[:, None, :]
+        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        v = v / np.sqrt(sq[:, 0])
+        return v[:, :, None] * v.conj()[:, None, :]
+    if ensemble != "mixed":
+        raise _unknown_ensemble(ensemble)
+    ranks = np.empty(n, dtype=np.intp)
+    draws = np.empty((n, 2, 4, 4))
+    for i, seed in enumerate(seeds):
+        g = np.random.default_rng(seed)
+        r = int(g.integers(1, 5))
+        ranks[i] = r
+        draws[i, :, :, :r] = g.standard_normal((2, 4, r))
+    mats = np.empty((n, 4, 4), dtype=complex)
+    for r in range(1, 5):
+        idx = np.flatnonzero(ranks == r)
+        mats[idx] = ginibre_density(draws[idx, 0, :, :r] + 1j * draws[idx, 1, :, :r])
+    return mats
+
+
+def _sample_stack(n: int, ensemble: str, rng: np.random.Generator):
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    seeds = _derived_seeds(rng, n)
+    return _ensemble_stack(ensemble, seeds), seeds
 
 
 def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
     """Sample n two-qubit states; returns (states, per-state integer seeds)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    maker = _ensemble_maker(ensemble)
-    seeds = _derived_seeds(rng, n)
-    return [maker(np.random.default_rng(s)) for s in seeds], seeds
+    mats, seeds = _sample_stack(n, ensemble, rng)
+    return [DensityMatrix((2, 2), m) for m in mats], seeds
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +209,8 @@ def _per_basis_entropies(p: np.ndarray):
 # ---------------------------------------------------------------------------
 # scatter survey (conditional vs symmetric violations, fixed Pauli triples)
 
-def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
-    """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
-    triples on both sides, for an explicit list of two-qubit states."""
-    if any(s.dims != (2, 2) for s in states):
-        raise ValueError("scatter survey is defined for two-qubit states")
-    mats = np.stack([s.mat for s in states])
+def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> list[SurveyRecord]:
+    # mats: validated (n, 4, 4) states; evals: their ascending eigenvalues
     trip = _column_matrices(pauli_bases())
     k = _product_columns(trip, trip)
     bound_c = sanchez_ruiz_bound(2)
@@ -165,13 +222,13 @@ def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
         v_ab = bound_c - (h_joint - h_a).sum(axis=-1)
         v_ba = bound_c - (h_joint - h_b).sum(axis=-1)
         v_sym = (h_a + h_b - h_joint).sum(axis=-1) - bound_m
-        ev = np.clip(np.linalg.eigvalsh(mats[idx]), 0.0, 1.0)
+        ev = np.clip(evals[idx], 0.0, 1.0)
         purity = 1.0 - _entropy_last_axis(ev) / 2.0
         return np.stack([v_ab, v_ba, v_sym, purity], axis=1)
 
     blocks = [
-        np.arange(lo, min(lo + _BLOCK, len(states)))
-        for lo in range(0, len(states), _BLOCK)
+        np.arange(lo, min(lo + _BLOCK, len(mats)))
+        for lo in range(0, len(mats), _BLOCK)
     ]
     vals = np.concatenate(_parallel_map(block, blocks, threads), axis=0)
     return [
@@ -180,12 +237,25 @@ def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
     ]
 
 
+def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
+    """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
+    triples on both sides, for an explicit list of two-qubit states."""
+    if any(s.dims != (2, 2) for s in states):
+        raise ValueError("scatter survey is defined for two-qubit states")
+    mats = np.stack([s.mat for s in states])
+    return _fig1_kernel(mats, np.linalg.eigvalsh(mats), threads)
+
+
 def survey_fig1(
     n: int, ensemble: str, rng: np.random.Generator, threads: int = 1
 ) -> list[SurveyRecord]:
-    """Scatter survey over n sampled states (ensemble "pure" or "mixed")."""
-    states, _ = sample_ensemble(n, ensemble, rng)
-    return survey_fig1_states(states, threads=threads)
+    """Scatter survey over n sampled states (ensemble "pure" or "mixed").
+
+    The sampled stack is validated once, and the validation eigenvalues give
+    the purity column; no DensityMatrix is built per state.
+    """
+    mats, _ = _sample_stack(n, ensemble, rng)
+    return _fig1_kernel(mats, validate_density_stack(mats), threads)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +404,61 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
     (rank 1 or 2, so pure-product boundary cases are included)."""
     if n < 1 or k_max < 1:
         raise ValueError(f"need n >= 1 and k_max >= 1, got n={n}, k_max={k_max}")
-    out = []
-    for seed in _derived_seeds(rng, n):
+    mats = _separable_stack(_derived_seeds(rng, n), k_max)
+    return [DensityMatrix((2, 2), m) for m in mats]
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.empty((size,) + a.shape[1:], a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
+    """The unvalidated (n, 4, 4) stack of `separable_sample` states.
+
+    Per item, in draw order: the term count k, the k Dirichlet weights, then
+    for each term the rank and Gaussian block of Alice's factor and then of
+    Bob's (the draws of `random_mixed_state(2, 1, rank, g)`). Factor
+    normalisation, Kronecker products and the weighted sums then run over
+    stacks, each item summing its terms in order from a zero matrix, which is
+    the per-element arithmetic of building items one at a time.
+    """
+    n = len(seeds)
+    counts = np.empty(n, dtype=np.intp)
+    cap = n * (k_max + 1) // 2 + 64       # terms held: the expected count, grown when full
+    weights = np.empty(cap)
+    ranks = np.empty(2 * cap, dtype=np.intp)   # factor 2t is Alice's, 2t+1 Bob's
+    draws = np.empty((2 * cap, 2, 2, 2))       # factor, re/im, row, column (padded)
+    t = 0
+    for i, seed in enumerate(seeds):
         g = np.random.default_rng(seed)
         k = int(g.integers(1, k_max + 1))
-        weights = g.dirichlet(np.ones(k))
-        m = np.zeros((4, 4), dtype=complex)
-        for w in weights:
-            fa = random_mixed_state(2, 1, int(g.integers(1, 3)), g).mat
-            fb = random_mixed_state(2, 1, int(g.integers(1, 3)), g).mat
-            m += w * np.kron(fa, fb)
-        out.append(DensityMatrix((2, 2), m))
-    return out
+        if t + k > cap:
+            cap += cap // 4 + k
+            weights, ranks, draws = (
+                _grown(weights, cap), _grown(ranks, 2 * cap), _grown(draws, 2 * cap)
+            )
+        counts[i] = k
+        weights[t : t + k] = g.dirichlet(np.ones(k))
+        for f in range(2 * t, 2 * (t + k)):
+            r = int(g.integers(1, 3))
+            ranks[f] = r
+            draws[f, :, :, :r] = g.standard_normal((2, 2, r))
+        t += k
+    factors = np.empty((2 * t, 2, 2), dtype=complex)
+    for r in (1, 2):
+        idx = np.flatnonzero(ranks[: 2 * t] == r)
+        factors[idx] = ginibre_density(draws[idx, 0, :, :r] + 1j * draws[idx, 1, :, :r])
+    fa, fb = factors[0::2], factors[1::2]
+    kron = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(t, 4, 4)
+    owner = np.repeat(np.arange(n), counts)
+    position = np.arange(t) - np.repeat(np.cumsum(counts) - counts, counts)
+    mats = np.zeros((n, 4, 4), dtype=complex)
+    for j in range(int(counts.max())):
+        sel = np.flatnonzero(position == j)
+        mats[owner[sel]] += weights[sel, None, None] * kron[sel]
+    return mats
 
 
 def ppt_min_eigenvalue(states) -> float:

@@ -21,13 +21,53 @@ EIG_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
 
 
-def _as_complex_matrix(mat, name: str = "matrix") -> np.ndarray:
-    m = np.array(mat, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+def _raise_at(bad: np.ndarray, message: str) -> None:
+    i = int(np.argmax(bad))
+    if bad.size > 1:
+        message += f" (stack index {i})"
+    raise ValueError(message)
+
+
+def validate_density_stack(mats: np.ndarray) -> np.ndarray:
+    """Check a stack of density matrices at once; return their eigenvalues.
+
+    Parameters
+    ----------
+    mats : numpy.ndarray
+        Complex array of shape ``(n, D, D)``.
+
+    Returns
+    -------
+    numpy.ndarray
+        The ``(n, D)`` ascending eigenvalues, from one batched ``eigvalsh``.
+
+    Raises
+    ------
+    ValueError
+        The checks run over the whole stack in this order: finite entries,
+        Hermitian within 1e-10, unit trace within 1e-10, no eigenvalue below
+        -1e-10. The first check that fails names its lowest failing index
+        (a stack of one gets the bare message, as ``DensityMatrix`` raises it).
+    """
+    # each check reduces the whole stack first and looks for the index only
+    # on failure, which keeps a stack of one as cheap as a single matrix
+    finite = np.isfinite(mats)
+    if not finite.all():
+        _raise_at(~finite.all(axis=(-2, -1)), "density matrix contains non-finite entries")
+    asym = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    if asym.max() > HERM_TOL:
+        _raise_at(
+            asym.max(axis=(-2, -1)) > HERM_TOL, "density matrix is not Hermitian within 1e-10"
+        )
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_TOL:
+        i = int(np.argmax(off > TRACE_TOL))
+        _raise_at(off > TRACE_TOL, f"density matrix trace {tr[i]} differs from 1 beyond 1e-10")
+    evals = np.linalg.eigvalsh(mats)
+    if evals[:, 0].min() < -EIG_TOL:
+        _raise_at(evals[:, 0] < -EIG_TOL, "density matrix has an eigenvalue below -1e-10")
+    return evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,19 +95,15 @@ class DensityMatrix:
         d_a, d_b = (int(d) for d in self.dims)
         if d_a < 1 or d_b < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.dims}")
-        m = _as_complex_matrix(self.mat, "density matrix")
+        m = np.array(self.mat, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError(f"density matrix must be two-dimensional, got shape {m.shape}")
         n = d_a * d_b
         if m.shape != (n, n):
             raise ValueError(
                 f"dims {self.dims} require a {n}x{n} matrix, got shape {m.shape}"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(m).min() < -EIG_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        validate_density_stack(m[None])
         m.setflags(write=False)
         object.__setattr__(self, "dims", (d_a, d_b))
         object.__setattr__(self, "mat", m)
@@ -230,5 +266,16 @@ def random_mixed_state(
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    w = g @ g.conj().T
-    return DensityMatrix((d_a, d_b), w / np.trace(w).real)
+    return DensityMatrix((d_a, d_b), ginibre_density(g))
+
+
+def ginibre_density(g: np.ndarray) -> np.ndarray:
+    """``G G^dagger / Tr(G G^dagger)`` for one complex ``(D, r)`` matrix G or a
+    stack ``(n, D, r)`` of them, unvalidated.
+
+    A stack gets exactly the per-element arithmetic of single matrices (one
+    matmul per slice, then a division by the real trace), so a batch of states
+    is bit-identical to the same states built one at a time.
+    """
+    w = g @ g.conj().swapaxes(-1, -2)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]

@@ -1,6 +1,9 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from entrosteer import (
     walborn_cv,
     werner_state,
 )
-from entrosteer.cli import load_state, main, save_state
+from entrosteer import cli
+from entrosteer.cli import RunConfig, load_state, main, save_state
 
 
 def run(tmp_path, *argv):
@@ -118,6 +122,90 @@ class TestManifest:
                      "--out", str(out)])
         assert code == 1
         assert not (tmp_path / "t.manifest.json").exists()
+
+
+class TestAtomicWrites:
+    """A write that fails leaves no partial file, and a file already at the
+    path keeps its old bytes."""
+
+    OLD = b"old bytes\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_data_write(self, tmp_path, existing):
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_bytes(self.OLD)
+        config = RunConfig(command="fig1", seed=0, out_path=str(out))
+        # a lone surrogate cannot be encoded, so the write raises partway
+        with pytest.raises(UnicodeEncodeError):
+            cli._emit(config, "state_id\n0\n" * 1000 + "\ud800\n")
+        assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == self.OLD
+
+    def test_failed_rename_removes_temporary(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_bytes(self.OLD)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cli._emit(RunConfig(command="fig1", seed=0, out_path=str(out)), "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert out.read_bytes() == self.OLD
+
+    def test_failed_manifest_keeps_old_manifest(self, tmp_path):
+        out = tmp_path / "out.csv"
+        manifest = tmp_path / "out.manifest.json"
+        manifest.write_bytes(self.OLD)
+        config = RunConfig(command="fig1", seed=0, out_path=str(out), extra={"x": object()})
+        with pytest.raises(TypeError):
+            cli._write_manifest(config, 1.0)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.manifest.json"]
+        assert manifest.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+    def test_replacing_keeps_the_permission_bits(self, tmp_path, mode):
+        out = tmp_path / "out.csv"
+        out.write_bytes(self.OLD)
+        out.chmod(mode)
+        config = RunConfig(command="fig1", seed=0, out_path=str(out))
+        cli._emit(config, "new\n")
+        cli._write_manifest(config, 1.0)
+        assert out.read_bytes() == b"new\n"
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_symlink_keeps_pointing_at_its_target(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "out.csv"
+        target.write_bytes(self.OLD)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        cli._emit(RunConfig(command="fig1", seed=0, out_path=str(link)), "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["out.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cli._emit(RunConfig(command="fig1", seed=0, out_path=str(fifo)), "new\n")
+        reader.join(timeout=10)
+        assert got == [b"new\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_rerun_replaces_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(self.OLD)
+        assert main(["fig1", "--n", "5", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_text().startswith("state_id,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.manifest.json"]
 
 
 class TestFig2Command:

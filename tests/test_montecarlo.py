@@ -28,6 +28,7 @@ from entrosteer import (
     von_neumann_entropy,
     werner_state,
 )
+from entrosteer.montecarlo import _worker_count
 
 AUDIT_KEYS = {
     "pair_conditional_AtoB",
@@ -53,6 +54,22 @@ def smeared_pair(eta=0.2):
         return Povm(2, els)
 
     return smear(x), smear(z)
+
+
+@pytest.mark.parametrize(
+    "threads,items,cpus,expected",
+    [
+        (1, 10, 8, 1),
+        (4, 10, 8, 4),
+        (10_000, 5, 8, 5),       # never more threads than work items
+        (10_000, 10_000, 2, 2),  # never more threads than CPUs
+        (4, 0, 8, 1),
+        (4, 10, None, 4),        # CPU count unknown: the other caps hold
+        (10_000, 5, None, 5),
+    ],
+)
+def test_worker_count_is_capped(threads, items, cpus, expected):
+    assert _worker_count(threads, items, cpus) == expected
 
 
 class TestSampleEnsemble:

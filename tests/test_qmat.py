@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import loop_partial_trace, loop_partial_transpose, random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrosteer import (
     DensityMatrix,
@@ -13,6 +15,7 @@ from entrosteer import (
     singlet_state,
     werner_state,
 )
+from entrosteer.qmat import validate_density_stack
 
 
 class TestDensityMatrix:
@@ -49,6 +52,76 @@ class TestDensityMatrix:
     def test_tiny_negative_eigenvalue_tolerated(self):
         m = np.diag([0.5, 0.5, 5e-11, -5e-11]).astype(complex)
         DensityMatrix((2, 2), m)
+
+
+def _valid_stack(seed: int, n: int) -> np.ndarray:
+    # Ginibre-induced two-qubit states built with numpy alone
+    g = np.random.default_rng(seed)
+    z = g.standard_normal((n, 4, 4)) + 1j * g.standard_normal((n, 4, 4))
+    w = z @ z.conj().swapaxes(-1, -2)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _defective(kind: str, m: np.ndarray, size: float, g: np.random.Generator):
+    """A copy of m with one defect of the given size, and the message that
+    DensityMatrix raises for it."""
+    m = m.copy()
+    if kind == "hermitian":
+        m[0, 1] += size
+        return m, "density matrix is not Hermitian within 1e-10"
+    if kind == "trace":
+        m *= 1.0 + size * g.choice([-0.5, 1.0])
+        return m, f"density matrix trace {np.trace(m)} differs from 1 beyond 1e-10"
+    if kind == "eigenvalue":
+        q, _ = np.linalg.qr(g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4)))
+        p = np.array([0.5, 0.3, 0.2 + size, -size])
+        m = (q * p) @ q.conj().T
+        return (m + m.conj().T) / 2, "density matrix has an eigenvalue below -1e-10"
+    m[tuple(g.integers(0, 4, size=2))] = g.choice([np.nan, np.inf, -np.inf])
+    return m, "density matrix contains non-finite entries"
+
+
+class TestValidateDensityStack:
+    def test_returns_per_matrix_eigenvalues(self):
+        mats = _valid_stack(1, 50)
+        evals = validate_density_stack(mats)
+        assert evals.shape == (50, 4)
+        for m, ev in zip(mats, evals):
+            assert np.array_equal(ev, np.linalg.eigvalsh(m))
+
+    def test_tiny_negative_eigenvalue_tolerated(self):
+        mats = _valid_stack(2, 3)
+        mats[1] = np.diag([0.5, 0.5, 5e-11, -5e-11])
+        validate_density_stack(mats)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        pick=st.floats(0.0, 1.0, exclude_max=True),
+        kind=st.sampled_from(["hermitian", "trace", "eigenvalue", "non-finite"]),
+        log_size=st.floats(-8.0, -0.5),
+    )
+    def test_names_the_defective_index(self, seed, n, pick, kind, log_size):
+        g = np.random.default_rng(seed)
+        mats = _valid_stack(seed, n)
+        i = int(pick * n)
+        mats[i], message = _defective(kind, mats[i], 10.0**log_size, g)
+        with pytest.raises(ValueError) as stack_err:
+            validate_density_stack(mats)
+        assert str(stack_err.value) == f"{message} (stack index {i})"
+        with pytest.raises(ValueError) as single_err:
+            DensityMatrix((2, 2), mats[i])
+        assert str(single_err.value) == message
+
+    def test_first_failing_check_names_its_lowest_index(self):
+        mats = _valid_stack(3, 6)
+        g = np.random.default_rng(0)
+        mats[1], _ = _defective("trace", mats[1], 0.1, g)
+        mats[4], herm = _defective("hermitian", mats[4], 0.1, g)
+        mats[5], _ = _defective("hermitian", mats[5], 0.1, g)
+        with pytest.raises(ValueError, match=rf"^{herm} \(stack index 4\)$"):
+            validate_density_stack(mats)
 
 
 class TestPureState:
