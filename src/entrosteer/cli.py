@@ -32,15 +32,15 @@ from .cvgauss import entropic_sumdiff_cv, reid_sumdiff_cv, tmsv, walborn_cv
 from .measure import mub_set, pauli_bases
 from .montecarlo import (
     BracketError,
+    _ppt_min_eigenvalue,
+    _sample_separable_stack,
+    _soundness_audit,
     basis_sweep,
-    ppt_min_eigenvalue,
-    separable_sample,
-    soundness_audit,
     survey_fig1,
     survey_fig2,
     threshold_bisect,
 )
-from .qmat import DensityMatrix, werner_state
+from .qmat import DensityMatrix, validate_density_stack, werner_state
 from .witness import (
     WitnessReport,
     mub_conditional,
@@ -99,12 +99,24 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
+def _cell_format(cell) -> str:
+    # the %-format of one CSV cell: `_fmt` for floats, str() for the rest
+    if isinstance(cell, float):
+        return "%.12g"
+    return "%d" if type(cell) is int else "%s"
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    """The CSV text of a table: one %-format string per row, chosen by the
+    types of the row's cells (every table so far has one kind per column)."""
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, row))
+        lines.append(fmt % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -360,9 +372,11 @@ def _cmd_eval(config: RunConfig) -> int:
 def _cmd_separable_audit(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     k_max = config.extra["k_max"]
-    states = separable_sample(config.n_states, k_max, rng)
-    ppt_min = ppt_min_eigenvalue(states)
-    worst = soundness_audit(states, threads=config.threads)
+    # one check of the whole sampled stack, instead of one DensityMatrix per state
+    mats = _sample_separable_stack(config.n_states, k_max, rng)
+    validate_density_stack(mats)
+    ppt_min = _ppt_min_eigenvalue(mats)
+    worst = _soundness_audit(mats, threads=config.threads)
     sound = all(v <= AUDIT_TOL for v in worst.values())
     _emit(
         config,

@@ -33,6 +33,14 @@ _SYMPLECTIC = np.array(
 
 _XA, _KA, _XB, _KB = 0, 1, 2, 3
 
+# A variance taken as a difference of float64 terms 2**36 times its size keeps
+# fewer than five significant digits (relative error about 1e-5), so the
+# witnesses refuse it. On a two-mode squeezed vacuum var(x_A - x_B) = e^{-2r}
+# comes from terms of size e^{2r}, which reaches that cut at
+# r = 36 ln 2 / 4 = 6.24; the documented usable range stops just below it.
+_CANCEL_LIMIT = 2.0**-36
+TMSV_R_MAX = 6.2
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianState:
@@ -91,18 +99,34 @@ def _gaussian_entropy_bits(var: float) -> float:
     return 0.5 * math.log2(2.0 * math.pi * math.e * var)
 
 
+def _significant(variance: float, scale: float) -> float:
+    """`variance`, computed as a difference of terms of size `scale`, or a
+    ValueError when cancellation has left it without significant digits."""
+    if not variance > scale * _CANCEL_LIMIT:
+        raise ValueError(
+            f"Gaussian variance {variance:.3g} lost its significant digits to "
+            f"cancellation between terms of size {scale:.3g}; a two-mode squeezed "
+            f"vacuum is usable for 0 <= r <= {TMSV_R_MAX}"
+        )
+    return variance
+
+
 def _conditional_variance(cov: np.ndarray, target: int, given: int) -> float:
     v_given = cov[given, given]
     if v_given <= 1e-300:
         raise ValueError("singular conditioning variance")
-    return float(cov[target, target] - cov[target, given] ** 2 / v_given)
+    v_target = float(cov[target, target])
+    return _significant(v_target - float(cov[target, given] ** 2 / v_given), v_target)
 
 
 def _pm_variance(cov: np.ndarray, i: int, j: int, sign: str) -> float:
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     s = 1.0 if sign == "plus" else -1.0
-    return float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j])
+    return _significant(
+        float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j]),
+        float(cov[i, i] + cov[j, j] + 2.0 * abs(cov[i, j])),
+    )
 
 
 def walborn_cv(g: GaussianState, direction: str = "AtoB") -> WitnessReport:

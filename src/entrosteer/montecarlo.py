@@ -2,9 +2,11 @@
 
 Work items (states) get one derived integer seed each, drawn up front from the
 caller's generator; every item then owns a fresh stream seeded by its own
-integer. Chunking for the batch evaluators uses a fixed block size. Together
-these make survey output a pure function of (seed, n, parameters), independent
-of thread count, and any single item reproducible in isolation.
+integer, exactly `np.random.default_rng(seed)`; the stack samplers derive all
+those streams in one vectorised pass (`_item_streams`). Chunking for the batch
+evaluators uses a fixed block size. Together these make survey output a pure
+function of (seed, n, parameters), independent of thread count, and any single
+item reproducible in isolation.
 
 The witness math inside the hot loops is vectorized (einsum over state/trial
 axes) rather than routed through the public single-state API; the test suite
@@ -69,6 +71,98 @@ def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
+# PCG64 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every seed s in
+    [0, 2**64), as one (n, 4) uint64 array.
+
+    This is numpy's SeedSequence hash with each scalar uint32 word replaced by
+    an array of that word over all seeds; the hash constants do not depend on
+    the data, so they run as Python integers. A seed's entropy is its 32-bit
+    words, low word first; numpy mixes a one-word seed with zero padding,
+    which equals a zero high word, so every seed takes the two-word path.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(s.shape, np.uint32)
+    entropy = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const = _INIT_B
+    state = np.empty(s.shape + (8,), np.uint32)
+    for k in range(8):
+        value = pool[k % len(pool)] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[..., k] = value ^ (value >> _XSHIFT)
+    # pairs of 32-bit words, low word first, whatever the host byte order
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
+    """The `PCG64.state` of a generator seeded with the words w0..w3:
+    `pcg_setseq_128_srandom_r` with initial state w0:w1 and sequence w2:w3."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _item_streams(seeds):
+    """Yield, for each seed in turn, a Generator in the state of
+    `np.random.default_rng(seed)`, so every draw matches that generator's.
+
+    The words of all seeds come from one vectorised `_seed_words` pass, and a
+    single Generator is reset to each item's state instead of building one
+    per item. It is the same object every time: draw each item before asking
+    for the next. The first item's state is checked against `default_rng`
+    on every call, so a numpy whose seeding differs raises RuntimeError
+    instead of changing the samples.
+    """
+    words = _seed_words(seeds)
+    g = np.random.default_rng(seeds[0])
+    bit_gen = g.bit_generator
+    if _pcg64_state(*words[0].tolist()) != bit_gen.state:
+        raise RuntimeError(
+            "this numpy seeds default_rng differently from the vectorised "
+            f"SeedSequence derivation (numpy {np.__version__}); the per-item "
+            "streams cannot be reproduced"
+        )
+    for lo in range(0, len(words), _BLOCK):
+        for w in words[lo : lo + _BLOCK].tolist():
+            bit_gen.state = _pcg64_state(*w)
+            yield g
+
+
 def _worker_count(threads: int, items: int, cpus: int | None) -> int:
     """Threads worth starting: no more than requested, than there are work
     items, or than the machine has CPUs (`os.cpu_count()`; None if unknown,
@@ -102,17 +196,18 @@ def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
     """The states `_ensemble_maker(ensemble)` builds from each seed, as one
     unvalidated (n, 4, 4) stack.
 
-    Only the draws run per item, from each item's own generator and in the
-    scalar order (rank, then the real and imaginary Gaussian blocks, which
-    one call draws in sequence). The matrix arithmetic then runs once per
-    stack with the per-element operations of the scalar constructors, so every
-    item is bit-identical to its replay from the recorded seed.
+    Only the draws run per item, from each item's own stream
+    (`_item_streams`) and in the scalar order (rank, then the real and
+    imaginary Gaussian blocks, which one call draws in sequence). The matrix
+    arithmetic then runs once per stack with the per-element operations of
+    the scalar constructors, so every item is bit-identical to its replay
+    from the recorded seed.
     """
     n = len(seeds)
     if ensemble == "pure":
         draws = np.empty((n, 2, 4))
-        for i, seed in enumerate(seeds):
-            draws[i] = np.random.default_rng(seed).standard_normal((2, 4))
+        for i, g in enumerate(_item_streams(seeds)):
+            draws[i] = g.standard_normal((2, 4))
         v = draws[:, 0] + 1j * draws[:, 1]
         # per-row dots on the strided real and imaginary views: the BLAS calls
         # np.linalg.norm makes for one vector, so the norms match it bit for bit
@@ -124,8 +219,7 @@ def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
         raise _unknown_ensemble(ensemble)
     ranks = np.empty(n, dtype=np.intp)
     draws = np.empty((n, 2, 4, 4))
-    for i, seed in enumerate(seeds):
-        g = np.random.default_rng(seed)
+    for i, g in enumerate(_item_streams(seeds)):
         r = int(g.integers(1, 5))
         ranks[i] = r
         draws[i, :, :, :r] = g.standard_normal((2, 4, r))
@@ -231,10 +325,9 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> list[Surv
         for lo in range(0, len(mats), _BLOCK)
     ]
     vals = np.concatenate(_parallel_map(block, blocks, threads), axis=0)
-    return [
-        SurveyRecord(i, float(r[0]), float(r[1]), float(r[2]), float(r[3]))
-        for i, r in enumerate(vals)
-    ]
+    # column lists, not one list per row: the floats are made in one pass
+    # and no n short-lived row lists raise the peak memory
+    return [SurveyRecord(i, *row) for i, row in enumerate(zip(*vals.T.tolist()))]
 
 
 def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
@@ -336,6 +429,9 @@ def survey_fig2(
 
     Each work item draws its state and then its trial stream from one derived
     seed, so items are independent of scheduling and individually replayable.
+    Items run on pool threads, so each builds its own `default_rng(seed)`
+    rather than sharing `_item_streams`' one generator; at about 17 us per
+    item, seeding is a few milliseconds of a run whose trials take seconds.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -402,10 +498,13 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
     """n separable two-qubit states: convex mixtures of at most k_max product
     states with Dirichlet-uniform weights and random single-qubit factors
     (rank 1 or 2, so pure-product boundary cases are included)."""
+    return [DensityMatrix((2, 2), m) for m in _sample_separable_stack(n, k_max, rng)]
+
+
+def _sample_separable_stack(n: int, k_max: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1 or k_max < 1:
         raise ValueError(f"need n >= 1 and k_max >= 1, got n={n}, k_max={k_max}")
-    mats = _separable_stack(_derived_seeds(rng, n), k_max)
-    return [DensityMatrix((2, 2), m) for m in mats]
+    return _separable_stack(_derived_seeds(rng, n), k_max)
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
@@ -431,8 +530,7 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     ranks = np.empty(2 * cap, dtype=np.intp)   # factor 2t is Alice's, 2t+1 Bob's
     draws = np.empty((2 * cap, 2, 2, 2))       # factor, re/im, row, column (padded)
     t = 0
-    for i, seed in enumerate(seeds):
-        g = np.random.default_rng(seed)
+    for i, g in enumerate(_item_streams(seeds)):
         k = int(g.integers(1, k_max + 1))
         if t + k > cap:
             cap += cap // 4 + k
@@ -464,9 +562,16 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
 def ppt_min_eigenvalue(states) -> float:
     """Smallest partial-transpose eigenvalue over a batch of two-qubit states;
     nonnegative (within tolerance) certifies every state separable."""
-    mats = np.stack([s.mat for s in states])
+    return _ppt_min_eigenvalue(np.stack([s.mat for s in states]))
+
+
+def _ppt_min_eigenvalue(mats: np.ndarray) -> float:
+    # mats: validated (n, 4, 4) two-qubit states
     pt = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     return float(np.linalg.eigvalsh(pt).min())
+
+
+_SMEAR_ETA = 0.2     # identity weight of the audit's smeared POVM elements
 
 
 def _smeared_povm(basis, eta: float) -> Povm:
@@ -477,7 +582,7 @@ def _smeared_povm(basis, eta: float) -> Povm:
     return Povm(2, els)
 
 
-def soundness_audit(states, threads: int = 1, eta: float = 0.2) -> dict[str, float]:
+def soundness_audit(states, threads: int = 1, eta: float = _SMEAR_ETA) -> dict[str, float]:
     """Max violation of every implemented discrete witness over a state batch.
 
     Covers both pair-conditional directions (X/Z), the pair symmetric MI
@@ -488,7 +593,13 @@ def soundness_audit(states, threads: int = 1, eta: float = 0.2) -> dict[str, flo
     """
     if any(s.dims != (2, 2) for s in states):
         raise ValueError("soundness audit is defined for two-qubit states")
-    mats = np.stack([s.mat for s in states])
+    return _soundness_audit(np.stack([s.mat for s in states]), threads, eta)
+
+
+def _soundness_audit(
+    mats: np.ndarray, threads: int = 1, eta: float = _SMEAR_ETA
+) -> dict[str, float]:
+    # mats: validated (n, 4, 4) two-qubit states
     trip = _column_matrices(pauli_bases())
     k = _product_columns(trip, trip)
     bound_c2 = 1.0                       # log2 of the X/Z overlap constant
@@ -535,8 +646,8 @@ def soundness_audit(states, threads: int = 1, eta: float = 0.2) -> dict[str, flo
         }
 
     blocks = [
-        np.arange(lo, min(lo + _BLOCK, len(states)))
-        for lo in range(0, len(states), _BLOCK)
+        np.arange(lo, min(lo + _BLOCK, len(mats)))
+        for lo in range(0, len(mats), _BLOCK)
     ]
     parts = _parallel_map(block, blocks, threads)
     return {

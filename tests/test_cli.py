@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from conftest import random_density
 
 from entrosteer import (
@@ -26,6 +28,32 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.dat"
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+class TestCsvText:
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    @example(1e300)
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(float("nan"))
+    def test_float_format_is_fmt(self, x):
+        assert "%.12g" % x == cli._fmt(x)
+
+    def test_rows_match_per_cell_formatting(self):
+        rows = [
+            [0, 1 / 3, -0.0, float("nan")],
+            [np.int64(7), np.float64(1e-310), 2**70, float("-inf")],
+            ["label", True, 3, -2**0.5 * 1e100],
+        ]
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+        assert cli._csv_text(["a", "b", "c", "d"], rows) == expected
 
 
 class TestStateFiles:
@@ -316,6 +344,19 @@ class TestCvScanCommand:
     def test_rejects_bad_range(self, tmp_path):
         code, _ = run(tmp_path, "cv-scan", "--r-min", "2", "--r-max", "1")
         assert code == 2
+
+    def test_squeezing_past_the_usable_range_exits_1(self, tmp_path):
+        out = tmp_path / "cv.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", "cv-scan", "--r-min", "0",
+             "--r-max", "10", "--steps", "3", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
+        assert lines[0].endswith("usable for 0 <= r <= 6.2")
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -10,6 +10,7 @@ from entrosteer import (
     tmsv,
     walborn_cv,
 )
+from entrosteer.cvgauss import TMSV_R_MAX
 
 LOG2E = np.log2(np.e)
 
@@ -167,3 +168,36 @@ class TestEntropicSumdiffCv:
             state = GaussianState(random_two_mode_cov(rng))
             if reid_sumdiff_cv(state).violation_bits > 1e-9:
                 assert entropic_sumdiff_cv(state).violation_bits > 0
+
+
+class TestCancellation:
+    """A TMSV variance is e^{-2r}, taken as a difference of terms of size
+    e^{2r}; past TMSV_R_MAX the witnesses raise instead of losing digits."""
+
+    @pytest.mark.parametrize("r", [6.0, TMSV_R_MAX])
+    def test_inside_the_range_keeps_its_digits(self, r):
+        state = tmsv(r)
+        # conditional variances 1 / (2 cosh 2r); sum/difference variances e^{-2r}
+        for direction in ("AtoB", "BtoA"):
+            assert walborn_cv(state, direction).violation_bits == pytest.approx(
+                np.log2(np.cosh(2.0 * r)), abs=2e-5
+            )
+        assert entropic_sumdiff_cv(state).violation_bits == pytest.approx(
+            2.0 * r / np.log(2) - 1.0, abs=2e-5
+        )
+        assert 0.25 - reid_sumdiff_cv(state).violation_bits == pytest.approx(
+            np.exp(-4.0 * r), rel=1e-4
+        )
+
+    @pytest.mark.parametrize("r", [9.0, 10.0])
+    @pytest.mark.parametrize(
+        "witness", [walborn_cv, reid_sumdiff_cv, entropic_sumdiff_cv]
+    )
+    def test_beyond_the_range_raises(self, r, witness):
+        # r = 9 used to be off by 0.03 bits; r = 10 failed with a math domain error
+        with pytest.raises(ValueError, match=r"usable for 0 <= r <= 6\.2$"):
+            witness(tmsv(r))
+
+    def test_range_is_below_the_cut(self):
+        # the cut falls where e^{4r} reaches 2**36
+        assert TMSV_R_MAX < 36 * np.log(2) / 4 < TMSV_R_MAX + 0.05

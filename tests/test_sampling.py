@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrosteer import (
     random_mixed_state,
@@ -18,7 +20,7 @@ from entrosteer import (
     separable_sample,
     survey_fig1,
 )
-from entrosteer import montecarlo, qmat
+from entrosteer import cli, montecarlo, qmat
 from entrosteer.cli import main
 from entrosteer.montecarlo import _derived_seeds
 
@@ -118,3 +120,90 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble):
     records = survey_fig1(50, ensemble, np.random.default_rng(64), threads=2)
     assert len(records) == 50
     assert calls == {"objects": 0, "eigvalsh": [(50, 4, 4)], "stacks": [(50, 4, 4)]}
+
+
+# ---------------------------------------------------------------------------
+# per-item streams derived in one vectorised SeedSequence pass
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+
+
+def test_seed_words_and_states_match_numpy_at_the_edges():
+    words = montecarlo._seed_words(EDGE_SEEDS)
+    assert words.shape == (len(EDGE_SEEDS), 4) and words.dtype == np.uint64
+    for seed, w in zip(EDGE_SEEDS, words):
+        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        expected = np.random.default_rng(seed).bit_generator.state
+        assert montecarlo._pcg64_state(*w.tolist()) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 2), min_size=1, max_size=8))
+def test_seed_words_and_states_match_numpy(seeds):
+    words = montecarlo._seed_words(seeds)
+    for seed, w in zip(seeds, words):
+        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        expected = np.random.default_rng(seed).bit_generator.state
+        assert montecarlo._pcg64_state(*w.tolist()) == expected
+
+
+def test_item_streams_draw_as_default_rng():
+    # an odd count of 32-bit draws leaves a buffered half word in the
+    # generator; the next item must not see it
+    seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(65), 20)
+
+    def draws(g):
+        return (
+            g.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+            g.standard_normal(5).tolist(),
+            g.dirichlet(np.ones(3)).tolist(),
+            int(g.integers(1, 5)),
+        )
+
+    got = [draws(g) for g in montecarlo._item_streams(seeds)]
+    assert got == [draws(np.random.default_rng(s)) for s in seeds]
+
+
+def _wrong_words(seeds, seed_words=montecarlo._seed_words):
+    words = seed_words(seeds)
+    words[:, 0] ^= np.uint64(1)
+    return words
+
+
+@pytest.mark.parametrize(
+    "attr,wrong", [("_seed_words", _wrong_words), ("_PCG_MULT", montecarlo._PCG_MULT + 2)],
+    ids=["words", "multiplier"],
+)
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda rng: survey_fig1(4, "mixed", rng),
+        lambda rng: sample_ensemble(4, "pure", rng),
+        lambda rng: separable_sample(4, 2, rng),
+    ],
+    ids=["fig1", "pure", "separable"],
+)
+def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
+    monkeypatch.setattr(montecarlo, attr, wrong)
+    with pytest.raises(RuntimeError, match="seeds default_rng differently"):
+        sample(np.random.default_rng(66))
+
+
+def test_separable_audit_validates_its_stack_once(monkeypatch, tmp_path):
+    calls = {"objects": 0, "stacks": []}
+    post_init = qmat.DensityMatrix.__post_init__
+    validate = cli.validate_density_stack
+
+    def counted_post_init(self):
+        calls["objects"] += 1
+        post_init(self)
+
+    def counted_validate(mats):
+        calls["stacks"].append(mats.shape)
+        return validate(mats)
+
+    monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(cli, "validate_density_stack", counted_validate)
+    argv = ["separable-audit", "--n", "40", "--seed", "3", "--out", str(tmp_path / "a.json")]
+    assert main(argv) == 0
+    assert calls == {"objects": 0, "stacks": [(40, 4, 4)]}
