@@ -35,8 +35,8 @@ from .montecarlo import (
     _ppt_min_eigenvalue,
     _sample_separable_stack,
     _soundness_audit,
+    _survey_fig1_values,
     basis_sweep,
-    survey_fig1,
     survey_fig2,
     threshold_bisect,
 )
@@ -227,11 +227,9 @@ def _emit_table(config: RunConfig, header: list[str], rows: list[list]) -> None:
 
 def _cmd_fig1(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
-    records = survey_fig1(config.n_states, config.ensemble, rng, threads=config.threads)
-    rows = [
-        [r.state_id, r.v_conditional_AtoB, r.v_symmetric, r.purity_scaled]
-        for r in records
-    ]
+    vals = _survey_fig1_values(config.n_states, config.ensemble, rng, config.threads)
+    v_ab, _, v_sym, purity = vals.T.tolist()
+    rows = list(zip(range(len(v_ab)), v_ab, v_sym, purity))
     _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows)
     return 0
 

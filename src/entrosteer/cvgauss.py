@@ -47,7 +47,8 @@ class GaussianState:
     """Two-mode Gaussian state given by its quadrature covariance matrix.
 
     The matrix must be symmetric within 1e-12 and satisfy the physicality
-    (uncertainty) condition cov + (i/2) Sigma >= 0, checked spectrally.
+    (uncertainty) condition cov + (i/2) Sigma >= 0, checked spectrally with an
+    eigenvalue floor of -1e-10 times the largest entry (at least -1e-10).
     """
 
     cov: np.ndarray
@@ -61,7 +62,11 @@ class GaussianState:
         if np.max(np.abs(c - c.T)) > 1e-12:
             raise ValueError("covariance is not symmetric within 1e-12")
         check = c.astype(complex) + 0.5j * _SYMPLECTIC
-        if np.linalg.eigvalsh(check).min() < -1e-10:
+        # eigvalsh rounds at the size of the largest entry, so the floor scales
+        # with it: a pure state's zero eigenvalue at r = 8 (entries ~4e6)
+        # comes out near -1e-9
+        floor = -1e-10 * max(1.0, float(np.abs(c).max()))
+        if np.linalg.eigvalsh(check).min() < floor:
             raise ValueError("covariance violates the uncertainty condition")
         c.setflags(write=False)
         object.__setattr__(self, "cov", c)

@@ -7,8 +7,41 @@ from dataclasses import dataclass
 import numpy as np
 
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
-NEG_TOL = 1e-12
+NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
 SUM_TOL = 1e-10
+IMAG_TOL = 1e-8
+
+
+def _checked_probs(p, axis=None) -> np.ndarray:
+    """Validate probabilities and return them as a clamped read-only float copy.
+
+    This is the one copy of the probability checks. A complex input may carry
+    an imaginary part of at most 1e-8. No entry may lie below -1e-12; entries
+    in [-1e-12, 0) are clamped to zero. Each total over ``axis`` (all entries
+    by default) must be 1 within 1e-10.
+    """
+    p = np.asarray(p)
+    if p.dtype.kind == "c":
+        if np.abs(p.imag).max() > IMAG_TOL:
+            raise ValueError("joint probabilities acquired a non-negligible imaginary part")
+        p = p.real
+    p = np.array(p, dtype=float)
+    if not p.size:
+        raise ValueError("empty probability distribution")
+    low = p.min()
+    if not low >= -NEG_TOL:   # also catches NaN
+        raise ValueError(
+            f"negative probability {low:.3e} exceeds the clamping tolerance 1e-12"
+        )
+    if low < 0.0:
+        p[p < 0.0] = 0.0
+    s = p.sum(axis=axis)
+    bad = np.abs(s - 1.0) > SUM_TOL
+    if bad.any():
+        total = np.ravel(s)[np.ravel(bad)][0]
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-10")
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,44 +51,65 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float).ravel()
-        if p.size == 0:
-            raise ValueError("empty probability vector")
-        if p.min() < -NEG_TOL or p.max() > 1.0 + SUM_TOL:
-            raise ValueError("probabilities must lie in [0, 1]")
-        p = np.where(p < 0.0, 0.0, p)
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_probs(np.ravel(self.probs)))
 
 
 def _probs_1d(p) -> np.ndarray:
-    arr = np.asarray(getattr(p, "probs", p), dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty probability vector")
-    if arr.min() < -NEG_TOL:
-        raise ValueError(f"negative probability {arr.min():.3e}")
-    if abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
-    return np.where(arr < 0.0, 0.0, arr)
+    return _checked_probs(np.ravel(getattr(p, "probs", p)))
 
 
 def _probs_2d(joint) -> np.ndarray:
-    arr = np.asarray(getattr(joint, "probs", joint), dtype=float)
+    arr = np.asarray(getattr(joint, "probs", joint))
     if arr.ndim != 2:
         raise ValueError(f"joint distribution must be a matrix, got ndim {arr.ndim}")
-    if arr.min() < -NEG_TOL:
-        raise ValueError(f"negative probability {arr.min():.3e}")
-    if abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
-    return np.where(arr < 0.0, 0.0, arr)
+    return _checked_probs(arr)
 
 
 def _entropy_raw(p: np.ndarray) -> float:
     # 0*log(0) = 0 by continuity
     q = p[p > ZERO_CUTOFF]
     return float(-(q * np.log2(q)).sum()) if q.size else 0.0
+
+
+def _joint_entropies(p: np.ndarray):
+    """H(A,B), H(A) and H(B) of each joint in a checked ``(m, n_a, n_b)`` stack.
+
+    The joint entries and both marginals of every joint go through a single
+    log2 pass. Each result is an ``(m,)`` array; zero entries (and zero
+    padding rows or columns) contribute nothing.
+    """
+    m, n_a, n_b = p.shape
+    cells = n_a * n_b
+    parts = np.concatenate([p.reshape(m, cells), p.sum(axis=2), p.sum(axis=1)], axis=1)
+    terms = -(parts * np.log2(np.where(parts > ZERO_CUTOFF, parts, 1.0)))
+    return (
+        terms[:, :cells].sum(axis=1),
+        terms[:, cells:cells + n_a].sum(axis=1),
+        terms[:, cells + n_a:].sum(axis=1),
+    )
+
+
+def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
+    """Entropy of ``(a + b) mod N`` ("plus") or ``(a - b) mod N`` ("minus")
+    for each joint of a checked stack.
+
+    Joint i is the top-left ``shapes[i]`` block of ``p[i]`` (the rest is zero
+    padding) and must be square, ``N x N``; ``signs[i]`` picks its sign.
+    """
+    m, n_a, n_b = p.shape
+    a = np.arange(n_a)[:, None]
+    b = np.arange(n_b)[None, :]
+    idx = np.empty(p.shape, dtype=np.intp)
+    for i, (shape, sign) in enumerate(zip(shapes, signs)):
+        n = shape[0]
+        if shape[1] != n:
+            raise ValueError(f"modular sums need a square joint, got shape {shape}")
+        if sign not in ("plus", "minus"):
+            raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+        idx[i] = (a + b) % n if sign == "plus" else (a - b) % n
+    dist = np.zeros((m, max(n_a, n_b)))
+    np.add.at(dist, (np.arange(m)[:, None, None], idx), p)
+    return -(dist * np.log2(np.where(dist > ZERO_CUTOFF, dist, 1.0))).sum(axis=1)
 
 
 def shannon_entropy(p) -> float:
@@ -69,21 +123,17 @@ def conditional_entropy(joint, direction: str = "B|A") -> float:
     Rows of the joint index party A, columns party B.
     """
     p = _probs_2d(joint)
-    if direction == "B|A":
-        marg = p.sum(axis=1)
-    elif direction == "A|B":
-        marg = p.sum(axis=0)
-    else:
+    if direction not in ("B|A", "A|B"):
         raise ValueError(f"direction must be 'B|A' or 'A|B', got {direction!r}")
-    return max(0.0, _entropy_raw(p.ravel()) - _entropy_raw(marg))
+    h_ab, h_a, h_b = _joint_entropies(p[None])
+    marg = h_a if direction == "B|A" else h_b
+    return max(0.0, float(h_ab[0] - marg[0]))
 
 
 def mutual_information(joint) -> float:
     """I(A:B) = H(A) + H(B) - H(A,B) >= 0, symmetric in the parties."""
-    p = _probs_2d(joint)
-    h_a = _entropy_raw(p.sum(axis=1))
-    h_b = _entropy_raw(p.sum(axis=0))
-    return max(0.0, h_a + h_b - _entropy_raw(p.ravel()))
+    h_ab, h_a, h_b = _joint_entropies(_probs_2d(joint)[None])
+    return max(0.0, float(h_a[0] + h_b[0] - h_ab[0]))
 
 
 def modular_sum_entropy(joint, sign: str) -> float:
@@ -94,17 +144,7 @@ def modular_sum_entropy(joint, sign: str) -> float:
     sum/difference witnesses rely on.
     """
     p = _probs_2d(joint)
-    n_a, n_b = p.shape
-    if n_a != n_b:
-        raise ValueError(f"modular sums need a square joint, got shape {p.shape}")
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    a = np.arange(n_a)[:, None]
-    b = np.arange(n_a)[None, :]
-    idx = (a + b) % n_a if sign == "plus" else (a - b) % n_a
-    dist = np.zeros(n_a)
-    np.add.at(dist, idx, p)
-    return _entropy_raw(dist)
+    return float(_modular_entropies(p[None], [p.shape], [sign])[0])
 
 
 def von_neumann_entropy(m) -> float:

@@ -12,13 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .infotheory import NEG_TOL, _checked_probs
 from .qmat import DensityMatrix
 
 ORTHO_TOL = 1e-10
 POVM_TOL = 1e-10
-CLAMP_TOL = 1e-12   # probability entries below -CLAMP_TOL are an error
-SUM_TOL = 1e-10
-MUB_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,13 +85,23 @@ class Povm:
         object.__setattr__(self, "elements", tuple(stacked))
         object.__setattr__(self, "stacked", stacked)
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Read-only ``(n, dim, dim)`` stack of the elements' positive square
+        roots (the canonical measurement operators), built on first use only."""
+        vals, vecs = np.linalg.eigh(self.stacked)
+        roots = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        roots.setflags(write=False)
+        return roots
+
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint outcome probabilities P(a, b) for one measurement on each party.
 
     Entries in [-1e-12, 0) are floating-point dust and get clamped to zero;
-    anything more negative is rejected. The total must be 1 within 1e-10.
+    anything more negative is rejected. The total must be 1 within 1e-10, and
+    a complex input may carry an imaginary part of at most 1e-8.
     """
 
     n_a: int
@@ -101,21 +109,12 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.probs, dtype=float)
+        p = np.asarray(self.probs)
         if p.shape != (self.n_a, self.n_b):
             raise ValueError(f"expected shape {(self.n_a, self.n_b)}, got {p.shape}")
-        if p.min() < -CLAMP_TOL:
-            raise ValueError(
-                f"negative probability {p.min():.3e} exceeds the clamping tolerance 1e-12"
-            )
-        p = np.where(p < 0.0, 0.0, p)
-        s = p.sum()
-        if abs(s - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {s!r}, not 1 within 1e-10")
-        p.setflags(write=False)
         object.__setattr__(self, "n_a", int(self.n_a))
         object.__setattr__(self, "n_b", int(self.n_b))
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _checked_probs(p))
 
 
 def pauli_bases() -> list[ProjectiveBasis]:
@@ -170,18 +169,21 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
 
 
 def is_mub_set(bases, tol: float = 1e-8) -> bool:
-    """Check that every pair of bases in the list is mutually unbiased."""
+    """Check that every pair of bases in the list is mutually unbiased.
+
+    One Gram product of all the kets against all the kets gives every
+    cross-basis overlap at once.
+    """
     if not bases:
         return False
     d = bases[0].dim
     if any(b.dim != d for b in bases):
         return False
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            ov = np.abs(bases[i].vectors.conj() @ bases[j].vectors.T) ** 2
-            if np.max(np.abs(ov - 1.0 / d)) > tol:
-                return False
-    return True
+    k = len(bases)
+    v = np.concatenate([b.vectors for b in bases])
+    dev = np.abs(np.abs(v.conj() @ v.T) ** 2 - 1.0 / d).reshape(k, d, k, d)
+    dev[np.arange(k), :, np.arange(k)] = 0.0   # a basis against itself
+    return bool(dev.max() <= tol)
 
 
 def rotate_basis(basis: ProjectiveBasis, u: np.ndarray) -> ProjectiveBasis:
@@ -201,33 +203,61 @@ def as_povm(meas) -> Povm:
     raise TypeError(f"expected ProjectiveBasis or Povm, got {type(meas).__name__}")
 
 
+def _element_stack(povms, n: int) -> np.ndarray:
+    """``(m, n, dim^2)`` stack of flattened POVM elements. A POVM with fewer
+    than n outcomes is padded with zero elements, whose outcomes have
+    probability exactly 0."""
+    d = povms[0].dim
+    out = np.zeros((len(povms), n, d * d), dtype=complex)
+    for i, povm in enumerate(povms):
+        out[i, :len(povm.elements)] = povm.stacked.reshape(len(povm.elements), -1)
+    return out
+
+
+def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
+    """Checked joint distributions of m measurement pairs, ``(m, n_a, n_b)``.
+
+    ``pairs`` holds (Alice's measurement, Bob's measurement) tuples; each may
+    be a projective basis or a POVM. ``n_a`` and ``n_b`` are the largest
+    outcome counts: a joint with fewer outcomes fills the top-left block of
+    its slice and the padding is exactly zero, so every pair takes part in
+    the same two contraction steps.
+
+    A stacked matmul forms ``T[m, b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]``
+    in O(m n_b d_A^2 d_B^2); then ``P[m, a, b] = sum_(i,k) E_a[i, k]
+    T[m, b, (i, k)]`` in O(m n_a n_b d_A^2). The second step is a plain
+    two-operand einsum: a BLAS product there rounds an entry differently
+    depending on its column, so relabelling Bob's outcomes would not permute
+    P exactly. The probability checks run once over the whole stack.
+    """
+    d_a, d_b = rho.dims
+    fs, gs = [], []
+    for meas_a, meas_b in pairs:
+        f, g = as_povm(meas_a), as_povm(meas_b)
+        if f.dim != d_a or g.dim != d_b:
+            raise ValueError(
+                f"measurement dims ({f.dim}, {g.dim}) do not match state dims {rho.dims}"
+            )
+        fs.append(f)
+        gs.append(g)
+    n_a = max(len(f.elements) for f in fs)
+    n_b = max(len(g.elements) for g in gs)
+    # rr[j, l, i, k] = rho[(k, l), (i, j)]
+    rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)
+    t = _element_stack(gs, n_b) @ rr.reshape(d_b * d_b, d_a * d_a)
+    p = np.einsum("max,mbx->mab", _element_stack(fs, n_a), t)
+    return _checked_probs(p, axis=(1, 2))
+
+
 def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     """Joint outcome distribution P(a, b) = Tr[(E_a (x) E_b) rho].
 
     Both measurements may be projective bases or POVMs; projective inputs are
-    promoted to rank-1 POVMs so a single code path serves both.
-
-    The contraction has two fixed steps and no path search. A matmul forms
-    ``T[b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]`` in O(n_b d_A^2 d_B^2);
-    then ``P[a, b] = sum_(i,k) E_a[i, k] T[b, (i, k)]`` in O(n_a n_b d_A^2).
-    The second step is a plain two-operand einsum: a BLAS product there
-    rounds an entry differently depending on its column, so relabelling
-    Bob's outcomes would not permute P exactly.
+    promoted to rank-1 POVMs so a single code path serves both. This is the
+    one-pair case of the stacked kernel the witnesses use.
     """
-    d_a, d_b = rho.dims
-    f = as_povm(meas_a)
-    g = as_povm(meas_b)
-    if f.dim != d_a or g.dim != d_b:
-        raise ValueError(
-            f"measurement dims ({f.dim}, {g.dim}) do not match state dims {rho.dims}"
-        )
-    # rr[j, l, i, k] = rho[(k, l), (i, j)]
-    rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)
-    t = g.stacked.reshape(len(g.elements), -1) @ rr.reshape(d_b * d_b, d_a * d_a)
-    p = np.einsum("ax,bx->ab", f.stacked.reshape(len(f.elements), -1), t)
-    if np.max(np.abs(p.imag)) > 1e-8:
-        raise ValueError("joint probabilities acquired a non-negligible imaginary part")
-    return JointDistribution(len(f.elements), len(g.elements), p.real)
+    p = _joint_stack(rho, [(meas_a, meas_b)])[0]
+    return JointDistribution(*p.shape, p)
 
 
 def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
@@ -237,7 +267,7 @@ def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state shape {a.shape} does not match measurement dim {m.dim}")
     p = np.einsum("aij,ji->a", m.stacked, a).real
-    if p.min() < -CLAMP_TOL:
+    if p.min() < -NEG_TOL:
         raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
     return np.where(p < 0.0, 0.0, p)
 
@@ -254,11 +284,6 @@ def overlap_omega(basis_r: ProjectiveBasis, basis_s: ProjectiveBasis) -> float:
     return float(1.0 / ov.max())
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
 def povm_omega(f: Povm, g: Povm) -> float:
     """POVM generalization of the overlap constant.
 
@@ -271,10 +296,12 @@ def povm_omega(f: Povm, g: Povm) -> float:
     achieves only 1.469 bits. Projectors are their own square roots, with
     ``||P_i Q_j|| = |<r_i|s_j>|``, so projective POVMs reduce exactly to
     ``overlap_omega`` of the underlying bases.
+
+    The square roots are cached on each POVM; all n_f n_g products and their
+    norms come from one batched matmul and one batched SVD.
     """
     if f.dim != g.dim:
         raise ValueError("POVMs must share a dimension")
-    roots_f = [_psd_sqrt(fi) for fi in f.elements]
-    roots_g = [_psd_sqrt(gj) for gj in g.elements]
-    worst = max(np.linalg.norm(mi @ nj, ord=2) for mi in roots_f for nj in roots_g)
+    products = f.roots[:, None] @ g.roots[None, :]
+    worst = np.linalg.svd(products, compute_uv=False)[..., 0].max()
     return float(1.0 / worst**2)

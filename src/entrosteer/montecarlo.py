@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .infotheory import NEG_TOL, ZERO_CUTOFF
 from .measure import Povm, mub_set, pauli_bases, povm_omega
 from .qmat import (
     DensityMatrix,
@@ -32,8 +33,6 @@ from .qmat import (
 )
 from .witness import sanchez_ruiz_bound
 
-_ZERO = 1e-15
-_NEG_TOL = 1e-12
 _BLOCK = 4096        # states per batch block (fixed: partition must not depend on threads)
 _TRIAL_CHUNK = 512   # trials per draw chunk (prefix-stable: sequential draws from one stream)
 
@@ -247,8 +246,8 @@ def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
 # vectorized witness kernels
 
 def _entropy_last_axis(p: np.ndarray) -> np.ndarray:
-    safe = np.where(p > _ZERO, p, 1.0)
-    return -np.sum(np.where(p > _ZERO, p, 0.0) * np.log2(safe), axis=-1)
+    safe = np.where(p > ZERO_CUTOFF, p, 1.0)
+    return -np.sum(np.where(p > ZERO_CUTOFF, p, 0.0) * np.log2(safe), axis=-1)
 
 
 def _column_matrices(bases) -> np.ndarray:
@@ -264,7 +263,7 @@ def _product_columns(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
 
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
-    if p.min() < -_NEG_TOL:
+    if p.min() < -NEG_TOL:
         raise ValueError(
             f"negative joint probability {p.min():.3e} beyond the 1e-12 tolerance"
         )
@@ -303,8 +302,10 @@ def _per_basis_entropies(p: np.ndarray):
 # ---------------------------------------------------------------------------
 # scatter survey (conditional vs symmetric violations, fixed Pauli triples)
 
-def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> list[SurveyRecord]:
-    # mats: validated (n, 4, 4) states; evals: their ascending eigenvalues
+def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarray:
+    """``(n, 4)`` columns v_conditional_AtoB, v_conditional_BtoA, v_symmetric
+    and purity_scaled for validated ``(n, 4, 4)`` states with ascending
+    eigenvalues ``evals``."""
     trip = _column_matrices(pauli_bases())
     k = _product_columns(trip, trip)
     bound_c = sanchez_ruiz_bound(2)
@@ -324,7 +325,10 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> list[Surv
         np.arange(lo, min(lo + _BLOCK, len(mats)))
         for lo in range(0, len(mats), _BLOCK)
     ]
-    vals = np.concatenate(_parallel_map(block, blocks, threads), axis=0)
+    return np.concatenate(_parallel_map(block, blocks, threads), axis=0)
+
+
+def _records(vals: np.ndarray) -> list[SurveyRecord]:
     # column lists, not one list per row: the floats are made in one pass
     # and no n short-lived row lists raise the peak memory
     return [SurveyRecord(i, *row) for i, row in enumerate(zip(*vals.T.tolist()))]
@@ -336,7 +340,7 @@ def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
     if any(s.dims != (2, 2) for s in states):
         raise ValueError("scatter survey is defined for two-qubit states")
     mats = np.stack([s.mat for s in states])
-    return _fig1_kernel(mats, np.linalg.eigvalsh(mats), threads)
+    return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats), threads))
 
 
 def survey_fig1(
@@ -347,6 +351,13 @@ def survey_fig1(
     The sampled stack is validated once, and the validation eigenvalues give
     the purity column; no DensityMatrix is built per state.
     """
+    return _records(_survey_fig1_values(n, ensemble, rng, threads))
+
+
+def _survey_fig1_values(
+    n: int, ensemble: str, rng: np.random.Generator, threads: int
+) -> np.ndarray:
+    # the value columns of survey_fig1, without building a record per state
     mats, _ = _sample_stack(n, ensemble, rng)
     return _fig1_kernel(mats, validate_density_stack(mats), threads)
 

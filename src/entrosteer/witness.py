@@ -19,17 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import (
-    conditional_entropy,
-    modular_sum_entropy,
-    mutual_information,
-    shannon_entropy,
-)
+from .infotheory import _joint_entropies, _modular_entropies, shannon_entropy
 from .measure import (
     ProjectiveBasis,
+    _joint_stack,
     as_povm,
     is_mub_set,
-    joint_distribution,
     measurement_distribution,
     overlap_omega,
     povm_omega,
@@ -71,6 +66,16 @@ def _pair_omega(meas_r, meas_s) -> float:
     return povm_omega(as_povm(meas_r), as_povm(meas_s))
 
 
+def _conditional_sum(h_joint: np.ndarray, h_given: np.ndarray) -> float:
+    """Sum over joints of H(joint) - H(given), each term clamped at 0."""
+    return sum(np.maximum(h_joint - h_given, 0.0).tolist())
+
+
+def _mi_sum(h_joint: np.ndarray, h_a: np.ndarray, h_b: np.ndarray) -> float:
+    """Sum over joints of I(A:B) = H(A) + H(B) - H(A,B), each clamped at 0."""
+    return sum(np.maximum(h_a + h_b - h_joint, 0.0).tolist())
+
+
 def pair_conditional(
     rho: DensityMatrix, r_a, s_a, r_b, s_b, direction: str = "AtoB"
 ) -> WitnessReport:
@@ -82,13 +87,12 @@ def pair_conditional(
     model exists. Measurements may be projective bases or POVMs; the bound
     uses the steered party's pair (operator-norm form for POVMs).
     """
-    j_r = joint_distribution(rho, r_a, r_b)
-    j_s = joint_distribution(rho, s_a, s_b)
+    h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))
     if direction == "AtoB":
-        lhs = conditional_entropy(j_r, "B|A") + conditional_entropy(j_s, "B|A")
+        lhs = _conditional_sum(h_joint, h_a)
         omega = _pair_omega(r_b, s_b)
     elif direction == "BtoA":
-        lhs = conditional_entropy(j_r, "A|B") + conditional_entropy(j_s, "A|B")
+        lhs = _conditional_sum(h_joint, h_b)
         omega = _pair_omega(r_a, s_a)
     else:
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
@@ -109,9 +113,7 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     if rho.dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
     n = rho.dims[0]
-    lhs = mutual_information(joint_distribution(rho, r_a, r_b)) + mutual_information(
-        joint_distribution(rho, s_a, s_b)
-    )
+    lhs = _mi_sum(*_joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)])))
     omega = min(overlap_omega(r_a, s_a), overlap_omega(r_b, s_b))
     bound = math.log2(n * n / omega)
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
@@ -145,19 +147,13 @@ def mub_conditional(
     if direction == "AtoB":
         _validate_mub_side(bases_b, d_b, "steered-side (B)")
         n = d_b
-        lhs = sum(
-            conditional_entropy(joint_distribution(rho, a, b), "B|A")
-            for a, b in zip(bases_a, bases_b)
-        )
     elif direction == "BtoA":
         _validate_mub_side(bases_a, d_a, "steered-side (A)")
         n = d_a
-        lhs = sum(
-            conditional_entropy(joint_distribution(rho, a, b), "A|B")
-            for a, b in zip(bases_a, bases_b)
-        )
     else:
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
+    h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, zip(bases_a, bases_b)))
+    lhs = _conditional_sum(h_joint, h_a if direction == "AtoB" else h_b)
     bound = sanchez_ruiz_bound(n)
     return WitnessReport("mub_conditional", direction, lhs, bound, bound - lhs)
 
@@ -177,10 +173,7 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
         )
     n = rho.dims[1]
     _validate_mub_side(bases_b, n, "steered-side (B)")
-    lhs = sum(
-        mutual_information(joint_distribution(rho, a, b))
-        for a, b in zip(bases_a, bases_b)
-    )
+    lhs = _mi_sum(*_joint_entropies(_joint_stack(rho, zip(bases_a, bases_b))))
     bound = (n + 1) * math.log2(n) - sanchez_ruiz_bound(n)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)
 
@@ -197,9 +190,10 @@ def sumdiff_discrete(
     """
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
-    j_r = joint_distribution(rho, r_a, r_b)
-    j_s = joint_distribution(rho, s_a, s_b)
-    lhs = modular_sum_entropy(j_r, signs[0]) + modular_sum_entropy(j_s, signs[1])
+    pairs = [(r_a, r_b), (s_a, s_b)]
+    p = _joint_stack(rho, pairs)
+    shapes = [(len(as_povm(a).elements), len(as_povm(b).elements)) for a, b in pairs]
+    lhs = sum(_modular_entropies(p, shapes, signs).tolist())
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(omega)
     return WitnessReport("sumdiff_discrete", "symmetric", lhs, bound, bound - lhs)

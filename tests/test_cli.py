@@ -358,6 +358,17 @@ class TestCvScanCommand:
         assert lines[0].endswith("usable for 0 <= r <= 6.2")
         assert not out.exists()
 
+    def test_physical_state_past_the_range_reports_the_range(self, tmp_path):
+        # tmsv(8) once failed its own physicality check instead
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", "cv-scan", "--r-min", "8",
+             "--r-max", "8", "--steps", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip("\n").endswith("usable for 0 <= r <= 6.2"), proc.stderr
+        assert "uncertainty" not in proc.stderr
+
 
 class TestEvalCommand:
     def test_werner_mub_conditional(self, tmp_path):

@@ -47,6 +47,22 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(0.5 * np.eye(3))
 
+    @pytest.mark.parametrize("r", [8.0, 10.0, 12.0])
+    def test_highly_squeezed_state_is_physical(self, r):
+        # a pure state's zero eigenvalue rounds to about -1e-9 at r = 8, below
+        # an absolute floor of -1e-10; the floor scales with the entries
+        assert tmsv(r).cov[0, 0] == pytest.approx(np.cosh(2.0 * r) / 2.0)
+
+    def test_scaled_floor_still_rejects_unphysical(self):
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(0.4 * np.eye(4))
+        # positions and momenta both correlated: var(x_A - x_B) and
+        # var(k_A - k_B) are both e^{-16}, far below what [x, k] = i allows
+        c, s = np.cosh(16.0) / 2.0, np.sinh(16.0) / 2.0
+        cov = c * np.eye(4) + s * np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(cov)
+
     def test_cov_read_only(self):
         state = tmsv(0.5)
         with pytest.raises(ValueError):

@@ -21,16 +21,20 @@ from entrosteer import (
     joint_distribution,
     measurement_distribution,
     mub_conditional,
+    mub_mi,
     mub_set,
     overlap_omega,
     pair_conditional,
+    pair_symmetric_mi,
     pauli_bases,
     povm_omega,
     random_pure_state,
     random_unitary,
     rotate_basis,
+    sumdiff_discrete,
     werner_state,
 )
+from entrosteer import measure, witness
 from entrosteer.measure import ProjectiveBasis
 
 try:
@@ -265,6 +269,10 @@ class TestOneTimeWork:
         path = counting("einsum_path", einsumfunc.einsum_path)
         monkeypatch.setattr(einsumfunc, "einsum_path", path)
         monkeypatch.setattr(np, "einsum_path", path)
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        kernel = counting("kernel", measure._joint_stack)
+        monkeypatch.setattr(measure, "_joint_stack", kernel)
+        monkeypatch.setattr(witness, "_joint_stack", kernel)
         return counts
 
     def test_counters_see_builds_and_path_searches(self, counts):
@@ -273,6 +281,11 @@ class TestOneTimeWork:
         a = np.eye(2)
         np.einsum("ij,jk->ik", a, a, optimize=True)
         assert counts == {"ProjectiveBasis": 3, "Povm": 1, "einsum_path": 1}
+        smeared = Povm(2, (np.diag([0.9, 0.1]), np.diag([0.1, 0.9])))
+        povm_omega(smeared, smeared)
+        joint_distribution(werner_state(0.5), x, smeared)
+        assert counts == {"ProjectiveBasis": 3, "Povm": 2, "einsum_path": 1,
+                          "eigh": 1, "kernel": 1}
 
     def test_basis_povm_is_built_lazily_and_cached(self, counts):
         bases = mub_set(3)
@@ -287,6 +300,8 @@ class TestOneTimeWork:
         eye = np.eye(2, dtype=complex)
         fx, fz = (Povm(2, tuple(0.8 * np.outer(v, v.conj()) + 0.1 * eye for v in b.vectors))
                   for b in (x, z))
+        kets = [np.array([np.cos(t), np.sin(t)]) for t in 2 * np.pi * np.arange(3) / 3]
+        trine = Povm(2, tuple(2 / 3 * np.outer(v, v) for v in kets))
         qutrits = mub_set(3)
         rho2 = werner_state(0.8)
         rho3 = random_density(np.random.default_rng(3), 3, 3)
@@ -295,22 +310,28 @@ class TestOneTimeWork:
         def calls():
             mub_conditional(rho2, qubits, qubits)
             mub_conditional(rho3, qutrits, qutrits, direction="BtoA")
+            mub_mi(rho3, qutrits, qutrits)
             pair_conditional(rho2, x, z, x, z)
             pair_conditional(rho2, fx, fz, fx, fz)
+            pair_conditional(rho2, trine, fz, fx, trine, direction="BtoA")
+            pair_symmetric_mi(rho2, x, z, x, z)
+            sumdiff_discrete(rho2, x, z, x, z)
+            sumdiff_discrete(rho2, trine, fz, trine, fz)
             measurement_distribution(rho_b, z)
             measurement_distribution(rho_b, fx)
+            return 9   # witness calls
 
-        calls()   # warm-up: promotes each basis once
+        calls()   # warm-up: promotes each basis and roots each POVM once
         counts.clear()
-        for _ in range(50):
-            calls()
-        assert counts == {}
+        witness_calls = sum(calls() for _ in range(50))
+        # one stacked contraction per witness call, and no one-time work
+        assert counts == {"kernel": witness_calls}
 
     def test_cached_arrays_are_read_only(self):
         x, _, _ = pauli_bases()
         smeared = Povm(2, (np.diag([0.9, 0.1]), np.diag([0.1, 0.9])))
         for povm in (as_povm(x), smeared):
-            for arr in (povm.stacked, *povm.elements):
+            for arr in (povm.stacked, *povm.elements, povm.roots):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0.5
