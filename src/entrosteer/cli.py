@@ -136,17 +136,23 @@ def _json_text(obj) -> str:
 
 def load_state(path: str) -> DensityMatrix:
     """Read a density matrix from a JSON state file: {"dims": [d_A, d_B],
-    "matrix": row-major nested lists of [re, im] pairs}."""
+    "matrix": row-major nested lists of [re, im] pairs}. `dims` must be a
+    list of exactly two integers >= 1; nothing is coerced."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        dims = tuple(int(d) for d in data["dims"])
+        dims = data["dims"]
+        if not (type(dims) is list and len(dims) == 2
+                and all(type(d) is int and d >= 1 for d in dims)):
+            raise ValueError('"dims" must be a list of two integers >= 1')
         mat = np.array(
             [[complex(e[0], e[1]) for e in row] for row in data["matrix"]],
             dtype=complex,
         )
-        return DensityMatrix(dims, mat)
-    except (OSError, KeyError, TypeError, IndexError, ValueError, json.JSONDecodeError) as exc:
+        return DensityMatrix(tuple(dims), mat)
+    # RecursionError: JSON nested deeper than the parser's recursion limit
+    except (OSError, KeyError, TypeError, IndexError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise ConfigError(f"cannot load state file {path}: {exc}") from exc
 
 
@@ -352,18 +358,7 @@ def _eval_report(rho: DensityMatrix, witness: str, direction: str) -> WitnessRep
 def _cmd_eval(config: RunConfig) -> int:
     rho = load_state(config.extra["state_file"])
     report = _eval_report(rho, config.extra["witness"], config.extra["direction"])
-    _emit(
-        config,
-        _json_text(
-            {
-                "name": report.name,
-                "direction": report.direction,
-                "lhs_bits": report.lhs_bits,
-                "bound_bits": report.bound_bits,
-                "violation_bits": report.violation_bits,
-            }
-        ),
-    )
+    _emit(config, _json_text(asdict(report)))
     return 0
 
 
@@ -414,7 +409,7 @@ def dispatch(config: RunConfig) -> int:
     try:
         status = _HANDLERS[config.command](config)
     except ConfigError as exc:
-        log.error("%s", exc)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BracketError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         log.error("numerical failure: %s", exc)

@@ -71,35 +71,45 @@ def _entropy_raw(p: np.ndarray) -> float:
     return float(-(q * np.log2(q)).sum()) if q.size else 0.0
 
 
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each distribution along the last axis of p; entries
+    at or below ZERO_CUTOFF (zeros, zero padding) contribute nothing."""
+    return -(p * np.log2(np.where(p > ZERO_CUTOFF, p, 1.0))).sum(axis=-1)
+
+
 def _joint_entropies(p: np.ndarray):
-    """H(A,B), H(A) and H(B) of each joint in a checked ``(m, n_a, n_b)`` stack.
+    """H(A,B), H(A) and H(B) of each joint in a checked ``(..., n_a, n_b)``
+    stack, each of shape ``(...)``.
 
     The joint entries and both marginals of every joint go through a single
-    log2 pass. Each result is an ``(m,)`` array; zero entries (and zero
-    padding rows or columns) contribute nothing.
+    log2 pass; zero entries (and zero padding rows or columns) contribute
+    nothing.
     """
-    m, n_a, n_b = p.shape
+    *lead, n_a, n_b = p.shape
     cells = n_a * n_b
-    parts = np.concatenate([p.reshape(m, cells), p.sum(axis=2), p.sum(axis=1)], axis=1)
+    parts = np.concatenate(
+        [p.reshape(*lead, cells), p.sum(axis=-1), p.sum(axis=-2)], axis=-1
+    )
     terms = -(parts * np.log2(np.where(parts > ZERO_CUTOFF, parts, 1.0)))
     return (
-        terms[:, :cells].sum(axis=1),
-        terms[:, cells:cells + n_a].sum(axis=1),
-        terms[:, cells + n_a:].sum(axis=1),
+        terms[..., :cells].sum(axis=-1),
+        terms[..., cells:cells + n_a].sum(axis=-1),
+        terms[..., cells + n_a:].sum(axis=-1),
     )
 
 
 def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
     """Entropy of ``(a + b) mod N`` ("plus") or ``(a - b) mod N`` ("minus")
-    for each joint of a checked stack.
+    for each joint of a checked ``(..., m, n_a, n_b)`` stack, shape ``(..., m)``.
 
-    Joint i is the top-left ``shapes[i]`` block of ``p[i]`` (the rest is zero
-    padding) and must be square, ``N x N``; ``signs[i]`` picks its sign.
+    Joint i is the top-left ``shapes[i]`` block of ``p[..., i, :, :]`` (the
+    rest is zero padding) and must be square, ``N x N``; ``signs[i]`` picks
+    its sign. Each residue's probability is summed in row-major order.
     """
-    m, n_a, n_b = p.shape
+    *lead, m, n_a, n_b = p.shape
     a = np.arange(n_a)[:, None]
     b = np.arange(n_b)[None, :]
-    idx = np.empty(p.shape, dtype=np.intp)
+    idx = np.empty((m, n_a, n_b), dtype=np.intp)
     for i, (shape, sign) in enumerate(zip(shapes, signs)):
         n = shape[0]
         if shape[1] != n:
@@ -107,9 +117,11 @@ def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
         if sign not in ("plus", "minus"):
             raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
         idx[i] = (a + b) % n if sign == "plus" else (a - b) % n
-    dist = np.zeros((m, max(n_a, n_b)))
-    np.add.at(dist, (np.arange(m)[:, None, None], idx), p)
-    return -(dist * np.log2(np.where(dist > ZERO_CUTOFF, dist, 1.0))).sum(axis=1)
+    flat = p.reshape(-1, m, n_a, n_b)
+    dist = np.zeros((len(flat), m, max(n_a, n_b)))
+    rows = np.arange(len(flat))[:, None, None, None]
+    np.add.at(dist, (rows, np.arange(m)[:, None, None], idx), flat)
+    return _entropies(dist).reshape(*lead, m)
 
 
 def shannon_entropy(p) -> float:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .infotheory import NEG_TOL, _checked_probs
+from .infotheory import _checked_probs
 from .qmat import DensityMatrix
 
 ORTHO_TOL = 1e-10
@@ -260,16 +260,43 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     return JointDistribution(*p.shape, p)
 
 
+def _product_joints(mats: np.ndarray, a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    """Checked joints of m projective basis pairs on s states, ``(s, m, d_a, d_b)``.
+
+    ``mats`` is an ``(s, D, D)`` stack of states; ``a_mats[i]`` and
+    ``b_mats[i]`` are the unitaries whose columns are the kets of pair i
+    (``ProjectiveBasis.matrix``). Each probability is ``<k|rho|k>`` for the
+    product column ``k = a (x) b``, from one three-operand einsum over the
+    state and column stacks. The surveys' value bytes depend on this
+    arithmetic, so it is kept apart from `_joint_stack`, whose matmul and
+    two-operand einsum round differently.
+    """
+    m, d_a, d_b = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
+    k = np.einsum("mia,mjb->mijab", a_mats, b_mats).reshape(m, d_a * d_b, d_a * d_b)
+    p = np.einsum("mjx,sjk,mkx->smx", k.conj(), mats, k, optimize=True)
+    return _checked_probs(p.reshape(-1, m, d_a, d_b), axis=(-2, -1))
+
+
+def _povm_joints(mats: np.ndarray, els_a: np.ndarray, els_b: np.ndarray) -> np.ndarray:
+    """Checked joints of one POVM pair on s states, ``(s, n_a, n_b)``.
+
+    ``els_a`` and ``els_b`` are stacked elements (``Povm.stacked``);
+    ``P[s, a, b] = Tr[(E_a (x) F_b) rho_s]`` from one einsum.
+    """
+    d_a, d_b = els_a.shape[-1], els_b.shape[-1]
+    rr = mats.reshape(-1, d_a, d_b, d_a, d_b)
+    p = np.einsum("aik,bjl,sklij->sab", els_a, els_b, rr, optimize=True)
+    return _checked_probs(p, axis=(-2, -1))
+
+
 def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
-    """Outcome distribution of one measurement on a single-party density matrix."""
+    """Outcome distribution of one measurement on a single-party density
+    matrix, with the probability checks of `joint_distribution`."""
     m = as_povm(meas)
     a = np.asarray(mat, dtype=complex)
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state shape {a.shape} does not match measurement dim {m.dim}")
-    p = np.einsum("aij,ji->a", m.stacked, a).real
-    if p.min() < -NEG_TOL:
-        raise ValueError(f"negative probability {p.min():.3e} beyond tolerance")
-    return np.where(p < 0.0, 0.0, p)
+    return _checked_probs(np.einsum("aij,ji->a", m.stacked, a))
 
 
 def overlap_omega(basis_r: ProjectiveBasis, basis_s: ProjectiveBasis) -> float:

@@ -8,9 +8,12 @@ evaluators uses a fixed block size. Together these make survey output a pure
 function of (seed, n, parameters), independent of thread count, and any single
 item reproducible in isolation.
 
-The witness math inside the hot loops is vectorized (einsum over state/trial
-axes) rather than routed through the public single-state API; the test suite
-pins the two paths against each other to 1e-12 on subsamples.
+The surveys hold no witness math of their own. Each layer has one owner, which
+the scalar witness API shares: `measure` contracts states with measurements
+(`_product_joints`, `_povm_joints`, ending in the probability checks),
+`infotheory` turns the joints into entropies, and `witness` adds them into
+the inequalities and supplies their bounds. The kernels here only batch
+states or trials through those functions, in blocks.
 """
 
 from __future__ import annotations
@@ -22,16 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import NEG_TOL, ZERO_CUTOFF
-from .measure import Povm, mub_set, pauli_bases, povm_omega
-from .qmat import (
-    DensityMatrix,
-    ginibre_density,
-    random_mixed_state,
-    random_pure_state,
-    validate_density_stack,
+from .infotheory import _entropies, _joint_entropies, _modular_entropies
+from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
+from .qmat import DensityMatrix, ginibre_density, validate_density_stack
+from .witness import (
+    _conditional_sum,
+    _left_sum,
+    _mi_sum,
+    _mub_mi_bound,
+    _pair_bound,
+    sanchez_ruiz_bound,
 )
-from .witness import sanchez_ruiz_bound
 
 _BLOCK = 4096        # states per batch block (fixed: partition must not depend on threads)
 _TRIAL_CHUNK = 512   # trials per draw chunk (prefix-stable: sequential draws from one stream)
@@ -136,7 +140,7 @@ def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
     }
 
 
-def _item_streams(seeds):
+def _item_streams(seeds, streams: list | None = None):
     """Yield, for each seed in turn, a Generator in the state of
     `np.random.default_rng(seed)`, so every draw matches that generator's.
 
@@ -145,7 +149,9 @@ def _item_streams(seeds):
     per item. It is the same object every time: draw each item before asking
     for the next. The first item's state is checked against `default_rng`
     on every call, so a numpy whose seeding differs raises RuntimeError
-    instead of changing the samples.
+    instead of changing the samples. When a `streams` list is passed, each
+    item's `bit_generator.state` after its draws is appended to it, so the
+    item's stream can be resumed elsewhere.
     """
     words = _seed_words(seeds)
     g = np.random.default_rng(seeds[0])
@@ -160,6 +166,8 @@ def _item_streams(seeds):
         for w in words[lo : lo + _BLOCK].tolist():
             bit_gen.state = _pcg64_state(*w)
             yield g
+            if streams is not None:
+                streams.append(bit_gen.state)
 
 
 def _worker_count(threads: int, items: int, cpus: int | None) -> int:
@@ -177,35 +185,24 @@ def _parallel_map(fn, items, threads: int):
     return [fn(item) for item in items]
 
 
-def _ensemble_maker(ensemble: str):
-    if ensemble == "pure":
-        return lambda g: random_pure_state(2, 2, g).to_density()
-    if ensemble == "mixed":
-        # arbitrary-purity ensemble: Ginibre-induced with rank drawn uniformly
-        # from {1..4}, so the survey spans maximally mixed through pure
-        return lambda g: random_mixed_state(2, 2, int(g.integers(1, 5)), g)
-    raise _unknown_ensemble(ensemble)
-
-
-def _unknown_ensemble(ensemble: str) -> ValueError:
-    return ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
-
-
-def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
-    """The states `_ensemble_maker(ensemble)` builds from each seed, as one
-    unvalidated (n, 4, 4) stack.
+def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None) -> np.ndarray:
+    """The two-qubit states of an ensemble, one per seed, as one unvalidated
+    (n, 4, 4) stack: Haar-random pure states ("pure"), or ("mixed")
+    Ginibre-induced states whose rank is drawn uniformly from {1..4}, so the
+    survey spans maximally mixed through pure.
 
     Only the draws run per item, from each item's own stream
-    (`_item_streams`) and in the scalar order (rank, then the real and
+    (`_item_streams`) and in the order of the scalar constructors
+    `random_pure_state` and `random_mixed_state` (rank, then the real and
     imaginary Gaussian blocks, which one call draws in sequence). The matrix
     arithmetic then runs once per stack with the per-element operations of
-    the scalar constructors, so every item is bit-identical to its replay
-    from the recorded seed.
+    those constructors, so every item is bit-identical to its replay from
+    the recorded seed. `streams` is passed on to `_item_streams`.
     """
     n = len(seeds)
     if ensemble == "pure":
         draws = np.empty((n, 2, 4))
-        for i, g in enumerate(_item_streams(seeds)):
+        for i, g in enumerate(_item_streams(seeds, streams)):
             draws[i] = g.standard_normal((2, 4))
         v = draws[:, 0] + 1j * draws[:, 1]
         # per-row dots on the strided real and imaginary views: the BLAS calls
@@ -215,10 +212,10 @@ def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
         v = v / np.sqrt(sq[:, 0])
         return v[:, :, None] * v.conj()[:, None, :]
     if ensemble != "mixed":
-        raise _unknown_ensemble(ensemble)
+        raise ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
     ranks = np.empty(n, dtype=np.intp)
     draws = np.empty((n, 2, 4, 4))
-    for i, g in enumerate(_item_streams(seeds)):
+    for i, g in enumerate(_item_streams(seeds, streams)):
         r = int(g.integers(1, 5))
         ranks[i] = r
         draws[i, :, :, :r] = g.standard_normal((2, 4, r))
@@ -243,89 +240,41 @@ def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# vectorized witness kernels
-
-def _entropy_last_axis(p: np.ndarray) -> np.ndarray:
-    safe = np.where(p > ZERO_CUTOFF, p, 1.0)
-    return -np.sum(np.where(p > ZERO_CUTOFF, p, 0.0) * np.log2(safe), axis=-1)
-
-
-def _column_matrices(bases) -> np.ndarray:
-    return np.stack([b.matrix for b in bases])
-
-
-def _product_columns(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
-    # K[m][(i,j),(a,b)] = A[m,i,a] * B[m,j,b]: product-state columns per basis
-    m, d_a = a_mats.shape[0], a_mats.shape[1]
-    d_b = b_mats.shape[1]
-    k = np.einsum("mia,mjb->mijab", a_mats, b_mats)
-    return k.reshape(m, d_a * d_b, d_a * d_b)
-
-
-def _clamp_probs(p: np.ndarray) -> np.ndarray:
-    if p.min() < -NEG_TOL:
-        raise ValueError(
-            f"negative joint probability {p.min():.3e} beyond the 1e-12 tolerance"
-        )
-    return np.clip(p, 0.0, None)
-
-
-def _joint_probs_states(rho_mats, k_mats, d_a: int, d_b: int) -> np.ndarray:
-    # (s,D,D) states x (m,D,D) product-column sets -> (s,m,d_a,d_b)
-    p = np.einsum(
-        "mjx,sjk,mkx->smx", k_mats.conj(), rho_mats, k_mats, optimize=True
-    ).real
-    return _clamp_probs(p).reshape(p.shape[0], p.shape[1], d_a, d_b)
-
-
-def _joint_probs_trials(rho_mat, k_mats, d_a: int, d_b: int) -> np.ndarray:
-    # one state x (q,D,D) product-column sets -> (q,d_a,d_b)
-    p = np.einsum("qjx,jk,qkx->qx", k_mats.conj(), rho_mat, k_mats, optimize=True).real
-    return _clamp_probs(p).reshape(-1, d_a, d_b)
-
-
-def _povm_joint_states(rho_mats, els_a, els_b, d_a: int, d_b: int) -> np.ndarray:
-    # general-POVM joints for a batch of states -> (s, n_a, n_b)
-    rr = rho_mats.reshape(-1, d_a, d_b, d_a, d_b)
-    p = np.einsum("aik,bjl,sklij->sab", els_a, els_b, rr, optimize=True).real
-    return _clamp_probs(p)
-
-
-def _per_basis_entropies(p: np.ndarray):
-    """H(A,B), H(A), H(B) along the last two (outcome) axes of p."""
-    h_joint = _entropy_last_axis(p.reshape(p.shape[:-2] + (-1,)))
-    h_a = _entropy_last_axis(p.sum(axis=-1))
-    h_b = _entropy_last_axis(p.sum(axis=-2))
-    return h_joint, h_a, h_b
-
-
-# ---------------------------------------------------------------------------
 # scatter survey (conditional vs symmetric violations, fixed Pauli triples)
+
+def _blocks(n: int) -> list[np.ndarray]:
+    # the fixed partition of n items: it must not depend on the thread count
+    return [np.arange(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+
+def _mub_matrices(d: int) -> np.ndarray:
+    # (d+1, d, d): the unitaries whose columns are the kets of each MUB
+    return np.stack([b.matrix for b in mub_set(d)])
+
+
+def _purity_scaled(evals: np.ndarray) -> np.ndarray:
+    """1 - S(rho) / 2 from the ascending two-qubit eigenvalues ``(..., 4)``:
+    1 for a pure state, 0 for the maximally mixed one."""
+    return 1.0 - _entropies(np.clip(evals, 0.0, 1.0)) / 2.0
+
 
 def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarray:
     """``(n, 4)`` columns v_conditional_AtoB, v_conditional_BtoA, v_symmetric
     and purity_scaled for validated ``(n, 4, 4)`` states with ascending
-    eigenvalues ``evals``."""
-    trip = _column_matrices(pauli_bases())
-    k = _product_columns(trip, trip)
+    eigenvalues ``evals``: the `mub_conditional` and `mub_mi` witnesses with
+    Pauli triples on both sides."""
+    trip = _mub_matrices(2)
     bound_c = sanchez_ruiz_bound(2)
-    bound_m = 3.0 * math.log2(2) - bound_c
+    bound_m = _mub_mi_bound(2)
 
     def block(idx):
-        p = _joint_probs_states(mats[idx], k, 2, 2)
-        h_joint, h_a, h_b = _per_basis_entropies(p)
-        v_ab = bound_c - (h_joint - h_a).sum(axis=-1)
-        v_ba = bound_c - (h_joint - h_b).sum(axis=-1)
-        v_sym = (h_a + h_b - h_joint).sum(axis=-1) - bound_m
-        ev = np.clip(evals[idx], 0.0, 1.0)
-        purity = 1.0 - _entropy_last_axis(ev) / 2.0
-        return np.stack([v_ab, v_ba, v_sym, purity], axis=1)
+        h_joint, h_a, h_b = _joint_entropies(_product_joints(mats[idx], trip, trip))
+        v_ab = bound_c - _conditional_sum(h_joint, h_a)
+        v_ba = bound_c - _conditional_sum(h_joint, h_b)
+        v_sym = _mi_sum(h_joint, h_a, h_b) - bound_m
+        return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals[idx])], axis=1)
 
-    blocks = [
-        np.arange(lo, min(lo + _BLOCK, len(mats)))
-        for lo in range(0, len(mats), _BLOCK)
-    ]
-    return np.concatenate(_parallel_map(block, blocks, threads), axis=0)
+    return np.concatenate(_parallel_map(block, _blocks(len(mats)), threads), axis=0)
 
 
 def _records(vals: np.ndarray) -> list[SurveyRecord]:
@@ -365,20 +314,18 @@ def _survey_fig1_values(
 # ---------------------------------------------------------------------------
 # basis-set search (random Haar rotations of the reference MUB set)
 
-def _directional_trial_values(rho: DensityMatrix, trials: int, rng: np.random.Generator):
-    """Both directional full-MUB conditional violations for `trials` random
-    basis-set pairs. Each pair rotates the complete reference MUB set by one
-    Haar unitary per party, which preserves mutual unbiasedness, so the
+def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Generator):
+    """Both directional full-MUB conditional violations of a validated state
+    of two d-level parties, ``(d*d, d*d)``, for `trials` random basis-set
+    pairs. Each pair rotates the complete reference MUB set by one Haar
+    unitary per party, which preserves mutual unbiasedness, so the
     entropy-sum bound stays valid on either steered side.
 
     Draws are trial-major from a single stream, so the first T trials of a
     longer run coincide with a trials=T run from the same generator state.
     """
-    d_a, d_b = rho.dims
-    if d_a != d_b:
-        raise ValueError("basis search needs equal local dimensions")
-    d = d_a
-    ref = _column_matrices(mub_set(d))
+    d = math.isqrt(len(mat))
+    ref = _mub_matrices(d)
     n_bases = ref.shape[0]
     bound = sanchez_ruiz_bound(d)
     v_ab = np.empty(trials)
@@ -393,15 +340,36 @@ def _directional_trial_values(rho: DensityMatrix, trials: int, rng: np.random.Ge
         mag = np.abs(diag)
         phase = np.where(mag > 0, diag, 1.0) / np.where(mag > 0, mag, 1.0)
         u = q * phase[..., None, :]
-        a = np.einsum("tjk,mkl->tmjl", u[:, 0], ref)
-        b = np.einsum("tjk,mkl->tmjl", u[:, 1], ref)
-        k = np.einsum("tmia,tmjb->tmijab", a, b).reshape(t * n_bases, d * d, d * d)
-        p = _joint_probs_trials(rho.mat, k, d, d).reshape(t, n_bases, d, d)
-        h_joint, h_a, h_b = _per_basis_entropies(p)
-        v_ab[done : done + t] = bound - (h_joint - h_a).sum(axis=-1)
-        v_ba[done : done + t] = bound - (h_joint - h_b).sum(axis=-1)
+        a = np.einsum("tjk,mkl->tmjl", u[:, 0], ref).reshape(-1, d, d)
+        b = np.einsum("tjk,mkl->tmjl", u[:, 1], ref).reshape(-1, d, d)
+        p = _product_joints(mat[None], a, b).reshape(t, n_bases, d, d)
+        h_joint, h_a, h_b = _joint_entropies(p)
+        v_ab[done : done + t] = bound - _conditional_sum(h_joint, h_a)
+        v_ba[done : done + t] = bound - _conditional_sum(h_joint, h_b)
         done += t
     return v_ab, v_ba
+
+
+def _equal_dims_matrix(rho: DensityMatrix) -> np.ndarray:
+    if rho.dims[0] != rho.dims[1]:
+        raise ValueError("basis search needs equal local dimensions")
+    return rho.mat
+
+
+def _optimize(mat, trials: int, rng, state_id: int, seed: int) -> OptimizationResult:
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    v_ab, v_ba = _directional_trial_values(mat, trials, rng)
+    i = int(np.argmax(np.minimum(v_ab, v_ba)))
+    return OptimizationResult(
+        state_id=state_id,
+        best_v_AtoB=float(v_ab.max()),
+        best_v_BtoA=float(v_ba.max()),
+        trials=trials,
+        seed=seed,
+        best_joint_v_AtoB=float(v_ab[i]),
+        best_joint_v_BtoA=float(v_ba[i]),
+    )
 
 
 def optimize_bases(
@@ -417,19 +385,7 @@ def optimize_bases(
     are provenance labels recorded in the result (surveys fill them with the
     item index and its derived integer seed; direct callers may leave them).
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    v_ab, v_ba = _directional_trial_values(rho, trials, rng)
-    i = int(np.argmax(np.minimum(v_ab, v_ba)))
-    return OptimizationResult(
-        state_id=state_id,
-        best_v_AtoB=float(v_ab.max()),
-        best_v_BtoA=float(v_ba.max()),
-        trials=trials,
-        seed=seed,
-        best_joint_v_AtoB=float(v_ab[i]),
-        best_joint_v_BtoA=float(v_ba[i]),
-    )
+    return _optimize(_equal_dims_matrix(rho), trials, rng, state_id, seed)
 
 
 def survey_fig2(
@@ -440,25 +396,24 @@ def survey_fig2(
 
     Each work item draws its state and then its trial stream from one derived
     seed, so items are independent of scheduling and individually replayable.
-    Items run on pool threads, so each builds its own `default_rng(seed)`
-    rather than sharing `_item_streams`' one generator; at about 17 us per
-    item, seeding is a few milliseconds of a run whose trials take seconds.
+    The states are drawn as one stack on the calling thread, which records
+    each item's stream state after its state draws, and are validated once;
+    each pool thread then resumes its item's stream for the trials.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    maker = _ensemble_maker(ensemble)
     seeds = _derived_seeds(rng, n)
+    streams = []
+    mats = _ensemble_stack(ensemble, seeds, streams)
+    purity = _purity_scaled(validate_density_stack(mats)).tolist()
 
-    def work(item):
-        i, seed = item
-        g = np.random.default_rng(seed)
-        state = maker(g)
-        result = optimize_bases(state, trials, g, state_id=i, seed=seed)
-        ev = np.clip(np.linalg.eigvalsh(state.mat), 0.0, 1.0)
-        purity = 1.0 - float(_entropy_last_axis(ev)) / 2.0
-        return result, purity
+    def work(i):
+        bit_gen = np.random.PCG64()
+        bit_gen.state = streams[i]
+        g = np.random.Generator(bit_gen)
+        return _optimize(mats[i], trials, g, i, seeds[i]), purity[i]
 
-    return _parallel_map(work, list(enumerate(seeds)), threads)
+    return _parallel_map(work, range(n), threads)
 
 
 def basis_sweep(
@@ -468,7 +423,7 @@ def basis_sweep(
     violations per pair, no maximization."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    v_ab, v_ba = _directional_trial_values(rho, n, rng)
+    v_ab, v_ba = _directional_trial_values(_equal_dims_matrix(rho), n, rng)
     return list(zip(v_ab.tolist(), v_ba.tolist()))
 
 
@@ -611,56 +566,40 @@ def _soundness_audit(
     mats: np.ndarray, threads: int = 1, eta: float = _SMEAR_ETA
 ) -> dict[str, float]:
     # mats: validated (n, 4, 4) two-qubit states
-    trip = _column_matrices(pauli_bases())
-    k = _product_columns(trip, trip)
-    bound_c2 = 1.0                       # log2 of the X/Z overlap constant
+    trip = _mub_matrices(2)
+    # the X/Z pair bounds (conditional, symmetric and sum/difference) are
+    # exactly 1 bit; computed from overlap_omega(X, Z) = 2.0000000000000004
+    # they would read 1.0000000000000002 or 0.9999999999999997
+    bound_xz = 1.0
     bound_c3 = sanchez_ruiz_bound(2)
-    bound_m3 = 3.0 * math.log2(2) - bound_c3
-    bound_m2 = math.log2(4.0 / 2.0)      # N^2 / min overlap constant, N = 2
+    bound_m3 = _mub_mi_bound(2)
     x_basis, _, z_basis = pauli_bases()
     povm_x = _smeared_povm(x_basis, eta)
     povm_z = _smeared_povm(z_basis, eta)
-    bound_povm = math.log2(povm_omega(povm_x, povm_z))
-    els_x = povm_x.stacked
-    els_z = povm_z.stacked
+    bound_povm = _pair_bound(povm_x, povm_z)
 
     def block(idx):
-        p = _joint_probs_states(mats[idx], k, 2, 2)       # (s, 3, 2, 2)
-        h_joint, h_a, h_b = _per_basis_entropies(p)
-        h_bga = h_joint - h_a
-        h_agb = h_joint - h_b
-        mi = h_a + h_b - h_joint
-        # modular sums: for two outcomes, plus and minus coincide
-        px, pz = p[:, 0], p[:, 2]
-        hsum_x = _entropy_last_axis(
-            np.stack([px[:, 0, 0] + px[:, 1, 1], px[:, 0, 1] + px[:, 1, 0]], axis=-1)
-        )
-        hsum_z = _entropy_last_axis(
-            np.stack([pz[:, 0, 0] + pz[:, 1, 1], pz[:, 0, 1] + pz[:, 1, 0]], axis=-1)
-        )
-        pvx = _povm_joint_states(mats[idx], els_x, els_x, 2, 2)
-        pvz = _povm_joint_states(mats[idx], els_z, els_z, 2, 2)
-        hv_joint_x, hv_a_x, hv_b_x = _per_basis_entropies(pvx)
-        hv_joint_z, hv_a_z, hv_b_z = _per_basis_entropies(pvz)
+        p = _product_joints(mats[idx], trip, trip)       # (s, 3, 2, 2): X, Y, Z
+        h_joint, h_a, h_b = _joint_entropies(p)
+        hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
+        h_mod = _modular_entropies(p[:, ::2], [(2, 2)] * 2, ("plus", "minus"))
+        hv_joint, hv_a, hv_b = _joint_entropies(np.stack(
+            [_povm_joints(mats[idx], povm.stacked, povm.stacked) for povm in (povm_x, povm_z)],
+            axis=1,
+        ))
         return {
-            "pair_conditional_AtoB": bound_c2 - (h_bga[:, 0] + h_bga[:, 2]),
-            "pair_conditional_BtoA": bound_c2 - (h_agb[:, 0] + h_agb[:, 2]),
-            "pair_symmetric_mi": (mi[:, 0] + mi[:, 2]) - bound_m2,
-            "mub_conditional_AtoB": bound_c3 - h_bga.sum(axis=-1),
-            "mub_conditional_BtoA": bound_c3 - h_agb.sum(axis=-1),
-            "mub_mi": mi.sum(axis=-1) - bound_m3,
-            "sumdiff_discrete": bound_c2 - (hsum_x + hsum_z),
-            "povm_pair_conditional_AtoB": bound_povm
-            - ((hv_joint_x - hv_a_x) + (hv_joint_z - hv_a_z)),
-            "povm_pair_conditional_BtoA": bound_povm
-            - ((hv_joint_x - hv_b_x) + (hv_joint_z - hv_b_z)),
+            "pair_conditional_AtoB": bound_xz - _conditional_sum(hp_joint, hp_a),
+            "pair_conditional_BtoA": bound_xz - _conditional_sum(hp_joint, hp_b),
+            "pair_symmetric_mi": _mi_sum(hp_joint, hp_a, hp_b) - bound_xz,
+            "mub_conditional_AtoB": bound_c3 - _conditional_sum(h_joint, h_a),
+            "mub_conditional_BtoA": bound_c3 - _conditional_sum(h_joint, h_b),
+            "mub_mi": _mi_sum(h_joint, h_a, h_b) - bound_m3,
+            "sumdiff_discrete": bound_xz - _left_sum(h_mod),
+            "povm_pair_conditional_AtoB": bound_povm - _conditional_sum(hv_joint, hv_a),
+            "povm_pair_conditional_BtoA": bound_povm - _conditional_sum(hv_joint, hv_b),
         }
 
-    blocks = [
-        np.arange(lo, min(lo + _BLOCK, len(mats)))
-        for lo in range(0, len(mats), _BLOCK)
-    ]
-    parts = _parallel_map(block, blocks, threads)
+    parts = _parallel_map(block, _blocks(len(mats)), threads)
     return {
         name: float(np.concatenate([part[name] for part in parts]).max())
         for name in parts[0]

@@ -59,6 +59,13 @@ def sanchez_ruiz_bound(n: int) -> float:
     return (n + 1.0) * math.log2((n + 1.0) / 2.0)
 
 
+def _mub_mi_bound(n: int) -> float:
+    """Upper bound, in bits, on the sum of N+1 mutual informations over a
+    complete MUB set on both sides: ``(N+1) log2 N - G`` with G the
+    :func:`sanchez_ruiz_bound`."""
+    return (n + 1) * math.log2(n) - sanchez_ruiz_bound(n)
+
+
 def _pair_omega(meas_r, meas_s) -> float:
     """Overlap constant of one party's measurement pair, POVM-general."""
     if isinstance(meas_r, ProjectiveBasis) and isinstance(meas_s, ProjectiveBasis):
@@ -66,14 +73,34 @@ def _pair_omega(meas_r, meas_s) -> float:
     return povm_omega(as_povm(meas_r), as_povm(meas_s))
 
 
-def _conditional_sum(h_joint: np.ndarray, h_given: np.ndarray) -> float:
-    """Sum over joints of H(joint) - H(given), each term clamped at 0."""
-    return sum(np.maximum(h_joint - h_given, 0.0).tolist())
+def _pair_bound(meas_r, meas_s) -> float:
+    """log2 of the overlap constant of the steered party's measurement pair."""
+    return math.log2(_pair_omega(meas_r, meas_s))
 
 
-def _mi_sum(h_joint: np.ndarray, h_a: np.ndarray, h_b: np.ndarray) -> float:
-    """Sum over joints of I(A:B) = H(A) + H(B) - H(A,B), each clamped at 0."""
-    return sum(np.maximum(h_a + h_b - h_joint, 0.0).tolist())
+def _left_sum(terms: np.ndarray):
+    """Sum of the m terms of one state ``(m,)`` or of each of s states
+    ``(s, m)``, added left to right from 0.
+
+    ``.sum(axis=-1)`` adds pairwise once there are 8 or more terms (the
+    full-MUB sums from d = 7 on), so its rounding would depend on m.
+    """
+    total = 0.0
+    for column in terms.T:
+        total = total + column
+    return total
+
+
+def _conditional_sum(h_joint: np.ndarray, h_given: np.ndarray):
+    """`_left_sum` of H(joint) - H(given) over the pairs, each term clamped
+    at 0; the entropy arrays have shape ``(m,)`` or ``(s, m)``."""
+    return _left_sum(np.maximum(h_joint - h_given, 0.0))
+
+
+def _mi_sum(h_joint: np.ndarray, h_a: np.ndarray, h_b: np.ndarray):
+    """`_left_sum` of I(A:B) = H(A) + H(B) - H(A,B) over the pairs, each term
+    clamped at 0; the entropy arrays have shape ``(m,)`` or ``(s, m)``."""
+    return _left_sum(np.maximum(h_a + h_b - h_joint, 0.0))
 
 
 def pair_conditional(
@@ -89,14 +116,13 @@ def pair_conditional(
     """
     h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))
     if direction == "AtoB":
-        lhs = _conditional_sum(h_joint, h_a)
-        omega = _pair_omega(r_b, s_b)
+        lhs = float(_conditional_sum(h_joint, h_a))
+        bound = _pair_bound(r_b, s_b)
     elif direction == "BtoA":
-        lhs = _conditional_sum(h_joint, h_b)
-        omega = _pair_omega(r_a, s_a)
+        lhs = float(_conditional_sum(h_joint, h_b))
+        bound = _pair_bound(r_a, s_a)
     else:
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
-    bound = math.log2(omega)
     return WitnessReport("pair_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -113,7 +139,7 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     if rho.dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
     n = rho.dims[0]
-    lhs = _mi_sum(*_joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)])))
+    lhs = float(_mi_sum(*_joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))))
     omega = min(overlap_omega(r_a, s_a), overlap_omega(r_b, s_b))
     bound = math.log2(n * n / omega)
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
@@ -153,7 +179,7 @@ def mub_conditional(
     else:
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
     h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, zip(bases_a, bases_b)))
-    lhs = _conditional_sum(h_joint, h_a if direction == "AtoB" else h_b)
+    lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
     bound = sanchez_ruiz_bound(n)
     return WitnessReport("mub_conditional", direction, lhs, bound, bound - lhs)
 
@@ -173,8 +199,8 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
         )
     n = rho.dims[1]
     _validate_mub_side(bases_b, n, "steered-side (B)")
-    lhs = _mi_sum(*_joint_entropies(_joint_stack(rho, zip(bases_a, bases_b))))
-    bound = (n + 1) * math.log2(n) - sanchez_ruiz_bound(n)
+    lhs = float(_mi_sum(*_joint_entropies(_joint_stack(rho, zip(bases_a, bases_b)))))
+    bound = _mub_mi_bound(n)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)
 
 
@@ -193,7 +219,7 @@ def sumdiff_discrete(
     pairs = [(r_a, r_b), (s_a, s_b)]
     p = _joint_stack(rho, pairs)
     shapes = [(len(as_povm(a).elements), len(as_povm(b).elements)) for a, b in pairs]
-    lhs = sum(_modular_entropies(p, shapes, signs).tolist())
+    lhs = float(_left_sum(_modular_entropies(p, shapes, signs)))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(omega)
     return WitnessReport("sumdiff_discrete", "symmetric", lhs, bound, bound - lhs)

@@ -347,6 +347,19 @@ class TestMeasurementDistribution:
         p = measurement_distribution(rho, x)
         assert np.max(np.abs(p - np.array([1.0, 0.0]))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "mat,message",
+        [
+            (2 * np.eye(2), "probabilities sum to .*, not 1 within"),
+            (np.array([[0.5, 0.5j], [0.5j, 0.5]]), "non-negligible imaginary part"),
+        ],
+        ids=["trace-2", "non-hermitian"],
+    )
+    def test_rejects_what_joint_distribution_rejects(self, mat, message):
+        x, _, _ = pauli_bases()
+        with pytest.raises(ValueError, match=message):
+            measurement_distribution(mat, x)
+
 
 class TestOverlapOmega:
     def test_pauli_pairs(self):

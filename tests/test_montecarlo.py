@@ -28,7 +28,7 @@ from entrosteer import (
     von_neumann_entropy,
     werner_state,
 )
-from entrosteer.montecarlo import _worker_count
+from entrosteer.montecarlo import _fig1_kernel, _soundness_audit, _worker_count
 
 AUDIT_KEYS = {
     "pair_conditional_AtoB",
@@ -330,3 +330,34 @@ class TestSoundnessAudit:
 
         with pytest.raises(ValueError):
             soundness_audit([random_density(rng, 3, 3)])
+
+
+def _one_bad_state(fault):
+    # an unvalidated stack of Werner states with one faulty matrix in it
+    mats = np.stack([werner_state(p).mat for p in (0.2, 0.5, 0.9)])
+    if fault == "non-hermitian":
+        mats[1, 0, 1] += 0.1    # <k|rho|k> gains an imaginary part for Y (x) Y
+    else:
+        mats[1] *= 1.1          # trace 1.1: every joint sums to 1.1
+    return mats
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("non-hermitian", "non-negligible imaginary part"),
+        ("off-trace", "probabilities sum to .*, not 1 within"),
+    ],
+    ids=["non-hermitian", "off-trace"],
+)
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda mats: _fig1_kernel(mats, np.full((len(mats), 4), 0.25), threads=1),
+        lambda mats: _soundness_audit(mats),
+    ],
+    ids=["fig1", "audit"],
+)
+def test_survey_kernels_run_the_probability_checks(kernel, fault, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(_one_bad_state(fault))

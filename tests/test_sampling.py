@@ -2,8 +2,9 @@
 
 The digests are SHA-256 sums of data files written by the per-object
 samplers that preceded the batched ones (numpy 2.4, OpenBLAS 0.3.31, x86-64);
-the batched samplers must reproduce them byte for byte. The replay tests
-rebuild single items from their recorded seeds with the scalar constructors.
+the batched samplers must reproduce them byte for byte. The fig2 and sweep
+digests also pin the basis-search trial kernel. The replay tests rebuild
+single items from their recorded seeds with the scalar constructors.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from entrosteer import (
     survey_fig1,
 )
 from entrosteer import cli, montecarlo, qmat
-from entrosteer.cli import main
+from entrosteer.cli import main, save_state
 from entrosteer.montecarlo import _derived_seeds
 
 PINNED = [
@@ -37,13 +38,37 @@ PINNED = [
         ["separable-audit", "--n", "500", "--k-max", "4", "--seed", "5"],
         "86f99c64d9836385ccd2147994d00ab7147ad99f5266b07f425ce2634a4e0e85",
     ),
+    (
+        ["fig2", "--ensemble", "mixed", "--n", "30", "--trials", "200", "--seed", "5",
+         "--threads", "2"],
+        "3191ae254ed4b137424d7ded8c65e200e81a0f847bba566f328d91daf216691c",
+    ),
+    (
+        ["fig2", "--ensemble", "pure", "--n", "30", "--trials", "200", "--seed", "5"],
+        "8b0120126a3110558edcb7ab65a2d86cefef7aa9dc6d7ff06f721bd7b6dc9aee",
+    ),
+    (
+        ["sweep", "--werner", "0.7", "--n", "2000", "--seed", "5"],
+        "900eb1e43abbb979cefd8088ba6803c10ec67f03bfd943c72e97e275c41b3808",
+    ),
+    (
+        # QUTRITS is replaced by a file holding random_mixed_state(3, 3, 2, default_rng(5))
+        ["sweep", "--state-file", "QUTRITS", "--n", "2000", "--seed", "5"],
+        "2270ae4e6c1406577bf5c86630fe3cac62d775fd54fb3c048f09fbf6969ce622",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", PINNED, ids=["fig1-mixed", "fig1-pure", "separable-audit"]
+    "argv,digest",
+    PINNED,
+    ids=["fig1-mixed", "fig1-pure", "separable-audit", "fig2-mixed", "fig2-pure",
+         "sweep-werner", "sweep-qutrits"],
 )
 def test_pinned_output_digest(tmp_path, argv, digest):
+    qutrits = tmp_path / "q3.json"
+    save_state(str(qutrits), random_mixed_state(3, 3, 2, np.random.default_rng(5)))
+    argv = [str(qutrits) if arg == "QUTRITS" else arg for arg in argv]
     out = tmp_path / "out.dat"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
