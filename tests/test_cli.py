@@ -56,7 +56,46 @@ class TestCsvText:
         assert cli._csv_text(["a", "b", "c", "d"], rows) == expected
 
 
+def _state_doc(dims, n):
+    # the maximally mixed n x n state under the given "dims" value
+    return {"dims": dims, "matrix": [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)]
+                                     for i in range(n)]}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dims", "matrix", "x"]), inner, max_size=3),
+    max_leaves=20,
+)
+_NUMBER = (st.integers(-2, 4) | st.floats(allow_nan=True, allow_infinity=True)
+           | st.booleans() | st.just(10**400))
+
+
+@st.composite
+def _state_files(draw):
+    """Text of a state file: well-formed, malformed, extreme or not JSON."""
+    n = draw(st.integers(0, 4))
+    entry = st.lists(_NUMBER, min_size=2, max_size=2) | _JSON
+    doc = {
+        "dims": draw(st.lists(_NUMBER, max_size=3) | _JSON),
+        "matrix": draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
+                                max_size=n)),
+    }
+    valid = _state_doc(*draw(st.sampled_from([([2, 2], 4), ([1, 3], 3), ([2, 1], 2)])))
+    text = json.dumps(draw(st.sampled_from([doc, valid, draw(_JSON)])))
+    depth = draw(st.integers(0, 3)) * 1000
+    return draw(st.sampled_from([
+        text,
+        text[: draw(st.integers(0, len(text)))],
+        "[" * depth + text + "]" * depth,
+    ]))
+
+
 class TestStateFiles:
+    """A state file either loads as documented or is a configuration error."""
+
     def test_round_trip_exact(self, tmp_path, rng):
         rho = random_density(rng, 2, 3)
         path = tmp_path / "state.json"
@@ -83,6 +122,45 @@ class TestStateFiles:
             load_state(str(bad))
         with pytest.raises(ConfigError):
             load_state(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "dims,n",
+        [("22", 4), ([2.7, 1], 2), ([2.0, 2], 4), ([True, 2], 2), ([2, 2, 1], 4), ([0, 4], 4)],
+        ids=["string", "fraction", "float", "bool", "three", "zero"],
+    )
+    def test_dims_must_be_two_integers(self, tmp_path, dims, n):
+        # each matrix fits the dims an int() coercion would make of the value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_state_doc(dims, n)))
+        with pytest.raises(cli.ConfigError, match='"dims" must be a list of two integers'):
+            load_state(str(path))
+
+    def test_deep_nesting_exits_2_with_one_error_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", "eval", "--state-file", str(path),
+             "--witness", "mub-mi"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot load state file")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        text=_state_files(),
+        witness=st.sampled_from(["pair-conditional", "pair-symmetric-mi", "mub-conditional",
+                                 "mub-mi", "sumdiff-discrete"]),
+        direction=st.sampled_from(["AtoB", "BtoA"]),
+    )
+    def test_any_state_file_exits_cleanly(self, tmp_path, text, witness, direction):
+        path = tmp_path / "fuzz.json"
+        path.write_text(text)
+        code, _ = run(tmp_path, "eval", "--state-file", str(path), "--witness", witness,
+                      "--direction", direction)
+        assert code in (0, 1, 2)
 
 
 class TestFig1Command:
@@ -409,86 +487,6 @@ class TestEvalCommand:
         code, _ = run(tmp_path, "eval", "--state-file", str(path),
                       "--witness", "pair-symmetric-mi")
         assert code == 2
-
-
-def _state_doc(dims, n):
-    # the maximally mixed n x n state under the given "dims" value
-    return {"dims": dims, "matrix": [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)]
-                                     for i in range(n)]}
-
-
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 10)
-    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(["dims", "matrix", "x"]), inner, max_size=3),
-    max_leaves=20,
-)
-_NUMBER = (st.integers(-2, 4) | st.floats(allow_nan=True, allow_infinity=True)
-           | st.booleans() | st.just(10**400))
-
-
-@st.composite
-def _state_files(draw):
-    """Text of a state file: well-formed, malformed, extreme or not JSON."""
-    n = draw(st.integers(0, 4))
-    entry = st.lists(_NUMBER, min_size=2, max_size=2) | _JSON
-    doc = {
-        "dims": draw(st.lists(_NUMBER, max_size=3) | _JSON),
-        "matrix": draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
-                                max_size=n)),
-    }
-    valid = _state_doc(*draw(st.sampled_from([([2, 2], 4), ([1, 3], 3), ([2, 1], 2)])))
-    text = json.dumps(draw(st.sampled_from([doc, valid, draw(_JSON)])))
-    depth = draw(st.integers(0, 3)) * 1000
-    return draw(st.sampled_from([
-        text,
-        text[: draw(st.integers(0, len(text)))],
-        "[" * depth + text + "]" * depth,
-    ]))
-
-
-class TestStateFiles:
-    """A state file either loads as documented or is a configuration error."""
-
-    @pytest.mark.parametrize(
-        "dims,n",
-        [("22", 4), ([2.7, 1], 2), ([2.0, 2], 4), ([True, 2], 2), ([2, 2, 1], 4), ([0, 4], 4)],
-        ids=["string", "fraction", "float", "bool", "three", "zero"],
-    )
-    def test_dims_must_be_two_integers(self, tmp_path, dims, n):
-        # each matrix fits the dims an int() coercion would make of the value
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(_state_doc(dims, n)))
-        with pytest.raises(cli.ConfigError, match='"dims" must be a list of two integers'):
-            load_state(str(path))
-
-    def test_deep_nesting_exits_2_with_one_error_line(self, tmp_path):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 100_000 + "]" * 100_000)
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "eval", "--state-file", str(path),
-             "--witness", "mub-mi"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: cannot load state file")
-
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        text=_state_files(),
-        witness=st.sampled_from(["pair-conditional", "pair-symmetric-mi", "mub-conditional",
-                                 "mub-mi", "sumdiff-discrete"]),
-        direction=st.sampled_from(["AtoB", "BtoA"]),
-    )
-    def test_any_state_file_exits_cleanly(self, tmp_path, text, witness, direction):
-        path = tmp_path / "fuzz.json"
-        path.write_text(text)
-        code, _ = run(tmp_path, "eval", "--state-file", str(path), "--witness", witness,
-                      "--direction", direction)
-        assert code in (0, 1, 2)
 
 
 class TestSeparableAuditCommand:
