@@ -3,15 +3,16 @@
 Subcommands: fig1, fig2, sweep (tabular surveys), werner-threshold, cv-scan,
 eval, separable-audit. Data goes to --out or standard output; log messages go
 to standard error. File outputs get a sibling run-manifest
-(<stem>.manifest.json) recording seed, parameters, versions, and wall time;
-the data files themselves are byte-identical across reruns with the same
-configuration, regardless of --threads.
+(<stem>.manifest.json) recording seed, parameters, versions, the BLAS thread
+setting, and wall time; the data files themselves are byte-identical across
+reruns with the same configuration, regardless of --threads.
 
 The seed is resolved from --seed, then the ENTROSTEER_SEED environment
 variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
-violation), 2 configuration error (including a negative seed or an --out path
-whose directory does not exist, both rejected before any work starts).
+violation), 2 configuration error (including a negative seed, an --out path
+whose directory does not exist, or counts whose estimated memory exceeds the
+machine's, all rejected before any work starts).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import stat
 import sys
@@ -36,6 +38,7 @@ from .montecarlo import (
     _sample_separable_stack,
     _soundness_audit,
     _survey_fig1_values,
+    _worker_count,
     basis_sweep,
     survey_fig2,
     threshold_bisect,
@@ -53,6 +56,26 @@ from .witness import (
 log = logging.getLogger("entrosteer")
 
 AUDIT_TOL = 1e-9
+
+# Peak memory per work item of each command, rounded up from the slope of peak
+# RSS between two run sizes and from tracemalloc peaks (Python 3.11, numpy
+# 2.4): per state for fig1 and fig2, per basis-set draw for sweep, per grid
+# point for cv-scan. JSON output adds _JSON_ROW_BYTES per table row. A
+# separable-audit state costs _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per
+# expected product term, and each fig2 state in flight holds the working set
+# of one trial chunk plus _TRIAL_BYTES per trial.
+_ITEM_BYTES = {"fig1": 1024, "fig2": 2048, "sweep": 512, "cv-scan": 512}
+_JSON_ROW_BYTES = 1280
+_AUDIT_STATE_BYTES = 1024
+_AUDIT_TERM_BYTES = 640
+_TRIAL_CHUNK_BYTES = 3 * 2**20
+_TRIAL_BYTES = 32
+
+# physical memory: a run estimated to need more cannot finish on this machine
+try:
+    _MEMORY_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):   # the platform does not say
+    _MEMORY_BUDGET = None
 
 
 class ConfigError(Exception):
@@ -86,6 +109,34 @@ class RunConfig:
             parent = os.path.dirname(os.path.abspath(self.out_path))
             if not os.path.isdir(parent):
                 raise ConfigError(f"--out directory {parent} does not exist")
+        need = _estimated_bytes(self)
+        if _MEMORY_BUDGET is not None and need > _MEMORY_BUDGET:
+            raise ConfigError(
+                f"{self.command} would need about {need / 2**30:.3g} GiB of memory, "
+                f"more than the {_MEMORY_BUDGET / 2**30:.3g} GiB this machine has"
+            )
+
+
+def _estimated_bytes(config: RunConfig) -> int:
+    """Peak memory a run's arrays and output take, estimated from its counts
+    alone, before anything is allocated; 0 for commands of fixed size."""
+    command = config.command
+    if command == "separable-audit":
+        terms = config.n_states * (config.extra.get("k_max", 1) + 1) // 2
+        return config.n_states * _AUDIT_STATE_BYTES + terms * _AUDIT_TERM_BYTES
+    rows = {
+        "fig1": config.n_states,
+        "fig2": config.n_states,
+        "sweep": config.n_trials,
+        "cv-scan": max(config.extra.get("steps", 1), 0),
+    }.get(command, 0)
+    need = rows * _ITEM_BYTES.get(command, 0)
+    if config.format == "json":
+        need += rows * _JSON_ROW_BYTES
+    if command == "fig2":
+        in_flight = _worker_count(config.threads, config.n_states, os.cpu_count())
+        need += in_flight * (_TRIAL_CHUNK_BYTES + config.n_trials * _TRIAL_BYTES)
+    return need
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +218,9 @@ def save_state(path: str, rho: DensityMatrix) -> None:
         fh.write("\n")
 
 
-def _write_manifest(config: RunConfig, wall_s: float) -> None:
+def _write_manifest(
+    config: RunConfig, wall_s: float, blas_threads_defaulted: bool = False
+) -> None:
     stem, _ = os.path.splitext(config.out_path)
     manifest = {
         "command": config.command,
@@ -177,6 +230,12 @@ def _write_manifest(config: RunConfig, wall_s: float) -> None:
             "entrosteer": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
+        },
+        # BLAS threading is fixed when numpy loads; the data bytes do not
+        # depend on it, but the timings do
+        "blas_threads": {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "defaulted_by_cli": blas_threads_defaulted,
         },
         "wall_time_s": wall_s,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -315,8 +374,8 @@ def _cmd_cv_scan(config: RunConfig) -> int:
     steps = config.extra["steps"]
     if steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {steps}")
-    if r_min < 0 or r_max < r_min:
-        raise ConfigError(f"need 0 <= r-min <= r-max, got {r_min}, {r_max}")
+    if not (0.0 <= r_min <= r_max and math.isfinite(r_max)):
+        raise ConfigError(f"need finite 0 <= r-min <= r-max, got {r_min}, {r_max}")
     grid = np.linspace(r_min, r_max, steps) if steps > 1 else np.array([r_min])
     rows = []
     for r in grid:
@@ -403,8 +462,10 @@ _HANDLERS = {
 _JSON_ONLY = ("werner-threshold", "eval", "separable-audit")
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run the configured command; returns the process exit status."""
+def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
+    """Run the configured command; returns the process exit status.
+    `blas_threads_defaulted` records in the manifest that the entry point
+    set OPENBLAS_NUM_THREADS (see `entrosteer.__main__`)."""
     start = time.perf_counter()
     try:
         status = _HANDLERS[config.command](config)
@@ -415,7 +476,7 @@ def dispatch(config: RunConfig) -> int:
         log.error("numerical failure: %s", exc)
         return 1
     if status == 0 and config.out_path:
-        _write_manifest(config, time.perf_counter() - start)
+        _write_manifest(config, time.perf_counter() - start, blas_threads_defaulted)
     return status
 
 
@@ -544,7 +605,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, blas_threads_defaulted: bool = False) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
@@ -556,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return dispatch(config)
+    return dispatch(config, blas_threads_defaulted)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qmat import validate_density_stack
+
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
 NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
 SUM_TOL = 1e-10
@@ -162,19 +164,14 @@ def modular_sum_entropy(joint, sign: str) -> float:
 def von_neumann_entropy(m) -> float:
     """Spectral entropy -sum lambda_i log2 lambda_i of a density matrix.
 
-    Accepts a DensityMatrix or a raw Hermitian unit-trace PSD array; the
-    spectrum is clamped to [0, 1] before the logarithms.
+    Accepts a DensityMatrix or a raw Hermitian unit-trace PSD array, checked
+    as `qmat.validate_density_stack` checks a stack (ValueError otherwise);
+    the spectrum is clamped to [0, 1] before the logarithms.
     """
     mat = np.asarray(getattr(m, "mat", m), dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    ev = np.linalg.eigvalsh(mat)
-    if ev.min() < -1e-10:
-        raise ValueError("matrix has an eigenvalue below -1e-10")
-    if abs(ev.sum() - 1.0) > 1e-10:
-        raise ValueError(f"trace {ev.sum()!r} differs from 1")
+    ev = validate_density_stack(mat[None])[0]
     return _entropy_raw(np.clip(ev, 0.0, 1.0))
 
 

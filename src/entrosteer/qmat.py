@@ -13,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Structural invariants (Hermiticity, trace, eigenvalue floor) are checked to
-# 1e-10; derived spectral comparisons get the looser 1e-8. Both sit well above
-# double-precision noise for the dimensions this package targets (<= 32).
+# 1e-10, well above double-precision noise for the dimensions this package
+# targets (<= 32).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
 
 
 def _raise_at(bad: np.ndarray, message: str) -> None:

@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,21 @@ class TestManifest:
         assert set(manifest["versions"]) == {"entrosteer", "numpy", "python"}
         assert manifest["wall_time_s"] >= 0
 
+    @pytest.mark.parametrize("blas,defaulted", [("3", False), (None, False), ("1", True)])
+    def test_records_blas_threads(self, tmp_path, monkeypatch, blas, defaulted):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        out = tmp_path / "survey.csv"
+        assert main(["fig1", "--n", "4", "--out", str(out)],
+                    blas_threads_defaulted=defaulted) == 0
+        manifest = json.loads((tmp_path / "survey.manifest.json").read_text())
+        assert set(manifest) == {"blas_threads", "command", "parameters", "seed",
+                                 "timestamp", "versions", "wall_time_s"}
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": blas,
+                                            "defaulted_by_cli": defaulted}
+
     def test_not_written_for_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["fig1", "--n", "5"]) == 0
@@ -423,6 +439,11 @@ class TestCvScanCommand:
         code, _ = run(tmp_path, "cv-scan", "--r-min", "2", "--r-max", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("r_min,r_max", [("nan", "1"), ("0", "nan"), ("0", "inf")])
+    def test_rejects_non_finite_range(self, tmp_path, r_min, r_max):
+        code, _ = run(tmp_path, "cv-scan", "--r-min", r_min, "--r-max", r_max)
+        assert code == 2
+
     def test_squeezing_past_the_usable_range_exits_1(self, tmp_path):
         out = tmp_path / "cv.csv"
         proc = subprocess.run(
@@ -537,6 +558,153 @@ class TestValidation:
     def test_zero_threads_rejected(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--n", "5", "--threads", "0")
         assert code == 2
+
+
+class TestWorkBudget:
+    """A run whose estimated memory exceeds physical memory is a
+    configuration error, raised before anything is allocated."""
+
+    HUGE = str(10**15)
+
+    @staticmethod
+    def estimate(argv):
+        return cli._estimated_bytes(cli._config_from_args(cli._build_parser().parse_args(argv)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--n", "6000"],
+            ["sweep", "--n", "6000", "--format", "json"],
+            ["separable-audit", "--n", "500", "--k-max", "12"],
+            ["fig2", "--n", "2", "--trials", "30000", "--threads", "2"],
+            ["cv-scan", "--steps", "1500", "--format", "json"],
+        ],
+        ids=["fig1", "sweep-json", "separable-audit", "fig2", "cv-scan-json"],
+    )
+    def test_estimate_covers_the_traced_peak(self, tmp_path, argv):
+        # every array and Python object of the run is traced; the estimate
+        # must cover the peak without being far above it
+        argv = [*argv, "--out", str(tmp_path / "out.dat")]
+        estimate = self.estimate(argv)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate <= 2 * peak
+
+    def test_estimate_scales_with_every_count(self):
+        base = self.estimate(["fig1", "--n", "1000"])
+        assert self.estimate(["fig1", "--n", "2000"]) == 2 * base
+        assert self.estimate(["fig1", "--n", "1000", "--format", "json"]) > base
+        assert (self.estimate(["separable-audit", "--n", "10", "--k-max", "9"])
+                > self.estimate(["separable-audit", "--n", "10", "--k-max", "3"]))
+        fig2 = self.estimate(["fig2", "--n", "4", "--trials", "1000"])
+        assert self.estimate(["fig2", "--n", "4", "--trials", "2000"]) > fig2
+        assert self.estimate(["cv-scan", "--steps", "20"]) == 2 * self.estimate(
+            ["cv-scan", "--steps", "10"])
+        assert self.estimate(["werner-threshold"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--n", HUGE],
+            ["sweep", "--n", HUGE],
+            ["separable-audit", "--n", HUGE],
+            ["separable-audit", "--k-max", HUGE],
+            ["fig2", "--trials", HUGE],
+            ["cv-scan", "--steps", HUGE],
+        ],
+        ids=["fig1-n", "sweep-n", "audit-n", "audit-k-max", "fig2-trials", "cv-scan-steps"],
+    )
+    def test_absurd_count_exits_2_before_the_run(self, monkeypatch, capsys, argv):
+        # a fixed budget, and no run can start if the check ever passed
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {argv[0]} would need about ")
+        assert lines[0].endswith("more than the 64 GiB this machine has")
+
+    def test_budget_is_physical_memory(self):
+        assert cli._MEMORY_BUDGET == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+_COUNT = st.integers(-2, 30).map(str) | st.sampled_from(["0", "-0", "+3", "1_0", "x", ""])
+_FLOAT = (st.floats(allow_nan=True, allow_infinity=True).map(repr)
+          | st.sampled_from(["0", "1", "0.5", "-1", "1e400", "-0.0", "x"]))
+_FLAGS = {
+    "--seed": st.integers(-2, 2**70).map(str) | st.just("x"),
+    "--threads": st.integers(-1, 2).map(str),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--n": _COUNT, "--trials": _COUNT, "--k-max": _COUNT, "--steps": _COUNT,
+    "--ensemble": st.sampled_from(["pure", "mixed", "other"]),
+    "--werner": _FLOAT, "--tol": _FLOAT, "--lo": _FLOAT, "--hi": _FLOAT,
+    "--r-min": _FLOAT, "--r-max": _FLOAT,
+    "--settings": st.sampled_from(["2", "3", "4"]),
+    "--state-file": st.sampled_from(["QUBITS", "QUTRITS", "MISSING"]),
+    "--witness": st.sampled_from(["pair-conditional", "pair-symmetric-mi", "mub-conditional",
+                                  "mub-mi", "sumdiff-discrete", "none"]),
+    "--direction": st.sampled_from(["AtoB", "BtoA", "up"]),
+    "--out": st.sampled_from(["FILE", "DIR", "MISSING/out.dat"]),
+    "--verbose": st.none(),
+}
+_COMMON = ["--seed", "--threads", "--format", "--out", "--verbose"]
+_COMMANDS = {
+    "fig1": ["--n", "--ensemble"],
+    "fig2": ["--n", "--ensemble", "--trials"],
+    "sweep": ["--n", "--state-file", "--werner"],
+    "werner-threshold": ["--settings", "--tol", "--lo", "--hi"],
+    "cv-scan": ["--r-min", "--r-max", "--steps"],
+    "eval": ["--state-file", "--witness", "--direction"],
+    "separable-audit": ["--n", "--k-max"],
+}
+# given every time: eval needs them, and the other defaults are large runs
+_ALWAYS = {"fig1": ["--n"], "fig2": ["--n", "--trials"], "sweep": ["--n"],
+           "separable-audit": ["--n"], "eval": ["--state-file", "--witness"]}
+
+
+@st.composite
+def _argvs(draw):
+    """A command and a few of its flags, each with a small, odd or malformed
+    value; now and then a flag of another command."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    pool = st.sampled_from(_COMMON + _COMMANDS[command])
+    if draw(st.integers(0, 3)) == 0:
+        pool = st.sampled_from(sorted(_FLAGS))
+    flags = draw(st.lists(pool, max_size=5, unique=True))
+    always = _ALWAYS.get(command, [])
+    flags = always + [f for f in flags if f not in always]
+    argv = [command]
+    for flag in flags:
+        value = draw(_FLAGS[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argvs())
+    @example(argv=["cv-scan", "--r-max", "inf", "--steps", "3"])
+    @example(argv=["separable-audit", "--n", "3", "--k-max", "0"])
+    @example(argv=["eval", "--state-file", "QUTRITS", "--witness", "sumdiff-discrete"])
+    def test_any_argv_exits_cleanly(self, tmp_path, capsys, argv):
+        qubits, qutrits = tmp_path / "q2.json", tmp_path / "q3.json"
+        save_state(str(qubits), werner_state(0.8))
+        save_state(str(qutrits), random_density(np.random.default_rng(1), 3, 3))
+        paths = {"QUBITS": qubits, "QUTRITS": qutrits, "MISSING": tmp_path / "missing.json",
+                 "FILE": tmp_path / "out.dat", "DIR": tmp_path,
+                 "MISSING/out.dat": tmp_path / "missing" / "out.dat"}
+        argv = [str(paths[a]) if a in paths else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: usage errors exit 2
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConfigurationErrors:

@@ -155,6 +155,23 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             von_neumann_entropy(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.5, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        m[where] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            von_neumann_entropy(m)
+
+    def test_spectrum_entropy_bit_for_bit(self, rng):
+        # the entropy of the clipped eigvalsh spectrum, entries <= 1e-15 dropped
+        for d in (2, 3, 5):
+            for _ in range(20):
+                rho = random_density(rng, d, d)
+                ev = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, 1.0)
+                q = ev[ev > 1e-15]
+                assert von_neumann_entropy(rho) == float(-(q * np.log2(q)).sum())
+
 
 class TestConcurrence:
     def test_singlet(self):
