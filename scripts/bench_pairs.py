@@ -1,0 +1,83 @@
+"""Paired benchmark runs of a base commit against the working tree.
+
+    python3 scripts/bench_pairs.py --workload scatter --pairs 10 --seed 900 \
+        --seconds 50 [--base HEAD]
+
+Run from the root of a checkout. The base ref is checked out in a temporary
+git worktree; then, for N pairs on consecutive seeds, `perfbench/run.py
+--workload W --seed S --seconds T --trace 0` runs once on the base and once on
+the working tree, alternating which side runs first. For each end-to-end
+metric it prints each side's median and quartiles and how many pairs the
+change won (the direction of each metric comes from BENCHMARK.json). A claimed
+gain needs at least 9 wins in 10 pairs and a gap between the medians larger
+than the base's interquartile range. Exit status 1 when a run fails or
+reports a wrong output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if done.returncode in (0, 1) and lines else None
+    if result is None or not result["correct"]:
+        sys.exit(f"{checkout}: seed {seed} failed (exit {done.returncode})\n{done.stderr[-2000:]}")
+    return {k: m["value"] for k, m in result["metrics"].items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", default="scatter")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=900, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    root = os.getcwd()
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    base = tempfile.mkdtemp(prefix="bench-base-")
+    subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
+                   cwd=root, check=True, capture_output=True)
+    runs = {"base": [], "change": []}
+    try:
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = [("base", base), ("change", root)]
+            for side, checkout in order if k % 2 == 0 else order[::-1]:
+                runs[side].append(run_once(checkout, args.workload, seed, args.seconds))
+            print(f"pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root)
+
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"
+          f" base {args.base} against the working tree")
+    for name in runs["base"][0]:
+        lower = better.get(name, "lower") == "lower"
+        quartiles = {side: statistics.quantiles([r[name] for r in rs], n=4, method="inclusive")
+                     for side, rs in runs.items()}
+        wins = sum((c[name] < b[name]) if lower else (c[name] > b[name])
+                   for b, c in zip(runs["base"], runs["change"]))
+        b, c = quartiles["base"], quartiles["change"]
+        print(f"  {name:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]  "
+              f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  "
+              f"({'lower' if lower else 'higher'} is better) change wins {wins}/{args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -157,9 +157,13 @@ def _cell_format(cell) -> str:
     return "%d" if type(cell) is int else "%s"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[list], row_format: str | None = None) -> str:
     """The CSV text of a table: one %-format string per row, chosen by the
-    types of the row's cells (every table so far has one kind per column)."""
+    types of the row's cells (every table so far has one kind per column).
+    A table whose column types are fixed by construction can pass its
+    `row_format` (newline included), which is then mapped over all rows."""
+    if row_format is not None:
+        return ",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))
     formats = {}
     lines = [",".join(header)]
     for row in rows:
@@ -280,9 +284,11 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(config: RunConfig, header: list[str], rows: list[list]) -> None:
+def _emit_table(
+    config: RunConfig, header: list[str], rows: list[list], row_format: str | None = None
+) -> None:
     if config.format == "csv":
-        _emit(config, _csv_text(header, rows))
+        _emit(config, _csv_text(header, rows, row_format))
     else:
         _emit(config, _json_text([dict(zip(header, row)) for row in rows]))
 
@@ -295,7 +301,9 @@ def _cmd_fig1(config: RunConfig) -> int:
     vals = _survey_fig1_values(config.n_states, config.ensemble, rng, config.threads)
     v_ab, _, v_sym, purity = vals.T.tolist()
     rows = list(zip(range(len(v_ab)), v_ab, v_sym, purity))
-    _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows)
+    # range ints and tolist() floats: the row format is fixed by construction
+    _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows,
+                "%d,%.12g,%.12g,%.12g\n")
     return 0
 
 
@@ -422,8 +430,10 @@ def _cmd_eval(config: RunConfig) -> int:
 
 
 def _cmd_separable_audit(config: RunConfig) -> int:
-    rng = np.random.default_rng(config.seed)
     k_max = config.extra["k_max"]
+    if k_max < 1:
+        raise ConfigError(f"--k-max must be >= 1, got {k_max}")
+    rng = np.random.default_rng(config.seed)
     # one check of the whole sampled stack, instead of one DensityMatrix per state
     mats = _sample_separable_stack(config.n_states, k_max, rng)
     validate_density_stack(mats)

@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class OptimizationResult:
 # seeding and scheduling
 
 def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]
+    return rng.integers(0, 2**63 - 1, size=n).tolist()
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
@@ -82,7 +83,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _seed_words(seeds) -> np.ndarray:
@@ -127,44 +127,131 @@ def _seed_words(seeds) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
-    """The `PCG64.state` of a generator seeded with the words w0..w3:
-    `pcg_setseq_128_srandom_r` with initial state w0:w1 and sequence w2:w3."""
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+def _limbs(hi, lo):
+    # the 32-bit limbs of the 128-bit values hi:lo, least significant first
+    return [lo & _MASK32, lo >> 32, hi & _MASK32, hi >> 32]
+
+
+def _carried(cols):
+    """The (hi, lo) uint64 halves of the 128-bit values whose 32-bit columns,
+    least significant first, hold `cols` (each below 2**64): each column's
+    carry goes into the next, and the last one's is dropped (mod 2**128)."""
+    limbs, carry = [], 0
+    for col in cols:
+        col = col + carry
+        limbs.append(col & _MASK32)
+        carry = col >> 32
+    return limbs[3] << 32 | limbs[2], limbs[1] << 32 | limbs[0]
+
+
+def _lcg_step(hi, lo, inc):
+    """One PCG64 LCG step, hi:lo * _PCG_MULT + inc mod 2**128, with `inc`
+    given as its `_limbs`: schoolbook multiplication by the constant, each
+    limb product (below 2**64) split between its column and the next."""
+    x = _limbs(hi, lo)
+    mult = [np.uint64(_PCG_MULT >> 32 * j & _MASK32) for j in range(4)]
+    cols = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            p = x[i] * mult[j]
+            cols[i + j] = cols[i + j] + (p & _MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    return _carried(cols)
+
+
+def _pcg64_states(words: np.ndarray, ranked: bool = False):
+    """Every item's PCG64 stream from its `(n, 4)` seed words, in one
+    vectorised pass over uint64 halves; returns `(seeded, drawn)`.
+
+    `seeded` is (state_hi, state_lo, inc_hi, inc_lo) as
+    `pcg_setseq_128_srandom_r` leaves it, with initial state w0:w1 and
+    sequence w2:w3: inc = w2:w3 << 1 | 1, state = (inc + w0:w1) * MULT + inc.
+    `drawn` is None or, when `ranked`, the stream after a first
+    `integers(1, 5)`: (state_hi, state_lo, uinteger, rank). That draw takes
+    one LCG step and its XSL-RR output; Lemire's method on the output's low
+    32 bits never rejects for a range of 4, so the rank is 1 plus their top
+    two bits, and the high 32 bits stay buffered as `uinteger`.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    inc = _limbs(inc_hi, inc_lo)
+    state = _lcg_step(*_carried([a + b for a, b in zip(inc, _limbs(w0, w1))]), inc)
+    seeded = (*state, inc_hi, inc_lo)
+    if not ranked:
+        return seeded, None
+    hi, lo = _lcg_step(*state, inc)
+    xor, rot = hi ^ lo, hi >> 58
+    out = xor >> rot | xor << (64 - rot & 63)
+    return seeded, (hi, lo, out >> 32, (1 + ((out & _MASK32) >> 30)).astype(np.intp))
+
+
+def _state_dict(state_hi, state_lo, inc_hi, inc_lo, uinteger=None) -> dict:
+    # a `PCG64.state` from uint64 halves, with a buffered half word if given
     return {
         "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
+        "state": {"state": int(state_hi) << 64 | int(state_lo),
+                  "inc": int(inc_hi) << 64 | int(inc_lo)},
+        "has_uint32": int(uinteger is not None),
+        "uinteger": int(uinteger or 0),
     }
 
 
-def _item_streams(seeds, streams: list | None = None):
-    """Yield, for each seed in turn, a Generator in the state of
-    `np.random.default_rng(seed)`, so every draw matches that generator's.
+def _item_streams(seeds, streams: list | None = None, ranks: np.ndarray | None = None):
+    """An iterator that yields, for each seed in turn, a Generator in the
+    state of `np.random.default_rng(seed)`, so every draw matches that
+    generator's.
 
-    The words of all seeds come from one vectorised `_seed_words` pass, and a
-    single Generator is reset to each item's state instead of building one
-    per item. It is the same object every time: draw each item before asking
-    for the next. The first item's state is checked against `default_rng`
-    on every call, so a numpy whose seeding differs raises RuntimeError
-    instead of changing the samples. When a `streams` list is passed, each
-    item's `bit_generator.state` after its draws is appended to it, so the
-    item's stream can be resumed elsewhere.
+    Every item's state comes from one vectorised pass (`_seed_words`, then
+    `_pcg64_states`), and one Generator is loaded with each state in turn
+    through one reused dict: draw each item before asking for the next. When
+    a `ranks` array is passed, it is filled at once with each item's
+    `integers(1, 5)`, worked out from the stream's first output, and each
+    Generator is in its state after that draw. When a `streams` list is
+    passed, each item's `bit_generator.state` after its draws is appended to
+    it, so the item's stream can be resumed elsewhere.
+
+    On every call, the first item of every `_BLOCK` is checked against a
+    real `default_rng`: its seeded state and, with `ranks`, its rank and its
+    state after that draw. A numpy that seeds or draws differently raises
+    RuntimeError instead of changing the samples.
     """
-    words = _seed_words(seeds)
-    g = np.random.default_rng(seeds[0])
+    seeded, drawn = _pcg64_states(_seed_words(seeds), ranks is not None)
+    for k in range(0, len(seeds), _BLOCK):
+        g = np.random.default_rng(seeds[k])
+        same = g.bit_generator.state == _state_dict(*(a[k] for a in seeded))
+        if drawn is not None:
+            state_hi, state_lo, uinteger, rank = (a[k] for a in drawn)
+            same = same and g.integers(1, 5) == rank and g.bit_generator.state == (
+                _state_dict(state_hi, state_lo, seeded[2][k], seeded[3][k], uinteger)
+            )
+        if not same:
+            raise RuntimeError(
+                "this numpy seeds default_rng differently from the vectorised "
+                f"SeedSequence and PCG64 derivation (numpy {np.__version__}); "
+                "the per-item streams cannot be reproduced"
+            )
+    if drawn is None:
+        return _loaded(*seeded, None, streams)
+    state_hi, state_lo, uinteger, ranks[:] = drawn
+    return _loaded(state_hi, state_lo, *seeded[2:], uinteger, streams)
+
+
+def _loaded(state_hi, state_lo, inc_hi, inc_lo, uinteger, streams):
+    # the iterator of `_item_streams`; the Python ints are made block by block
+    g = np.random.default_rng(0)
     bit_gen = g.bit_generator
-    if _pcg64_state(*words[0].tolist()) != bit_gen.state:
-        raise RuntimeError(
-            "this numpy seeds default_rng differently from the vectorised "
-            f"SeedSequence derivation (numpy {np.__version__}); the per-item "
-            "streams cannot be reproduced"
-        )
-    for lo in range(0, len(words), _BLOCK):
-        for w in words[lo : lo + _BLOCK].tolist():
-            bit_gen.state = _pcg64_state(*w)
+    loaded = _state_dict(0, 0, 0, 0, None if uinteger is None else 0)
+    inner = loaded["state"]
+    for lo in range(0, len(state_hi), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        halves = [a[block].tolist() for a in (state_hi, state_lo, inc_hi, inc_lo)]
+        buffered = repeat(0) if uinteger is None else uinteger[block].tolist()
+        for s_hi, s_lo, i_hi, i_lo, u in zip(*halves, buffered):
+            inner["state"] = s_hi << 64 | s_lo
+            inner["inc"] = i_hi << 64 | i_lo
+            loaded["uinteger"] = u
+            bit_gen.state = loaded
             yield g
             if streams is not None:
                 streams.append(bit_gen.state)
@@ -191,19 +278,22 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
     Ginibre-induced states whose rank is drawn uniformly from {1..4}, so the
     survey spans maximally mixed through pure.
 
-    Only the draws run per item, from each item's own stream
+    Only the Gaussian fills run per item, from each item's own stream
     (`_item_streams`) and in the order of the scalar constructors
     `random_pure_state` and `random_mixed_state` (rank, then the real and
-    imaginary Gaussian blocks, which one call draws in sequence). The matrix
-    arithmetic then runs once per stack with the per-element operations of
-    those constructors, so every item is bit-identical to its replay from
-    the recorded seed. `streams` is passed on to `_item_streams`.
+    imaginary Gaussian blocks, which one call draws in sequence). The mixed
+    ranks come with the streams, from each stream's first output, and each
+    item fills the next row of a contiguous ``(n_r, 2, 4, r)`` buffer for its
+    rank r. The matrix arithmetic then runs once per stack with the
+    per-element operations of those constructors, so every item is
+    bit-identical to its replay from the recorded seed. `streams` is passed
+    on to `_item_streams`.
     """
     n = len(seeds)
     if ensemble == "pure":
         draws = np.empty((n, 2, 4))
-        for i, g in enumerate(_item_streams(seeds, streams)):
-            draws[i] = g.standard_normal((2, 4))
+        for g, row in zip(_item_streams(seeds, streams), draws):
+            g.standard_normal(out=row)
         v = draws[:, 0] + 1j * draws[:, 1]
         # per-row dots on the strided real and imaginary views: the BLAS calls
         # np.linalg.norm makes for one vector, so the norms match it bit for bit
@@ -214,15 +304,14 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
     if ensemble != "mixed":
         raise ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
     ranks = np.empty(n, dtype=np.intp)
-    draws = np.empty((n, 2, 4, 4))
-    for i, g in enumerate(_item_streams(seeds, streams)):
-        r = int(g.integers(1, 5))
-        ranks[i] = r
-        draws[i, :, :, :r] = g.standard_normal((2, 4, r))
+    items = _item_streams(seeds, streams, ranks)
+    bufs = [np.empty((np.count_nonzero(ranks == r), 2, 4, r)) for r in range(1, 5)]
+    rows = [iter(buf) for buf in bufs]   # each rank's items arrive in seed order
+    for g, r in zip(items, ranks.tolist()):
+        g.standard_normal(out=next(rows[r - 1]))
     mats = np.empty((n, 4, 4), dtype=complex)
-    for r in range(1, 5):
-        idx = np.flatnonzero(ranks == r)
-        mats[idx] = ginibre_density(draws[idx, 0, :, :r] + 1j * draws[idx, 1, :, :r])
+    for r, buf in enumerate(bufs, 1):
+        mats[ranks == r] = ginibre_density(buf[:, 0] + 1j * buf[:, 1])
     return mats
 
 
@@ -494,7 +583,7 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     cap = n * (k_max + 1) // 2 + 64       # terms held: the expected count, grown when full
     weights = np.empty(cap)
     ranks = np.empty(2 * cap, dtype=np.intp)   # factor 2t is Alice's, 2t+1 Bob's
-    draws = np.empty((2 * cap, 2, 2, 2))       # factor, re/im, row, column (padded)
+    draws = np.empty((2 * cap, 8))   # per factor, its (2, 2, rank) block, flat and padded
     t = 0
     for i, g in enumerate(_item_streams(seeds)):
         k = int(g.integers(1, k_max + 1))
@@ -508,12 +597,13 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
         for f in range(2 * t, 2 * (t + k)):
             r = int(g.integers(1, 3))
             ranks[f] = r
-            draws[f, :, :, :r] = g.standard_normal((2, 2, r))
+            g.standard_normal(out=draws[f, : 4 * r])
         t += k
     factors = np.empty((2 * t, 2, 2), dtype=complex)
     for r in (1, 2):
         idx = np.flatnonzero(ranks[: 2 * t] == r)
-        factors[idx] = ginibre_density(draws[idx, 0, :, :r] + 1j * draws[idx, 1, :, :r])
+        block = draws[:, : 4 * r].reshape(-1, 2, 2, r)   # a view: no copy of all factors
+        factors[idx] = ginibre_density(block[idx, 0] + 1j * block[idx, 1])
     fa, fb = factors[0::2], factors[1::2]
     kron = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(t, 4, 4)
     owner = np.repeat(np.arange(n), counts)

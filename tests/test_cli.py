@@ -56,6 +56,15 @@ class TestCsvText:
         )
         assert cli._csv_text(["a", "b", "c", "d"], rows) == expected
 
+    def test_fixed_row_format_matches_per_row_dispatch(self):
+        # fig1's rows: range ints and tolist() floats, edge values included
+        floats = [1 / 3, -0.0, float("nan"), float("inf"), -1e-310, 1e300, 0.1 + 0.2]
+        cols = [floats, floats[::-1], floats[3:] + floats[:3]]
+        rows = list(zip(range(len(floats)), *cols))
+        header = ["state_id", "a", "b", "c"]
+        assert (cli._csv_text(header, rows, "%d,%.12g,%.12g,%.12g\n")
+                == cli._csv_text(header, rows))
+
 
 def _state_doc(dims, n):
     # the maximally mixed n x n state under the given "dims" value
@@ -739,6 +748,13 @@ class TestConfigurationErrors:
 
     def test_nan_tolerance(self):
         self.fails_cleanly("werner-threshold", "--tol", "nan")
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_k_max_below_one(self, tmp_path, k_max):
+        # once reported as a numerical failure with exit 1
+        out = tmp_path / "audit.json"
+        self.fails_cleanly("separable-audit", "--n", "3", "--k-max", k_max, "--out", str(out))
+        assert not out.exists()
 
 
 class TestModuleEntryPoint:

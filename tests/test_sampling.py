@@ -25,6 +25,8 @@ from entrosteer import cli, montecarlo, qmat
 from entrosteer.cli import main, save_state
 from entrosteer.montecarlo import _derived_seeds
 
+_BLOCK_DEFAULT = montecarlo._BLOCK
+
 PINNED = [
     (
         ["fig1", "--ensemble", "mixed", "--n", "2000", "--seed", "5"],
@@ -148,33 +150,98 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble):
 
 
 # ---------------------------------------------------------------------------
-# per-item streams derived in one vectorised SeedSequence pass
+# per-item streams derived in one vectorised SeedSequence and PCG64 pass
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+_M64 = 2**64 - 1
+# seed words whose limb sums and products carry in every column, and none
+EDGE_WORDS = [
+    [_M64] * 4,
+    [0] * 4,
+    [_M64, _M64, 0, 0],
+    [0, 0, _M64, _M64],
+    [_M64, 0, _M64, 0],
+    [0, _M64, 0, _M64],
+    [2**63, 2**63 - 1, 2**63, 2**63 - 1],
+    [2**32 - 1, 2**32, 2**64 - 2**32, 2**32 - 1],
+]
+
+
+class _FixedWords(np.random.bit_generator.ISeedSequence):
+    # a seed sequence handing PCG64 the given words, so numpy itself seeds
+    # from words that no integer seed is known to hash to
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and dtype == np.uint64
+        return self.words.copy()
+
+
+def _derived_states(words):
+    """The streams `_pcg64_states` derives from (n, 4) seed words, as
+    `PCG64.state` dicts: seeded, and after the first `integers(1, 5)`, with
+    that rank."""
+    seeded, (hi, lo, uinteger, ranks) = montecarlo._pcg64_states(
+        np.array(words, dtype=np.uint64), ranked=True
+    )
+    inc = seeded[2:]
+    return [
+        (montecarlo._state_dict(*(a[k] for a in seeded)),
+         int(ranks[k]),
+         montecarlo._state_dict(hi[k], lo[k], inc[0][k], inc[1][k], uinteger[k]))
+        for k in range(len(words))
+    ]
+
+
+def _numpy_states(g):
+    # numpy's own seeded state, first integers(1, 5) and state after it
+    seeded = g.bit_generator.state
+    rank = int(g.integers(1, 5))
+    return seeded, rank, g.bit_generator.state
+
+
+def _check_seeds(seeds):
+    words = montecarlo._seed_words(seeds)
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, w in zip(seeds, words):
+        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    got = _derived_states(words)
+    assert got == [_numpy_states(np.random.default_rng(s)) for s in seeds]
 
 
 def test_seed_words_and_states_match_numpy_at_the_edges():
-    words = montecarlo._seed_words(EDGE_SEEDS)
-    assert words.shape == (len(EDGE_SEEDS), 4) and words.dtype == np.uint64
-    for seed, w in zip(EDGE_SEEDS, words):
-        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-        expected = np.random.default_rng(seed).bit_generator.state
-        assert montecarlo._pcg64_state(*w.tolist()) == expected
+    _check_seeds(EDGE_SEEDS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 2**63 - 2), min_size=1, max_size=8))
 def test_seed_words_and_states_match_numpy(seeds):
-    words = montecarlo._seed_words(seeds)
-    for seed, w in zip(seeds, words):
-        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
-        expected = np.random.default_rng(seed).bit_generator.state
-        assert montecarlo._pcg64_state(*w.tolist()) == expected
+    _check_seeds(seeds)
 
 
-def test_item_streams_draw_as_default_rng():
+def test_states_match_numpy_on_carrying_words():
+    got = _derived_states(EDGE_WORDS)
+    expected = [_numpy_states(np.random.Generator(np.random.PCG64(_FixedWords(w))))
+                for w in EDGE_WORDS]
+    assert got == expected
+    assert {rank for _, rank, _ in got} == {1, 2, 3, 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, _M64) | st.sampled_from([0, _M64, 2**63, 2**32]),
+                         min_size=4, max_size=4), min_size=1, max_size=6))
+def test_states_match_numpy_on_any_words(words):
+    expected = [_numpy_states(np.random.Generator(np.random.PCG64(_FixedWords(w))))
+                for w in words]
+    assert _derived_states(words) == expected
+
+
+def test_item_streams_draw_as_default_rng(monkeypatch):
     # an odd count of 32-bit draws leaves a buffered half word in the
-    # generator; the next item must not see it
+    # generator; the next item must not see it. A small block makes several
+    # blocks, each loaded and checked on its own
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
     seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(65), 20)
 
     def draws(g):
@@ -187,6 +254,31 @@ def test_item_streams_draw_as_default_rng():
 
     got = [draws(g) for g in montecarlo._item_streams(seeds)]
     assert got == [draws(np.random.default_rng(s)) for s in seeds]
+    ranks = np.full(len(seeds), -1, dtype=np.intp)
+    got = [draws(g) for g in montecarlo._item_streams(seeds, ranks=ranks)]
+    expected = [_numpy_states(np.random.default_rng(s)) for s in seeds]
+    assert ranks.tolist() == [rank for _, rank, _ in expected]
+    ranked = []
+    for s in seeds:
+        g = np.random.default_rng(s)
+        g.integers(1, 5)
+        ranked.append(draws(g))
+    assert got == ranked
+
+
+@pytest.mark.parametrize("ensemble,shape", [("mixed", None), ("pure", (2, 4))])
+def test_recorded_streams_match_default_rng(monkeypatch, ensemble, shape):
+    # the fig2 streams: each item's state after its state draws
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(67), 40)
+    streams = []
+    montecarlo._ensemble_stack(ensemble, seeds, streams)
+    expected = []
+    for s in seeds:
+        g = np.random.default_rng(s)
+        g.standard_normal(shape or (2, 4, int(g.integers(1, 5))))
+        expected.append(g.bit_generator.state)
+    assert streams == expected
 
 
 def _wrong_words(seeds, seed_words=montecarlo._seed_words):
@@ -195,9 +287,17 @@ def _wrong_words(seeds, seed_words=montecarlo._seed_words):
     return words
 
 
+def _carry_dropped(cols):
+    # `_carried` with every carry lost: each column keeps its low 32 bits
+    low = [c & 0xFFFFFFFF for c in cols]
+    return low[3] << 32 | low[2], low[1] << 32 | low[0]
+
+
 @pytest.mark.parametrize(
-    "attr,wrong", [("_seed_words", _wrong_words), ("_PCG_MULT", montecarlo._PCG_MULT + 2)],
-    ids=["words", "multiplier"],
+    "attr,wrong",
+    [("_seed_words", _wrong_words), ("_PCG_MULT", montecarlo._PCG_MULT + 2),
+     ("_carried", _carry_dropped)],
+    ids=["words", "multiplier", "carry"],
 )
 @pytest.mark.parametrize(
     "sample",
@@ -212,6 +312,39 @@ def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
     monkeypatch.setattr(montecarlo, attr, wrong)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         sample(np.random.default_rng(66))
+
+
+def _later_words_wrong(seeds, seed_words=montecarlo._seed_words):
+    words = seed_words(seeds)
+    words[1:, 1] ^= np.uint64(1 << 40)
+    return words
+
+
+def _rank_wrong(words, ranked=False, states=montecarlo._pcg64_states):
+    seeded, drawn = states(words, ranked)
+    hi, lo, uinteger, ranks = drawn
+    return seeded, (hi, lo, uinteger, ranks % 4 + 1)
+
+
+def _buffer_wrong(words, ranked=False, states=montecarlo._pcg64_states):
+    seeded, drawn = states(words, ranked)
+    hi, lo, uinteger, ranks = drawn
+    return seeded, (hi, lo, uinteger ^ np.uint64(1), ranks)
+
+
+@pytest.mark.parametrize(
+    "attr,wrong,block",
+    [("_seed_words", _later_words_wrong, 2), ("_pcg64_states", _rank_wrong, _BLOCK_DEFAULT),
+     ("_pcg64_states", _buffer_wrong, _BLOCK_DEFAULT)],
+    ids=["later-block", "rank", "buffered-word"],
+)
+def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wrong, block):
+    # only item 0 is right in the first case: the first item of the next
+    # block must be checked; the others break only what the mixed draw sets
+    monkeypatch.setattr(montecarlo, attr, wrong)
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    with pytest.raises(RuntimeError, match="seeds default_rng differently"):
+        survey_fig1(5, "mixed", np.random.default_rng(68))
 
 
 def test_separable_audit_validates_its_stack_once(monkeypatch, tmp_path):
