@@ -11,7 +11,8 @@ The seed is resolved from --seed, then the ENTROSTEER_SEED environment
 variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
 violation), 2 configuration error (including a negative seed, an --out path
-whose directory does not exist, or counts whose estimated memory exceeds the
+whose directory does not exist or whose name leaves no room for the temporary
+file, an option out of its range, or counts whose estimated memory exceeds the
 machine's, all rejected before any work starts).
 """
 
@@ -25,12 +26,12 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .cvgauss import entropic_sumdiff_cv, reid_sumdiff_cv, tmsv, walborn_cv
+from .cvgauss import TMSV_R_MAX, entropic_sumdiff_cv, reid_sumdiff_cv, tmsv, walborn_cv
 from .measure import mub_set, pauli_bases
 from .montecarlo import (
     BracketError,
@@ -57,14 +58,14 @@ log = logging.getLogger("entrosteer")
 
 AUDIT_TOL = 1e-9
 
-# Peak memory per work item of each command, rounded up from the slope of peak
-# RSS between two run sizes and from tracemalloc peaks (Python 3.11, numpy
-# 2.4): per state for fig1 and fig2, per basis-set draw for sweep, per grid
-# point for cv-scan. JSON output adds _JSON_ROW_BYTES per table row. A
-# separable-audit state costs _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per
-# expected product term, and each fig2 state in flight holds the working set
-# of one trial chunk plus _TRIAL_BYTES per trial.
-_ITEM_BYTES = {"fig1": 1024, "fig2": 2048, "sweep": 512, "cv-scan": 512}
+# Peak memory per work item of each command (the constant in its options
+# record's peak_bytes), rounded up from the slope of peak RSS between two run
+# sizes and from tracemalloc peaks (Python 3.11, numpy 2.4): per state for fig1
+# and fig2, per basis-set draw for sweep, per grid point for cv-scan. JSON
+# output adds _JSON_ROW_BYTES per table row. A separable-audit state costs
+# _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per expected product term, and each
+# fig2 state in flight holds the working set of one trial chunk plus
+# _TRIAL_BYTES per trial.
 _JSON_ROW_BYTES = 1280
 _AUDIT_STATE_BYTES = 1024
 _AUDIT_TERM_BYTES = 640
@@ -82,24 +83,130 @@ class ConfigError(Exception):
     """Invalid command-line configuration or unreadable input file."""
 
 
+def _check_counts(*counts: int) -> None:
+    if min(counts) < 1:
+        raise ConfigError("counts must be >= 1")
+
+
+def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
+    return rows * (item_bytes + (_JSON_ROW_BYTES if config.format == "json" else 0))
+
+
+# ---------------------------------------------------------------------------
+# per-command options: the fields are the subcommand's own argparse dests, and
+# each record rejects its own out-of-range values when it is built
+
+class _Options:
+    def peak_bytes(self, config: RunConfig) -> int:   # see _estimated_bytes
+        return 0
+
+
+@dataclass(frozen=True)
+class Fig1Options(_Options):
+    n: int
+    ensemble: str
+
+    def __post_init__(self):
+        _check_counts(self.n)
+
+    def peak_bytes(self, config):
+        return _table_bytes(config, self.n, 1024)
+
+
+@dataclass(frozen=True)
+class Fig2Options(_Options):
+    n: int
+    ensemble: str
+    trials: int
+
+    def __post_init__(self):
+        _check_counts(self.n, self.trials)
+
+    def peak_bytes(self, config):
+        in_flight = _worker_count(config.threads, self.n, os.cpu_count())
+        return (_table_bytes(config, self.n, 2048)
+                + in_flight * (_TRIAL_CHUNK_BYTES + self.trials * _TRIAL_BYTES))
+
+
+@dataclass(frozen=True)
+class SweepOptions(_Options):
+    n: int
+    state_file: str | None
+    werner: float
+
+    def __post_init__(self):
+        _check_counts(self.n)
+        if not self.state_file and not 0.0 <= self.werner <= 1.0:
+            raise ConfigError(f"--werner must be in [0, 1], got {self.werner}")
+
+    def peak_bytes(self, config):
+        return _table_bytes(config, self.n, 512)
+
+
+@dataclass(frozen=True)
+class WernerThresholdOptions(_Options):
+    settings: int
+    tol: float
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ConfigError("tolerance must be positive")
+        if not 0.0 <= self.lo < self.hi <= 1.0:
+            raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={self.lo}, hi={self.hi}")
+
+
+@dataclass(frozen=True)
+class CvScanOptions(_Options):
+    r_min: float
+    r_max: float
+    steps: int
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"--steps must be >= 1, got {self.steps}")
+        if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_max)):
+            raise ConfigError(
+                f"need finite 0 <= r-min <= r-max, got {self.r_min}, {self.r_max}")
+
+    def peak_bytes(self, config):
+        return _table_bytes(config, self.steps, 512)
+
+
+@dataclass(frozen=True)
+class EvalOptions(_Options):
+    state_file: str
+    witness: str
+    direction: str
+
+
+@dataclass(frozen=True)
+class SeparableAuditOptions(_Options):
+    n: int
+    k_max: int
+
+    def __post_init__(self):
+        _check_counts(self.n)
+        if self.k_max < 1:
+            raise ConfigError(f"--k-max must be >= 1, got {self.k_max}")
+
+    def peak_bytes(self, config):
+        terms = self.n * (self.k_max + 1) // 2
+        return self.n * _AUDIT_STATE_BYTES + terms * _AUDIT_TERM_BYTES
+
+
 @dataclass
 class RunConfig:
     command: str
     seed: int
-    n_states: int = 1
-    n_trials: int = 1
-    ensemble: str = "mixed"
-    tol: float = 1e-6
+    options: _Options
     out_path: str | None = None
     format: str = "csv"
     threads: int = 1
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_states < 1 or self.n_trials < 1 or self.threads < 1:
-            raise ConfigError("counts must be >= 1")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        _check_counts(self.threads)
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.out_path:
@@ -109,34 +216,33 @@ class RunConfig:
             parent = os.path.dirname(os.path.abspath(self.out_path))
             if not os.path.isdir(parent):
                 raise ConfigError(f"--out directory {parent} does not exist")
+            _check_name_lengths(self.out_path)
         need = _estimated_bytes(self)
         if _MEMORY_BUDGET is not None and need > _MEMORY_BUDGET:
             raise ConfigError(
                 f"{self.command} would need about {need / 2**30:.3g} GiB of memory, "
-                f"more than the {_MEMORY_BUDGET / 2**30:.3g} GiB this machine has"
-            )
+                f"more than the {_MEMORY_BUDGET / 2**30:.3g} GiB this machine has")
+
+
+def _check_name_lengths(out_path: str) -> None:
+    """The longest names a run creates, the temporary files `_write_atomic`
+    renames over the data file and over its manifest, must fit their
+    directory's file name limit."""
+    for path in map(os.path.realpath, (out_path, _manifest_path(out_path))):
+        directory, name = os.path.split(path)
+        try:
+            limit = os.pathconf(directory, "PC_NAME_MAX")
+        except OSError as exc:
+            raise ConfigError(f"--out directory {directory} is not usable: {exc}") from exc
+        if len(os.fsencode(_temporary_name(name))) > limit:
+            raise ConfigError(f"--out name too long: {name} and its temporary copy must "
+                              f"fit the {limit}-byte file name limit of {directory}")
 
 
 def _estimated_bytes(config: RunConfig) -> int:
     """Peak memory a run's arrays and output take, estimated from its counts
     alone, before anything is allocated; 0 for commands of fixed size."""
-    command = config.command
-    if command == "separable-audit":
-        terms = config.n_states * (config.extra.get("k_max", 1) + 1) // 2
-        return config.n_states * _AUDIT_STATE_BYTES + terms * _AUDIT_TERM_BYTES
-    rows = {
-        "fig1": config.n_states,
-        "fig2": config.n_states,
-        "sweep": config.n_trials,
-        "cv-scan": max(config.extra.get("steps", 1), 0),
-    }.get(command, 0)
-    need = rows * _ITEM_BYTES.get(command, 0)
-    if config.format == "json":
-        need += rows * _JSON_ROW_BYTES
-    if command == "fig2":
-        in_flight = _worker_count(config.threads, config.n_states, os.cpu_count())
-        need += in_flight * (_TRIAL_CHUNK_BYTES + config.n_trials * _TRIAL_BYTES)
-    return need
+    return config.options.peak_bytes(config)
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +252,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
-def _cell_format(cell) -> str:
-    # the %-format of one CSV cell: `_fmt` for floats, str() for the rest
-    if isinstance(cell, float):
-        return "%.12g"
-    return "%d" if type(cell) is int else "%s"
-
-
-def _csv_text(header: list[str], rows: list[list], row_format: str | None = None) -> str:
-    """The CSV text of a table: one %-format string per row, chosen by the
-    types of the row's cells (every table so far has one kind per column).
-    A table whose column types are fixed by construction can pass its
-    `row_format` (newline included), which is then mapped over all rows."""
-    if row_format is not None:
-        return ",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))
-    formats = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(map(_cell_format, row))
-        lines.append(fmt % tuple(row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], rows: list, row_format: str) -> str:
+    """The CSV text of a table. Every table's column types are fixed by
+    construction (Python ints and floats), so one %-format per table, newline
+    included, is mapped over all rows: "%d" for ints, "%.12g" (`_fmt`) for
+    floats."""
+    return ",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))
 
 
 def _json_ready(obj):
     if isinstance(obj, float):
-        return _round12(obj)
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -200,10 +285,8 @@ def load_state(path: str) -> DensityMatrix:
         if not (type(dims) is list and len(dims) == 2
                 and all(type(d) is int and d >= 1 for d in dims)):
             raise ValueError('"dims" must be a list of two integers >= 1')
-        mat = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in data["matrix"]],
-            dtype=complex,
-        )
+        mat = np.array([[complex(e[0], e[1]) for e in row] for row in data["matrix"]],
+                       dtype=complex)
         return DensityMatrix(tuple(dims), mat)
     # RecursionError: JSON nested deeper than the parser's recursion limit
     except (OSError, KeyError, TypeError, IndexError, ValueError, OverflowError,
@@ -213,28 +296,26 @@ def load_state(path: str) -> DensityMatrix:
 
 def save_state(path: str, rho: DensityMatrix) -> None:
     """Write a density matrix as a JSON state file (full float precision)."""
-    data = {
-        "dims": list(rho.dims),
-        "matrix": [[[e.real, e.imag] for e in row] for row in rho.mat],
-    }
+    data = {"dims": list(rho.dims),
+            "matrix": [[[e.real, e.imag] for e in row] for row in rho.mat]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh)
         fh.write("\n")
 
 
-def _write_manifest(
-    config: RunConfig, wall_s: float, blas_threads_defaulted: bool = False
-) -> None:
-    stem, _ = os.path.splitext(config.out_path)
+def _manifest_path(out_path: str) -> str:
+    return os.path.splitext(out_path)[0] + ".manifest.json"
+
+
+def _write_manifest(config: RunConfig, wall_s: float, blas_threads_defaulted: bool = False) -> None:
     manifest = {
         "command": config.command,
         "seed": config.seed,
-        "parameters": asdict(config),
-        "versions": {
-            "entrosteer": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
+        "parameters": asdict(config.options),
+        "format": config.format,
+        "threads": config.threads,
+        "versions": {"entrosteer": __version__, "numpy": np.__version__,
+                     "python": sys.version.split()[0]},
         # BLAS threading is fixed when numpy loads; the data bytes do not
         # depend on it, but the timings do
         "blas_threads": {
@@ -244,9 +325,13 @@ def _write_manifest(
         "wall_time_s": wall_s,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    path = stem + ".manifest.json"
+    path = _manifest_path(config.out_path)
     _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     log.info("manifest written to %s", path)
+
+
+def _temporary_name(path: str) -> str:
+    return f"{path}.{os.getpid()}.tmp"   # no two live processes share the name
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -263,7 +348,7 @@ def _write_atomic(path: str, text: str) -> None:
             fh.write(text)
         return
     path = os.path.realpath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"   # no two live processes share the name
+    tmp = _temporary_name(path)
     fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
@@ -284,192 +369,133 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(
-    config: RunConfig, header: list[str], rows: list[list], row_format: str | None = None
-) -> None:
-    if config.format == "csv":
-        _emit(config, _csv_text(header, rows, row_format))
-    else:
-        _emit(config, _json_text([dict(zip(header, row)) for row in rows]))
+def _emit_table(config: RunConfig, header: list[str], rows: list, row_format: str) -> None:
+    _emit(config, _csv_text(header, rows, row_format) if config.format == "csv"
+          else _json_text([dict(zip(header, row)) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_fig1(config: RunConfig) -> int:
+def _cmd_fig1(config: RunConfig, options: Fig1Options) -> int:
     rng = np.random.default_rng(config.seed)
-    vals = _survey_fig1_values(config.n_states, config.ensemble, rng, config.threads)
+    vals = _survey_fig1_values(options.n, options.ensemble, rng, config.threads)
     v_ab, _, v_sym, purity = vals.T.tolist()
     rows = list(zip(range(len(v_ab)), v_ab, v_sym, purity))
-    # range ints and tolist() floats: the row format is fixed by construction
     _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows,
                 "%d,%.12g,%.12g,%.12g\n")
     return 0
 
 
-def _cmd_fig2(config: RunConfig) -> int:
+def _cmd_fig2(config: RunConfig, options: Fig2Options) -> int:
     rng = np.random.default_rng(config.seed)
-    pairs = survey_fig2(
-        config.n_states, config.ensemble, config.n_trials, rng, threads=config.threads
-    )
-    rows = [
-        [res.state_id, res.best_v_AtoB, res.best_v_BtoA, purity]
-        for res, purity in pairs
-    ]
-    _emit_table(config, ["state_id", "best_v_AtoB", "best_v_BtoA", "purity"], rows)
+    pairs = survey_fig2(options.n, options.ensemble, options.trials, rng, threads=config.threads)
+    rows = [(res.state_id, res.best_v_AtoB, res.best_v_BtoA, purity) for res, purity in pairs]
+    _emit_table(config, ["state_id", "best_v_AtoB", "best_v_BtoA", "purity"], rows,
+                "%d,%.12g,%.12g,%.12g\n")
     return 0
 
 
-def _sweep_state(config: RunConfig) -> DensityMatrix:
-    path = config.extra.get("state_file")
-    if path:
-        return load_state(path)
-    p = config.extra["werner"]
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"--werner must be in [0, 1], got {p}")
-    return werner_state(p)
-
-
-def _cmd_sweep(config: RunConfig) -> int:
-    rho = _sweep_state(config)
+def _cmd_sweep(config: RunConfig, options: SweepOptions) -> int:
+    rho = load_state(options.state_file) if options.state_file else werner_state(options.werner)
+    if rho.dims[0] != rho.dims[1]:
+        raise ConfigError(f"sweep needs equal local dimensions, got {rho.dims}")
+    try:
+        mub_set(rho.dims[0])   # the search rotates one complete MUB set per party
+    except ValueError as exc:
+        raise ConfigError(f"sweep cannot search this state: {exc}") from exc
     rng = np.random.default_rng(config.seed)
-    points = basis_sweep(rho, config.n_trials, rng)
-    rows = [[i, v_ab, v_ba] for i, (v_ab, v_ba) in enumerate(points)]
-    _emit_table(config, ["trial_id", "v_AtoB", "v_BtoA"], rows)
+    points = basis_sweep(rho, options.n, rng)
+    rows = [(i, v_ab, v_ba) for i, (v_ab, v_ba) in enumerate(points)]
+    _emit_table(config, ["trial_id", "v_AtoB", "v_BtoA"], rows, "%d,%.12g,%.12g\n")
     return 0
 
 
 def _werner_family(settings: int):
-    x_basis, y_basis, z_basis = pauli_bases()
+    x, y, z = pauli_bases()
     if settings == 2:
-        def family(p: float) -> float:
-            return pair_conditional(
-                werner_state(p), x_basis, z_basis, x_basis, z_basis
-            ).violation_bits
-    else:
-        triple = [x_basis, y_basis, z_basis]
-        def family(p: float) -> float:
-            return mub_conditional(werner_state(p), triple, triple).violation_bits
-    return family
+        return lambda p: pair_conditional(werner_state(p), x, z, x, z).violation_bits
+    triple = [x, y, z]
+    return lambda p: mub_conditional(werner_state(p), triple, triple).violation_bits
 
 
-def _cmd_werner_threshold(config: RunConfig) -> int:
-    settings = config.extra["settings"]
-    lo, hi = config.extra["lo"], config.extra["hi"]
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={lo}, hi={hi}")
-    p_star = threshold_bisect(_werner_family(settings), lo, hi, tol=config.tol)
-    witness = "pair-conditional" if settings == 2 else "mub-conditional"
-    _emit(
-        config,
-        _json_text(
-            {
-                "p_star": p_star,
-                "settings": settings,
-                "witness": witness,
-                "tol": config.tol,
-                "lo": lo,
-                "hi": hi,
-            }
-        ),
-    )
+def _cmd_werner_threshold(config: RunConfig, options: WernerThresholdOptions) -> int:
+    family = _werner_family(options.settings)
+    p_star = threshold_bisect(family, options.lo, options.hi, tol=options.tol)
+    witness = "pair-conditional" if options.settings == 2 else "mub-conditional"
+    # the options are settings, tol, lo and hi
+    _emit(config, _json_text({"p_star": p_star, "witness": witness, **asdict(options)}))
     return 0
 
 
-def _cmd_cv_scan(config: RunConfig) -> int:
-    r_min = config.extra["r_min"]
-    r_max = config.extra["r_max"]
-    steps = config.extra["steps"]
-    if steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {steps}")
-    if not (0.0 <= r_min <= r_max and math.isfinite(r_max)):
-        raise ConfigError(f"need finite 0 <= r-min <= r-max, got {r_min}, {r_max}")
+def _cmd_cv_scan(config: RunConfig, options: CvScanOptions) -> int:
+    r_min, r_max, steps = options.r_min, options.r_max, options.steps
     grid = np.linspace(r_min, r_max, steps) if steps > 1 else np.array([r_min])
     rows = []
-    for r in grid:
-        g = tmsv(float(r))
-        rows.append(
-            [
-                float(r),
-                walborn_cv(g).violation_bits,
-                reid_sumdiff_cv(g).violation_bits,
-                entropic_sumdiff_cv(g).violation_bits,
-            ]
-        )
-    _emit_table(config, ["r", "v_walborn", "v_reid", "v_entropic_sumdiff"], rows)
+    try:
+        with np.errstate(over="raise"):
+            for r in grid.tolist():
+                g = tmsv(r)
+                rows.append((r, walborn_cv(g).violation_bits, reid_sumdiff_cv(g).violation_bits,
+                             entropic_sumdiff_cv(g).violation_bits))
+    except ArithmeticError as exc:   # float64 overflow, far past the usable range
+        raise ValueError(f"squeezing r = {r} overflows float64; a two-mode squeezed vacuum "
+                         f"is usable for 0 <= r <= {TMSV_R_MAX}") from exc
+    _emit_table(config, ["r", "v_walborn", "v_reid", "v_entropic_sumdiff"], rows,
+                "%.12g,%.12g,%.12g,%.12g\n")
     return 0
 
 
 def _eval_report(rho: DensityMatrix, witness: str, direction: str) -> WitnessReport:
-    d_a, d_b = rho.dims
     try:
-        if witness in ("pair-conditional", "pair-symmetric-mi", "sumdiff-discrete"):
-            # two observables per side: first and last of the standard MUB set
-            # (X and Z for qubits)
-            set_a, set_b = mub_set(d_a), mub_set(d_b)
-            r_a, s_a = set_a[0], set_a[-1]
-            r_b, s_b = set_b[0], set_b[-1]
-            if witness == "pair-conditional":
-                return pair_conditional(rho, r_a, s_a, r_b, s_b, direction=direction)
-            if witness == "pair-symmetric-mi":
-                return pair_symmetric_mi(rho, r_a, s_a, r_b, s_b)
-            return sumdiff_discrete(rho, r_a, s_a, r_b, s_b)
-        bases_a, bases_b = mub_set(d_a), mub_set(d_b)
+        set_a, set_b = mub_set(rho.dims[0]), mub_set(rho.dims[1])
         if witness == "mub-conditional":
-            return mub_conditional(rho, bases_a, bases_b, direction=direction)
-        return mub_mi(rho, bases_a, bases_b)
+            return mub_conditional(rho, set_a, set_b, direction=direction)
+        if witness == "mub-mi":
+            return mub_mi(rho, set_a, set_b)
+        # two observables per side: first and last of the standard MUB set (X, Z for qubits)
+        pair = (rho, set_a[0], set_a[-1], set_b[0], set_b[-1])
+        if witness == "pair-conditional":
+            return pair_conditional(*pair, direction=direction)
+        return (pair_symmetric_mi if witness == "pair-symmetric-mi" else sumdiff_discrete)(*pair)
     except ValueError as exc:
         raise ConfigError(f"witness {witness} not applicable to this state: {exc}") from exc
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    rho = load_state(config.extra["state_file"])
-    report = _eval_report(rho, config.extra["witness"], config.extra["direction"])
+def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
+    rho = load_state(options.state_file)
+    report = _eval_report(rho, options.witness, options.direction)
     _emit(config, _json_text(asdict(report)))
     return 0
 
 
-def _cmd_separable_audit(config: RunConfig) -> int:
-    k_max = config.extra["k_max"]
-    if k_max < 1:
-        raise ConfigError(f"--k-max must be >= 1, got {k_max}")
+def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> int:
     rng = np.random.default_rng(config.seed)
     # one check of the whole sampled stack, instead of one DensityMatrix per state
-    mats = _sample_separable_stack(config.n_states, k_max, rng)
+    mats = _sample_separable_stack(options.n, options.k_max, rng)
     validate_density_stack(mats)
     ppt_min = _ppt_min_eigenvalue(mats)
     worst = _soundness_audit(mats, threads=config.threads)
     sound = all(v <= AUDIT_TOL for v in worst.values())
-    _emit(
-        config,
-        _json_text(
-            {
-                "n": config.n_states,
-                "k_max": k_max,
-                "ppt_min_eigenvalue": ppt_min,
-                "max_violation": worst,
-                "tolerance": AUDIT_TOL,
-                "sound": sound,
-            }
-        ),
-    )
+    _emit(config, _json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
+                              "max_violation": worst, "tolerance": AUDIT_TOL,
+                              "sound": sound}))
     if not sound:
         log.error("soundness audit found a violation above %g", AUDIT_TOL)
         return 1
     return 0
 
 
-_HANDLERS = {
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "sweep": _cmd_sweep,
-    "werner-threshold": _cmd_werner_threshold,
-    "cv-scan": _cmd_cv_scan,
-    "eval": _cmd_eval,
-    "separable-audit": _cmd_separable_audit,
+# command -> (its options record, its handler, whether it writes JSON only)
+_COMMANDS = {
+    "fig1": (Fig1Options, _cmd_fig1, False),
+    "fig2": (Fig2Options, _cmd_fig2, False),
+    "sweep": (SweepOptions, _cmd_sweep, False),
+    "werner-threshold": (WernerThresholdOptions, _cmd_werner_threshold, True),
+    "cv-scan": (CvScanOptions, _cmd_cv_scan, False),
+    "eval": (EvalOptions, _cmd_eval, True),
+    "separable-audit": (SeparableAuditOptions, _cmd_separable_audit, True),
 }
-
-_JSON_ONLY = ("werner-threshold", "eval", "separable-audit")
 
 
 def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
@@ -478,7 +504,7 @@ def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
     set OPENBLAS_NUM_THREADS (see `entrosteer.__main__`)."""
     start = time.perf_counter()
     try:
-        status = _HANDLERS[config.command](config)
+        status = _COMMANDS[config.command][1](config, config.options)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -522,8 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="entrosteer",
-        description="Entropic steering witnesses: surveys, thresholds, evaluation.",
-    )
+        description="Entropic steering witnesses: surveys, thresholds, evaluation.")
     parser.add_argument("--version", action="version", version=f"entrosteer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -577,51 +602,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    if args.command == "sweep":
-        extra = {"state_file": args.state_file, "werner": args.werner}
-    elif args.command == "werner-threshold":
-        extra = {"settings": args.settings, "lo": args.lo, "hi": args.hi}
-    elif args.command == "cv-scan":
-        extra = {"r_min": args.r_min, "r_max": args.r_max, "steps": args.steps}
-    elif args.command == "eval":
-        extra = {
-            "state_file": args.state_file,
-            "witness": args.witness,
-            "direction": args.direction,
-        }
-    elif args.command == "separable-audit":
-        extra = {"k_max": args.k_max}
-
-    fmt = args.format
-    if args.command in _JSON_ONLY:
-        if fmt == "csv":
-            raise ConfigError(f"{args.command} produces JSON only")
-        fmt = "json"
-    elif fmt is None:
-        fmt = "csv"
-
+    options_cls, _, json_only = _COMMANDS[args.command]
+    fmt = args.format or ("json" if json_only else "csv")
+    if json_only and fmt == "csv":
+        raise ConfigError(f"{args.command} produces JSON only")
     return RunConfig(
         command=args.command,
         seed=_resolve_seed(args.seed),
-        n_states=getattr(args, "n", 1),
-        n_trials=getattr(args, "trials", getattr(args, "n", 1)),
-        ensemble=getattr(args, "ensemble", "mixed"),
-        tol=getattr(args, "tol", 1e-6),
+        options=options_cls(**{f.name: getattr(args, f.name) for f in fields(options_cls)}),
         out_path=args.out,
         format=fmt,
         threads=args.threads,
-        extra=extra,
     )
 
 
 def main(argv: list[str] | None = None, *, blas_threads_defaulted: bool = False) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO if args.verbose else logging.WARNING,
+                        format="%(levelname)s %(message)s")
     try:
         config = _config_from_args(args)
     except ConfigError as exc:

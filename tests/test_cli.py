@@ -1,10 +1,15 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,26 +49,42 @@ class TestCsvText:
     def test_float_format_is_fmt(self, x):
         assert "%.12g" % x == cli._fmt(x)
 
-    def test_rows_match_per_cell_formatting(self):
-        rows = [
-            [0, 1 / 3, -0.0, float("nan")],
-            [np.int64(7), np.float64(1e-310), 2**70, float("-inf")],
-            ["label", True, 3, -2**0.5 * 1e100],
-        ]
-        expected = "a,b,c,d\n" + "".join(
-            ",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            for row in rows
-        )
-        assert cli._csv_text(["a", "b", "c", "d"], rows) == expected
+    def test_rows_match_per_cell_formatting(self, monkeypatch, capsys):
+        # each tabular command's fixed row format against its actual rows,
+        # formatted one cell at a time: `_fmt` for floats, str() for ints
+        tables = []
+        csv_text = cli._csv_text
+
+        def spy(header, rows, row_format):
+            tables.append((header, rows))
+            return csv_text(header, rows, row_format)
+
+        monkeypatch.setattr(cli, "_csv_text", spy)
+        for argv in (["fig1", "--n", "30", "--ensemble", "pure"], ["fig1", "--n", "30"],
+                     ["fig2", "--n", "3", "--trials", "20"], ["sweep", "--n", "30"],
+                     ["cv-scan", "--steps", "7"]):
+            tables.clear()
+            assert main(argv) == 0
+            [(header, rows)] = tables
+            assert rows and all(type(v) in (int, float) for row in rows for v in row), argv
+            expected = ",".join(header) + "\n" + "".join(
+                ",".join(cli._fmt(v) if type(v) is float else str(v) for v in row) + "\n"
+                for row in rows
+            )
+            assert capsys.readouterr().out == expected, argv
 
     def test_fixed_row_format_matches_per_row_dispatch(self):
-        # fig1's rows: range ints and tolist() floats, edge values included
+        # fig1's row format over range ints and tolist() floats, edge values
+        # included, against a reference that dispatches on each cell's type
         floats = [1 / 3, -0.0, float("nan"), float("inf"), -1e-310, 1e300, 0.1 + 0.2]
         cols = [floats, floats[::-1], floats[3:] + floats[:3]]
         rows = list(zip(range(len(floats)), *cols))
         header = ["state_id", "a", "b", "c"]
-        assert (cli._csv_text(header, rows, "%d,%.12g,%.12g,%.12g\n")
-                == cli._csv_text(header, rows))
+        expected = "state_id,a,b,c\n" + "".join(
+            ",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+        assert cli._csv_text(header, rows, "%d,%.12g,%.12g,%.12g\n") == expected
 
 
 def _state_doc(dims, n):
@@ -223,7 +244,8 @@ class TestManifest:
         manifest = json.loads((tmp_path / "survey.manifest.json").read_text())
         assert manifest["command"] == "fig1"
         assert manifest["seed"] == 5
-        assert manifest["parameters"]["n_states"] == 8
+        assert manifest["parameters"] == {"n": 8, "ensemble": "mixed"}
+        assert (manifest["format"], manifest["threads"]) == ("csv", 1)
         assert set(manifest["versions"]) == {"entrosteer", "numpy", "python"}
         assert manifest["wall_time_s"] >= 0
 
@@ -237,10 +259,30 @@ class TestManifest:
         assert main(["fig1", "--n", "4", "--out", str(out)],
                     blas_threads_defaulted=defaulted) == 0
         manifest = json.loads((tmp_path / "survey.manifest.json").read_text())
-        assert set(manifest) == {"blas_threads", "command", "parameters", "seed",
-                                 "timestamp", "versions", "wall_time_s"}
+        assert set(manifest) == {"blas_threads", "command", "format", "parameters", "seed",
+                                 "threads", "timestamp", "versions", "wall_time_s"}
         assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": blas,
                                             "defaulted_by_cli": defaulted}
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--n", "3"],
+        ["fig2", "--n", "2", "--trials", "5"],
+        ["sweep", "--n", "3", "--werner", "0.7"],
+        ["werner-threshold", "--tol", "1e-3"],
+        ["cv-scan", "--steps", "2"],
+        ["eval", "--state-file", "STATE", "--witness", "mub-mi"],
+        ["separable-audit", "--n", "3", "--k-max", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_parameters_are_the_commands_own_options(self, tmp_path, argv):
+        state = tmp_path / "w.json"
+        save_state(str(state), werner_state(0.8))
+        argv = [str(state) if a == "STATE" else a for a in argv]
+        out = tmp_path / "run.dat"
+        assert main([*argv, "--out", str(out)]) == 0
+        parameters = json.loads((tmp_path / "run.manifest.json").read_text())["parameters"]
+        args = cli._build_parser().parse_args(argv)
+        options_cls = cli._COMMANDS[argv[0]][0]
+        assert parameters == {f.name: getattr(args, f.name) for f in fields(options_cls)}
 
     def test_not_written_for_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -261,12 +303,17 @@ class TestAtomicWrites:
 
     OLD = b"old bytes\n"
 
+    @staticmethod
+    def config(out):
+        return RunConfig(command="fig1", seed=0, options=cli.Fig1Options(n=1, ensemble="mixed"),
+                         out_path=str(out))
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_data_write(self, tmp_path, existing):
         out = tmp_path / "out.csv"
         if existing:
             out.write_bytes(self.OLD)
-        config = RunConfig(command="fig1", seed=0, out_path=str(out))
+        config = self.config(out)
         # a lone surrogate cannot be encoded, so the write raises partway
         with pytest.raises(UnicodeEncodeError):
             cli._emit(config, "state_id\n0\n" * 1000 + "\ud800\n")
@@ -283,16 +330,21 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(cli.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            cli._emit(RunConfig(command="fig1", seed=0, out_path=str(out)), "new\n")
+            cli._emit(self.config(out), "new\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert out.read_bytes() == self.OLD
 
-    def test_failed_manifest_keeps_old_manifest(self, tmp_path):
+    def test_failed_manifest_keeps_old_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
         manifest = tmp_path / "out.manifest.json"
         manifest.write_bytes(self.OLD)
-        config = RunConfig(command="fig1", seed=0, out_path=str(out), extra={"x": object()})
-        with pytest.raises(TypeError):
+        config = self.config(out)
+
+        def refuse(*args, **kwargs):
+            raise TypeError("not serialisable")
+
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        with pytest.raises(TypeError, match="not serialisable"):
             cli._write_manifest(config, 1.0)
         assert [p.name for p in tmp_path.iterdir()] == ["out.manifest.json"]
         assert manifest.read_bytes() == self.OLD
@@ -302,7 +354,7 @@ class TestAtomicWrites:
         out = tmp_path / "out.csv"
         out.write_bytes(self.OLD)
         out.chmod(mode)
-        config = RunConfig(command="fig1", seed=0, out_path=str(out))
+        config = self.config(out)
         cli._emit(config, "new\n")
         cli._write_manifest(config, 1.0)
         assert out.read_bytes() == b"new\n"
@@ -314,7 +366,7 @@ class TestAtomicWrites:
         target.write_bytes(self.OLD)
         link = tmp_path / "link.csv"
         link.symlink_to(target)
-        cli._emit(RunConfig(command="fig1", seed=0, out_path=str(link)), "new\n")
+        cli._emit(self.config(link), "new\n")
         assert link.is_symlink()
         assert target.read_bytes() == b"new\n"
         assert [p.name for p in (tmp_path / "data").iterdir()] == ["out.csv"]
@@ -325,7 +377,7 @@ class TestAtomicWrites:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        cli._emit(RunConfig(command="fig1", seed=0, out_path=str(fifo)), "new\n")
+        cli._emit(self.config(fifo), "new\n")
         reader.join(timeout=10)
         assert got == [b"new\n"]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
@@ -391,6 +443,19 @@ class TestSweepCommand:
     def test_bad_werner_parameter(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--n", "5", "--werner", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 4), (1, 1)], ids=["unequal", "no-mub", "one"])
+    def test_state_it_cannot_search_is_a_configuration_error(self, tmp_path, monkeypatch,
+                                                             capsys, dims):
+        # once reported as a numerical failure with exit 1
+        path = tmp_path / "state.json"
+        save_state(str(path), random_density(np.random.default_rng(2), *dims))
+        monkeypatch.setattr(cli, "basis_sweep", lambda *a: pytest.fail("the search started"))
+        code, out = run(tmp_path, "sweep", "--n", "5", "--state-file", str(path))
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: sweep "), lines
+        assert not out.exists()
 
 
 class TestWernerThresholdCommand:
@@ -698,6 +763,8 @@ class TestArgvFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_argvs())
     @example(argv=["cv-scan", "--r-max", "inf", "--steps", "3"])
+    @example(argv=["cv-scan", "--r-max", "179", "--steps", "2"])   # overflow warning
+    @example(argv=["cv-scan", "--r-max", "356", "--steps", "2"])   # math.cosh overflow
     @example(argv=["separable-audit", "--n", "3", "--k-max", "0"])
     @example(argv=["eval", "--state-file", "QUTRITS", "--witness", "sumdiff-discrete"])
     def test_any_argv_exits_cleanly(self, tmp_path, capsys, argv):
@@ -749,12 +816,79 @@ class TestConfigurationErrors:
     def test_nan_tolerance(self):
         self.fails_cleanly("werner-threshold", "--tol", "nan")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--werner", "1.5"],
+        ["werner-threshold", "--lo", "0.9", "--hi", "0.2"],
+        ["cv-scan", "--steps", "0"],
+        ["separable-audit", "--k-max", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_option_ranges_are_checked_before_the_run(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    @pytest.mark.parametrize("spare", [-1, 5], ids=["data-temporary", "manifest-temporary"])
+    def test_out_name_too_long_for_its_temporaries(self, tmp_path, monkeypatch, capsys, spare):
+        # the data file's temporary name leaves `spare` bytes under the limit;
+        # the manifest's is 10 bytes longer (".manifest.json" for ".csv")
+        suffix = len(f".{os.getpid()}.tmp")
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("x" * (limit - suffix - spare - 4) + ".csv")
+        monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))
+        assert main(["fig1", "--n", "5", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out name too long"), lines
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_name_at_the_limit_runs(self, tmp_path):
+        # the manifest's temporary name is exactly as long as allowed
+        suffix = len(f".{os.getpid()}.tmp")
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("x" * (limit - suffix - len(".manifest.json")) + ".csv")
+        assert main(["fig1", "--n", "3", "--out", str(out)]) == 0
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
     @pytest.mark.parametrize("k_max", ["0", "-2"])
     def test_k_max_below_one(self, tmp_path, k_max):
         # once reported as a numerical failure with exit 1
         out = tmp_path / "audit.json"
         self.fails_cleanly("separable-audit", "--n", "3", "--k-max", k_max, "--out", str(out))
         assert not out.exists()
+
+
+class TestCommandTable:
+    COMMON = {"help", "seed", "threads", "out", "format", "verbose"}
+
+    def test_options_fields_are_each_subcommands_own_dests(self):
+        # an argument missing from its record would be parsed and dropped
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(cli._COMMANDS)
+        for command, subparser in sub.choices.items():
+            dests = {a.dest for a in subparser._actions}
+            assert self.COMMON <= dests, command
+            assert dests - self.COMMON == {f.name for f in fields(cli._COMMANDS[command][0])}
+
+
+class TestReproduceScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.sh"
+
+    def test_every_run_line_parses_into_a_config(self, tmp_path):
+        # parsed and checked as the script would run them, but not run
+        text = self.SCRIPT.read_text().replace("\\\n", " ")
+        values = {}
+        for name, count in re.findall(r"\b([A-Z][A-Z0-9_]*)=(\d+)", text):
+            values.setdefault(name, count)   # the desk-scale counts come first
+        values.update(SEED="7", THREADS="2", OUTDIR=str(tmp_path))
+        commands = []
+        for line in text.splitlines():
+            if line.startswith("$RUN "):
+                line = re.sub(r"\$\{?(\w+)\}?", lambda m: values[m[1]], line[len("$RUN "):])
+                args = cli._build_parser().parse_args(shlex.split(line))
+                commands.append(cli._config_from_args(args).command)
+        assert len(commands) == 9
+        assert set(commands) == set(cli._COMMANDS) - {"eval"}
 
 
 class TestModuleEntryPoint:
