@@ -10,7 +10,9 @@ the working tree, alternating which side runs first. For each end-to-end
 metric it prints each side's median and quartiles and how many pairs the
 change won (the direction of each metric comes from BENCHMARK.json). A claimed
 gain needs at least 9 wins in 10 pairs and a gap between the medians larger
-than the base's interquartile range. Exit status 1 when a run fails or
+than the base's interquartile range; a closing line names the metrics for which
+that rule holds. `--workload` takes the names in perfbench/workloads.py, so a
+typo fails before any worktree is made. Exit status 1 when a run fails or
 reports a wrong output.
 """
 
@@ -36,36 +38,16 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {k: m["value"] for k, m in result["metrics"].items()}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="scatter")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=900, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
-    root = os.getcwd()
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-
-    base = tempfile.mkdtemp(prefix="bench-base-")
-    subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
-                   cwd=root, check=True, capture_output=True)
+def compare(base: str, change: str, workload: str, pairs: int, seed: int, seconds: float,
+            better: dict) -> list[str]:
+    """Run the pairs on the checkouts `base` and `change`; return the report lines."""
     runs = {"base": [], "change": []}
-    try:
-        for k in range(args.pairs):
-            seed = args.seed + k
-            order = [("base", base), ("change", root)]
-            for side, checkout in order if k % 2 == 0 else order[::-1]:
-                runs[side].append(run_once(checkout, args.workload, seed, args.seconds))
-            print(f"pair {k + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root)
-
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"
-          f" base {args.base} against the working tree")
+    for k in range(pairs):
+        order = [("base", base), ("change", change)]
+        for side, checkout in order if k % 2 == 0 else order[::-1]:
+            runs[side].append(run_once(checkout, workload, seed + k, seconds))
+        print(f"pair {k + 1}/{pairs} (seed {seed + k}) done", file=sys.stderr)
+    lines, holds = [], {True: [], False: []}
     for name in runs["base"][0]:
         lower = better.get(name, "lower") == "lower"
         quartiles = {side: statistics.quantiles([r[name] for r in rs], n=4, method="inclusive")
@@ -73,9 +55,43 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum((c[name] < b[name]) if lower else (c[name] > b[name])
                    for b, c in zip(runs["base"], runs["change"]))
         b, c = quartiles["base"], quartiles["change"]
-        print(f"  {name:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]  "
-              f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  "
-              f"({'lower' if lower else 'higher'} is better) change wins {wins}/{args.pairs}")
+        gain = b[1] - c[1] if lower else c[1] - b[1]
+        holds[wins >= 0.9 * pairs and gain > b[2] - b[0]].append(name)
+        lines.append(f"  {name:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]  "
+                     f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  "
+                     f"({'lower' if lower else 'higher'} is better) change wins {wins}/{pairs}")
+    lines.append(f"  claim rule (>= 9/10 wins, median gain > base IQR) holds for: "
+                 f"{', '.join(holds[True]) or 'none'}; not for: {', '.join(holds[False]) or 'none'}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    root = os.getcwd()
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", default="scatter", choices=WORKLOADS)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=900, help="seed of the first pair")
+    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    base = tempfile.mkdtemp(prefix="bench-base-")
+    subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
+                   cwd=root, check=True, capture_output=True)
+    try:
+        lines = compare(base, root, args.workload, args.pairs, args.seed, args.seconds, better)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root)
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"
+          f" base {args.base} against the working tree")
+    print("\n".join(lines))
     return 0
 
 

@@ -40,6 +40,15 @@ _XA, _KA, _XB, _KB = 0, 1, 2, 3
 # r = 36 ln 2 / 4 = 6.24; the documented usable range stops just below it.
 _CANCEL_LIMIT = 2.0**-36
 TMSV_R_MAX = 6.2
+# The witnesses square covariance entries, and a float64 square overflows past
+# 2**1024; a state with a larger entry is refused before any arithmetic.
+_ENTRY_MAX = 2.0**511
+
+
+def _out_of_range(problem: str) -> ValueError:
+    return ValueError(
+        f"{problem}; a two-mode squeezed vacuum is usable for 0 <= r <= {TMSV_R_MAX}"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +68,8 @@ class GaussianState:
             raise ValueError(f"covariance must be 4x4, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("covariance contains non-finite entries")
+        if np.abs(c).max() > _ENTRY_MAX:
+            raise _out_of_range(f"covariance entry {np.abs(c).max():.3g} is too large to square")
         if np.max(np.abs(c - c.T)) > 1e-12:
             raise ValueError("covariance is not symmetric within 1e-12")
         check = c.astype(complex) + 0.5j * _SYMPLECTIC
@@ -84,8 +95,10 @@ def tmsv(r: float) -> GaussianState:
     All four quadrature variances are cosh(2r)/2; positions are correlated and
     momenta anticorrelated with magnitude sinh(2r)/2. r = 0 is two vacua.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    if not 2.0 * r <= math.log(4.0 * _ENTRY_MAX):   # cosh(2r) / 2 <= _ENTRY_MAX
+        raise _out_of_range(f"squeezing r = {r} overflows float64")
     c = math.cosh(2.0 * r) / 2.0
     s = math.sinh(2.0 * r) / 2.0
     cov = np.array(
@@ -108,10 +121,9 @@ def _significant(variance: float, scale: float) -> float:
     """`variance`, computed as a difference of terms of size `scale`, or a
     ValueError when cancellation has left it without significant digits."""
     if not variance > scale * _CANCEL_LIMIT:
-        raise ValueError(
+        raise _out_of_range(
             f"Gaussian variance {variance:.3g} lost its significant digits to "
-            f"cancellation between terms of size {scale:.3g}; a two-mode squeezed "
-            f"vacuum is usable for 0 <= r <= {TMSV_R_MAX}"
+            f"cancellation between terms of size {scale:.3g}"
         )
     return variance
 

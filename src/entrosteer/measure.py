@@ -8,7 +8,7 @@ Omega for eigenbases and its POVM generalization built from operator norms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .qmat import DensityMatrix
 
 ORTHO_TOL = 1e-10
 POVM_TOL = 1e-10
+# Measurement sets whose derived data the witness path keeps. Measurements are
+# immutable and hash by identity; a cache entry holds them, so no id is reused.
+SET_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,14 +207,28 @@ def as_povm(meas) -> Povm:
 
 
 def _element_stack(povms, n: int) -> np.ndarray:
-    """``(m, n, dim^2)`` stack of flattened POVM elements. A POVM with fewer
-    than n outcomes is padded with zero elements, whose outcomes have
-    probability exactly 0."""
+    """Read-only ``(m, n, dim^2)`` stack of flattened POVM elements. A POVM
+    with fewer than n outcomes is padded with zero elements, whose outcomes
+    have probability exactly 0."""
     d = povms[0].dim
     out = np.zeros((len(povms), n, d * d), dtype=complex)
     for i, povm in enumerate(povms):
         out[i, :len(povm.elements)] = povm.stacked.reshape(len(povm.elements), -1)
+    out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=SET_CACHE_SIZE)
+def _pair_stacks(pairs: tuple) -> tuple:
+    """``(dims, f_stack, g_stack)`` of m measurement pairs: the distinct
+    ``(d_A, d_B)`` of the pairs in order of first use, and Alice's and Bob's
+    padded element stacks (``None`` when the pairs differ in dims)."""
+    fs, gs = zip(*[(as_povm(a), as_povm(b)) for a, b in pairs])
+    dims = tuple(dict.fromkeys((f.dim, g.dim) for f, g in zip(fs, gs)))
+    if len(dims) > 1:
+        return dims, None, None
+    n_a, n_b = max(len(f.elements) for f in fs), max(len(g.elements) for g in gs)
+    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b)
 
 
 def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
@@ -221,7 +238,8 @@ def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
     be a projective basis or a POVM. ``n_a`` and ``n_b`` are the largest
     outcome counts: a joint with fewer outcomes fills the top-left block of
     its slice and the padding is exactly zero, so every pair takes part in
-    the same two contraction steps.
+    the same two contraction steps. The element stacks depend on the
+    measurements alone and are built once per set (`_pair_stacks`).
 
     A stacked matmul forms ``T[m, b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]``
     in O(m n_b d_A^2 d_B^2); then ``P[m, a, b] = sum_(i,k) E_a[i, k]
@@ -230,22 +248,22 @@ def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
     depending on its column, so relabelling Bob's outcomes would not permute
     P exactly. The probability checks run once over the whole stack.
     """
-    d_a, d_b = rho.dims
-    fs, gs = [], []
-    for meas_a, meas_b in pairs:
-        f, g = as_povm(meas_a), as_povm(meas_b)
-        if f.dim != d_a or g.dim != d_b:
+    pairs = tuple(pairs)
+    for pair in pairs:
+        for meas in pair:
+            if not isinstance(meas, (ProjectiveBasis, Povm)):
+                as_povm(meas)   # raises the TypeError naming the type
+    dims, f_stack, g_stack = _pair_stacks(pairs)
+    for f_dim, g_dim in dims:
+        if (f_dim, g_dim) != rho.dims:
             raise ValueError(
-                f"measurement dims ({f.dim}, {g.dim}) do not match state dims {rho.dims}"
+                f"measurement dims ({f_dim}, {g_dim}) do not match state dims {rho.dims}"
             )
-        fs.append(f)
-        gs.append(g)
-    n_a = max(len(f.elements) for f in fs)
-    n_b = max(len(g.elements) for g in gs)
+    d_a, d_b = rho.dims
     # rr[j, l, i, k] = rho[(k, l), (i, j)]
     rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)
-    t = _element_stack(gs, n_b) @ rr.reshape(d_b * d_b, d_a * d_a)
-    p = np.einsum("max,mbx->mab", _element_stack(fs, n_a), t)
+    t = g_stack @ rr.reshape(d_b * d_b, d_a * d_a)
+    p = np.einsum("max,mbx->mab", f_stack, t)
     return _checked_probs(p, axis=(1, 2))
 
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .infotheory import _joint_entropies, _modular_entropies, shannon_entropy
 from .measure import (
+    SET_CACHE_SIZE,
     ProjectiveBasis,
     _joint_stack,
     as_povm,
@@ -66,8 +68,10 @@ def _mub_mi_bound(n: int) -> float:
     return (n + 1) * math.log2(n) - sanchez_ruiz_bound(n)
 
 
+@lru_cache(maxsize=SET_CACHE_SIZE)
 def _pair_omega(meas_r, meas_s) -> float:
-    """Overlap constant of one party's measurement pair, POVM-general."""
+    """Overlap constant of one party's measurement pair, POVM-general, computed
+    once per pair of measurement objects."""
     if isinstance(meas_r, ProjectiveBasis) and isinstance(meas_s, ProjectiveBasis):
         return overlap_omega(meas_r, meas_s)
     return povm_omega(as_povm(meas_r), as_povm(meas_s))
@@ -114,15 +118,15 @@ def pair_conditional(
     model exists. Measurements may be projective bases or POVMs; the bound
     uses the steered party's pair (operator-norm form for POVMs).
     """
+    if direction not in ("AtoB", "BtoA"):
+        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
     h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))
     if direction == "AtoB":
         lhs = float(_conditional_sum(h_joint, h_a))
         bound = _pair_bound(r_b, s_b)
-    elif direction == "BtoA":
+    else:
         lhs = float(_conditional_sum(h_joint, h_b))
         bound = _pair_bound(r_a, s_a)
-    else:
-        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
     return WitnessReport("pair_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -140,12 +144,22 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
         raise ValueError("symmetric witness needs equal local dimensions")
     n = rho.dims[0]
     lhs = float(_mi_sum(*_joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))))
-    omega = min(overlap_omega(r_a, s_a), overlap_omega(r_b, s_b))
+    omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(n * n / omega)
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
 
 
 def _validate_mub_side(bases, dim: int, label: str) -> None:
+    for b in bases:
+        if not isinstance(b, ProjectiveBasis):
+            raise TypeError(f"{label} takes projective bases only, got {type(b).__name__}")
+    _check_mub_side(tuple(bases), dim, label)
+
+
+@lru_cache(maxsize=SET_CACHE_SIZE)
+def _check_mub_side(bases: tuple, dim: int, label: str) -> None:
+    """Raise unless `bases` is a complete MUB set in dimension `dim`; a set
+    that passes is not checked again."""
     if len(bases) != dim + 1:
         raise ValueError(
             f"{label} needs a complete set of {dim + 1} bases, got {len(bases)}"

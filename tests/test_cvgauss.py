@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,31 @@ class TestCancellation:
         # r = 9 used to be off by 0.03 bits; r = 10 failed with a math domain error
         with pytest.raises(ValueError, match=r"usable for 0 <= r <= 6\.2$"):
             witness(tmsv(r))
+
+    @pytest.mark.parametrize("r", [7.0, 200.0, 400.0, 1e308, float("inf")])
+    @pytest.mark.parametrize(
+        "witness", [walborn_cv, reid_sumdiff_cv, entropic_sumdiff_cv]
+    )
+    def test_far_beyond_the_range_raises_before_overflow(self, r, witness):
+        # r = 200 used to square past float64 (a RuntimeWarning), r = 400
+        # overflowed math.cosh in tmsv; every r past the range names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"usable for 0 <= r <= 6\.2$"):
+                witness(tmsv(r))
+
+    def test_entries_too_large_to_square_are_refused(self):
+        # a legal but huge covariance: its squares would overflow in the witnesses
+        cov = 1e160 * np.eye(4) + 0.9e160 * np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"too large to square; .* <= 6\.2$"):
+                GaussianState(cov)
+
+    @pytest.mark.parametrize("r", [-1.0, float("nan")])
+    def test_tmsv_rejects_negative_and_nan(self, r):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            tmsv(r)
 
     def test_range_is_below_the_cut(self):
         # the cut falls where e^{4r} reaches 2**36

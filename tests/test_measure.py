@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -273,6 +277,10 @@ class TestOneTimeWork:
         kernel = counting("kernel", measure._joint_stack)
         monkeypatch.setattr(measure, "_joint_stack", kernel)
         monkeypatch.setattr(witness, "_joint_stack", kernel)
+        monkeypatch.setattr(measure, "_element_stack",
+                            counting("element_stack", measure._element_stack))
+        for name in ("is_mub_set", "overlap_omega", "povm_omega"):
+            monkeypatch.setattr(witness, name, counting(name, getattr(witness, name)))
         return counts
 
     def test_counters_see_builds_and_path_searches(self, counts):
@@ -285,7 +293,7 @@ class TestOneTimeWork:
         povm_omega(smeared, smeared)
         joint_distribution(werner_state(0.5), x, smeared)
         assert counts == {"ProjectiveBasis": 3, "Povm": 2, "einsum_path": 1,
-                          "eigh": 1, "kernel": 1}
+                          "eigh": 1, "kernel": 1, "element_stack": 2}
 
     def test_basis_povm_is_built_lazily_and_cached(self, counts):
         bases = mub_set(3)
@@ -321,11 +329,81 @@ class TestOneTimeWork:
             measurement_distribution(rho_b, fx)
             return 9   # witness calls
 
-        calls()   # warm-up: promotes each basis and roots each POVM once
+        calls()   # warm-up: promotes each basis, roots each POVM, derives each set once
+        assert {"element_stack", "is_mub_set", "overlap_omega", "povm_omega"} <= set(counts)
         counts.clear()
         witness_calls = sum(calls() for _ in range(50))
-        # one stacked contraction per witness call, and no one-time work
+        # one stacked contraction per witness call, and no one-time work: no
+        # element stack, overlap constant or MUB check is derived again
         assert counts == {"kernel": witness_calls}
+
+    def test_non_mub_set_raises_on_every_call(self):
+        x, y, z = pauli_bases()
+        broken = [x, y, rotate_basis(z, random_unitary(2, np.random.default_rng(2)))]
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not mutually unbiased"):
+                mub_conditional(werner_state(0.5), broken, broken)
+            with pytest.raises(ValueError, match="not mutually unbiased"):
+                mub_mi(werner_state(0.5), broken, broken)
+
+    def test_equal_sets_built_twice_give_identical_reports(self):
+        rho = random_density(np.random.default_rng(4), 3, 3)
+
+        def reports(bases):
+            r, s = bases[0], bases[-1]
+            smeared = Povm(3, tuple(0.9 * e + 0.1 * np.eye(3) / 3 for e in as_povm(r).elements))
+            return [mub_conditional(rho, bases, bases), mub_mi(rho, bases, bases),
+                    mub_conditional(rho, bases, bases, direction="BtoA"),
+                    pair_conditional(rho, r, s, r, s), pair_symmetric_mi(rho, r, s, r, s),
+                    sumdiff_discrete(rho, r, s, r, s),
+                    pair_conditional(rho, smeared, s, smeared, s, direction="BtoA")]
+
+        # a second mub_set(3) is new objects with equal values: new cache
+        # entries, and float fields equal with ==, so bit for bit
+        assert reports(mub_set(3)) == reports(mub_set(3))
+
+    def test_caches_stay_at_their_bound_and_release_old_sets(self):
+        rng = np.random.default_rng(6)
+        x, _, z = pauli_bases()
+        rho = werner_state(0.7)
+        first = rotate_basis(x, random_unitary(2, rng))
+        released = weakref.ref(first)
+        pair_conditional(rho, first, z, first, z)
+        del first
+        for _ in range(1000):
+            u = random_unitary(2, rng)
+            r, s = rotate_basis(x, u), rotate_basis(z, u)
+            pair_conditional(rho, r, s, r, s)
+        for cached in (measure._pair_stacks, witness._pair_omega):
+            assert cached.cache_info().currsize == measure.SET_CACHE_SIZE
+        gc.collect()
+        assert released() is None
+
+    def test_threads_on_one_new_set_agree(self):
+        # more threads than cores, switching often, all missing the caches of
+        # a fresh set at once: every thread gets the same values
+        rng = np.random.default_rng(8)
+        rhos = [random_density(rng, 3, 3) for _ in range(40)]
+        bases = mub_set(3)
+        results = [None] * 4
+
+        def run(k):
+            results[k] = [(mub_conditional(rho, bases, bases), mub_mi(rho, bases, bases),
+                           pair_conditional(rho, bases[0], bases[1], bases[0], bases[1]))
+                          for rho in rhos]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] is not None and all(r == results[0] for r in results)
 
     def test_cached_arrays_are_read_only(self):
         x, _, _ = pauli_bases()
@@ -338,6 +416,9 @@ class TestOneTimeWork:
             assert povm.stacked.shape == (2, 2, 2)
         with pytest.raises(ValueError):
             x.vectors[0, 0] = 0.0
+        # the cached element stacks are shared by every later call on the set
+        _, f_stack, g_stack = measure._pair_stacks(((x, smeared),))
+        assert not f_stack.flags.writeable and not g_stack.flags.writeable
 
 
 class TestMeasurementDistribution:

@@ -6,6 +6,7 @@ from entrosteer import (
     DensityMatrix,
     as_povm,
     entanglement_of_formation,
+    joint_distribution,
     mub_conditional,
     mub_mi,
     mub_set,
@@ -248,6 +249,68 @@ class TestSumdiffDiscrete:
         x, z = xz
         with pytest.raises(ValueError):
             sumdiff_discrete(werner_state(0.5), x, z, x, z, signs=("plus",))
+
+
+class TestMeasurementTypes:
+    """Wrong measurement types raise TypeError at the public boundary, before
+    any cache lookup; a bad direction raises before any contraction."""
+
+    @pytest.fixture
+    def povms(self, triple):
+        return [as_povm(b) for b in triple]
+
+    @pytest.mark.parametrize("direction", ["AtoB", "BtoA"])
+    def test_mub_conditional_rejects_povms(self, povms, direction):
+        with pytest.raises(TypeError, match="projective bases only, got Povm"):
+            mub_conditional(werner_state(0.5), povms, povms, direction=direction)
+
+    def test_mub_mi_rejects_povms_on_the_steered_side(self, triple, povms):
+        with pytest.raises(TypeError, match="projective bases only, got Povm"):
+            mub_mi(werner_state(0.5), triple, povms)
+
+    def test_mub_witnesses_reject_arrays(self, triple):
+        arrays = [np.eye(2)] * 3
+        rho = werner_state(0.5)
+        with pytest.raises(TypeError, match="projective bases only, got ndarray"):
+            mub_conditional(rho, arrays, arrays)
+        with pytest.raises(TypeError, match="projective bases only, got ndarray"):
+            mub_mi(rho, arrays, arrays)
+        # on the side that only conditions, any measurement type will do, but
+        # an array is none
+        with pytest.raises(TypeError, match="expected ProjectiveBasis or Povm, got ndarray"):
+            mub_conditional(rho, arrays, triple)
+        with pytest.raises(TypeError, match="expected ProjectiveBasis or Povm, got ndarray"):
+            mub_mi(rho, arrays, triple)
+
+    def test_pair_witnesses_reject_arrays(self, xz):
+        x, z = xz
+        rho = werner_state(0.5)
+        message = "expected ProjectiveBasis or Povm, got ndarray"
+        for witness in (pair_conditional, sumdiff_discrete):
+            with pytest.raises(TypeError, match=message):
+                witness(rho, x, np.eye(2), x, z)
+        with pytest.raises(TypeError, match="projective bases only"):
+            pair_symmetric_mi(rho, x, z, np.eye(2), z)
+        with pytest.raises(TypeError, match=message):
+            joint_distribution(rho, np.eye(2), z)
+
+    def test_dims_error_names_the_first_pair_that_does_not_fit(self, rng, xz):
+        # the element stacks are cached per set; the dims check stays per call
+        x, z = xz
+        b3 = random_basis(rng, 3)
+        rho = werner_state(0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"dims \(3, 3\) do not match state dims \(2, 2\)"):
+                pair_conditional(rho, x, b3, x, b3)
+            with pytest.raises(ValueError, match=r"dims \(3, 2\) do not match state dims \(2, 2\)"):
+                pair_conditional(rho, b3, x, x, z)
+
+    def test_pair_conditional_checks_direction_first(self, rng, xz):
+        # the qutrit bases do not fit the qubit state: the direction is named
+        x, z = xz
+        b3 = random_basis(rng, 3)
+        with pytest.raises(ValueError, match="direction must be"):
+            pair_conditional(werner_state(0.5), b3, b3, x, z, direction="sideways")
 
 
 class TestViolationGap:
