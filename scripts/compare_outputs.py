@@ -1,0 +1,217 @@
+"""Byte-for-byte comparison of command-line outputs between a base commit and
+the working tree.
+
+    python3 scripts/compare_outputs.py [--base HEAD]
+
+Run from the root of a checkout. The base ref is checked out in a temporary
+git worktree. One fixed list of `python -m entrosteer` runs (the surveys in
+both formats, sweeps over Werner and seeded d = 2, 3, 5 state files, `eval` of
+every witness in both directions, the thresholds, `cv-scan`, the audit, every
+`--help` text and the configuration errors) then runs on both sides, one run
+at a time, each in its own empty directory. A case differs when its stdout,
+its stderr, its exit code or its `--out` data file differs; the run manifests
+hold timestamps and are not compared. Each side's directory name in its
+output is replaced by `<dir>` first. Every differing case is printed. Exit
+status 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+WITNESSES = ["pair-conditional", "pair-symmetric-mi", "mub-conditional", "mub-mi",
+             "sumdiff-discrete"]
+COMMANDS = ["fig1", "fig2", "sweep", "werner-threshold", "cv-scan", "eval", "separable-audit"]
+
+
+def _random_state(rng: np.random.Generator, d_a: int, d_b: int, rank: int) -> dict:
+    n = d_a * d_b
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    w = g @ g.conj().T
+    w /= np.trace(w).real
+    return {"dims": [d_a, d_b], "matrix": [[[e.real, e.imag] for e in row] for row in w]}
+
+
+def _werner(p: float) -> dict:
+    s = np.zeros(4)
+    s[1], s[2] = 2**-0.5, -(2**-0.5)
+    w = p * np.outer(s, s) + (1 - p) * np.eye(4) / 4
+    return {"dims": [2, 2], "matrix": [[[e, 0.0] for e in row] for row in w.tolist()]}
+
+
+def state_files(directory: str) -> dict[str, str]:
+    """Write the input state files, the same bytes for both sides; returns
+    name -> path."""
+    rng = np.random.default_rng(2024)
+    states = {
+        "werner": _werner(0.8),
+        "q2": _random_state(rng, 2, 2, 3),
+        "q3": _random_state(rng, 3, 3, 4),
+        "q5": _random_state(rng, 5, 5, 6),
+        "q2x3": _random_state(rng, 2, 3, 6),
+        "q6": _random_state(rng, 6, 6, 2),
+    }
+    paths = {}
+    for name, data in states.items():
+        paths[name] = os.path.join(directory, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    paths["broken"] = os.path.join(directory, "broken.json")
+    with open(paths["broken"], "w", encoding="utf-8") as fh:
+        fh.write('{"dims": [2, 2], "matrix": ')
+    return paths
+
+
+def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, argv, extra environment) of every run. "OUT." in an argument
+    becomes the case's name, so each data file is named after its case."""
+    runs = []
+
+    def add(name, *argv, env=None):
+        runs.append((name, list(argv), env or {}))
+
+    for ensemble in ("pure", "mixed"):
+        for fmt, ext in (("csv", "csv"), ("json", "json")):
+            add(f"fig1-{ensemble}-{fmt}", "fig1", "--ensemble", ensemble, "--n", "3000",
+                "--seed", "11", "--format", fmt, "--out", f"OUT.{ext}")
+            add(f"fig2-{ensemble}-{fmt}", "fig2", "--ensemble", ensemble, "--n", "24",
+                "--trials", "150", "--seed", "11", "--threads", "2", "--format", fmt,
+                "--out", f"OUT.{ext}")
+    add("fig1-stdout", "fig1", "--n", "50", "--seed", "3")
+    add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
+        "--out", "OUT.csv")
+    for p in ("0.3", "0.7", "0.9"):
+        add(f"sweep-werner-{p}", "sweep", "--werner", p, "--n", "1500", "--seed", "5",
+            "--out", "OUT.csv")
+    add("sweep-werner-json", "sweep", "--werner", "0.8", "--n", "200", "--seed", "5",
+        "--format", "json", "--out", "OUT.json")
+    for name in ("werner", "q2", "q3", "q5"):
+        add(f"sweep-{name}", "sweep", "--state-file", states[name], "--n", "1500",
+            "--seed", "6", "--out", "OUT.csv")
+    for name in ("werner", "q2", "q3", "q2x3"):
+        for witness in WITNESSES:
+            for direction in ("AtoB", "BtoA"):
+                add(f"eval-{name}-{witness}-{direction}", "eval", "--state-file", states[name],
+                    "--witness", witness, "--direction", direction)
+    for settings in ("2", "3"):
+        add(f"werner-threshold-{settings}", "werner-threshold", "--settings", settings,
+            "--out", "OUT.json")
+    add("werner-threshold-coarse", "werner-threshold", "--tol", "1e-3", "--lo", "0.4")
+    add("werner-threshold-no-bracket", "werner-threshold", "--lo", "0.9", "--hi", "0.95")
+    add("cv-scan", "cv-scan", "--out", "OUT.csv")
+    add("cv-scan-json", "cv-scan", "--r-min", "0.5", "--r-max", "6", "--steps", "23",
+        "--format", "json", "--out", "OUT.json")
+    add("cv-scan-past-range", "cv-scan", "--r-max", "179", "--steps", "2")
+    for k_max in ("1", "7", "12"):
+        add(f"separable-audit-k{k_max}", "separable-audit", "--n", "2000", "--k-max", k_max,
+            "--seed", "8", "--threads", "2", "--out", "OUT.json")
+    add("version", "--version")
+    add("help", "--help")
+    for command in COMMANDS:
+        add(f"help-{command}", command, "--help")
+    # configuration errors, exit 2
+    add("error-negative-seed", "fig1", "--n", "5", "--seed", "-3")
+    add("error-negative-env-seed", "fig1", "--n", "5", env={"ENTROSTEER_SEED": "-3"})
+    add("error-out-directory-missing", "fig1", "--n", "5", "--out", "missing/OUT.csv")
+    add("error-out-is-a-directory", "fig1", "--n", "5", "--out", ".")
+    add("error-nan-tolerance", "werner-threshold", "--tol", "nan")
+    add("error-werner-range", "sweep", "--werner", "1.5")
+    add("error-bracket-order", "werner-threshold", "--lo", "0.9", "--hi", "0.2")
+    add("error-cv-steps", "cv-scan", "--steps", "0")
+    add("error-cv-infinite", "cv-scan", "--r-max", "inf")
+    for k_max in ("0", "-2"):
+        add(f"error-k-max-{k_max}", "separable-audit", "--n", "3", "--k-max", k_max,
+            "--out", "OUT.json")
+    add("error-zero-states", "fig1", "--n", "0")
+    add("error-zero-threads", "fig1", "--n", "5", "--threads", "0")
+    add("error-absurd-count", "fig1", "--n", str(10**15))
+    add("error-threshold-csv", "werner-threshold", "--format", "csv")
+    add("error-eval-missing-file", "eval", "--state-file", "missing.json", "--witness",
+        "mub-mi")
+    add("error-eval-broken-file", "eval", "--state-file", states["broken"], "--witness",
+        "mub-mi")
+    add("error-eval-not-applicable", "eval", "--state-file", states["q6"], "--witness",
+        "mub-mi")
+    add("error-sweep-unequal-dims", "sweep", "--state-file", states["q2x3"], "--n", "5")
+    add("error-sweep-cannot-search", "sweep", "--state-file", states["q6"], "--n", "5")
+    add("error-sweep-empty-state-file", "sweep", "--state-file", "", "--n", "5",
+        "--out", "OUT.csv")
+    add("error-eval-required", "eval", "--witness", "mub-mi")
+    add("error-bad-choice", "fig1", "--ensemble", "bell")
+    add("error-bad-int", "fig2", "--trials", "x")
+    add("error-unknown-command", "fig3")
+    return runs
+
+
+def run_case(checkout: str, workdir: str, name: str, argv: list[str], env: dict) -> dict:
+    """Run one case from an empty directory; returns what is compared."""
+    rundir = os.path.join(workdir, name)
+    os.makedirs(rundir)
+    environ = {k: v for k, v in os.environ.items()
+               if k not in ("ENTROSTEER_SEED", "OPENBLAS_NUM_THREADS")}
+    environ.update(env, PYTHONPATH=os.path.join(checkout, "src"))
+    argv = [sys.executable, "-m", "entrosteer", *(a.replace("OUT.", name + ".") for a in argv)]
+    done = subprocess.run(argv, cwd=rundir, env=environ, capture_output=True, text=True,
+                          timeout=600)
+    data = {}
+    for entry in sorted(os.listdir(rundir)):
+        if not entry.endswith(".manifest.json"):
+            with open(os.path.join(rundir, entry), "rb") as fh:
+                data[entry] = fh.read()
+    return {
+        "exit code": done.returncode,
+        "stdout": done.stdout.replace(rundir, "<dir>"),
+        "stderr": done.stderr.replace(rundir, "<dir>"),
+        "data file": data,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against")
+    args = parser.parse_args(argv)
+    root = os.getcwd()
+    scratch = os.path.realpath(tempfile.mkdtemp(prefix="compare-outputs-"))
+    base = os.path.join(scratch, "base")
+    added = subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
+                           cwd=root, capture_output=True, text=True)
+    if added.returncode:
+        shutil.rmtree(scratch)
+        sys.exit(f"cannot check out {args.base}: {added.stderr.strip()}")
+    try:
+        inputs = os.path.join(scratch, "inputs")
+        os.makedirs(inputs)
+        runs = cases(state_files(inputs))
+        differ = []
+        for name, case_argv, env in runs:
+            sides = [run_case(checkout, os.path.join(scratch, side), name, case_argv, env)
+                     for side, checkout in (("base-runs", base), ("change-runs", root))]
+            parts = [key for key in sides[0] if sides[0][key] != sides[1][key]]
+            if parts:
+                differ.append(name)
+                print(f"DIFFERS {name}: {', '.join(parts)}")
+                print(f"  argv: {shlex.join(case_argv)}")
+                for key in parts:
+                    if key != "data file":
+                        print(f"  base {key}: {sides[0][key]!r:.300}")
+                        print(f"  change {key}: {sides[1][key]!r:.300}")
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root,
+                       capture_output=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+    print(f"{len(runs)} cases, base {args.base} against the working tree: "
+          f"{len(differ)} differ{': ' + ', '.join(differ) if differ else ''}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -26,7 +26,7 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -93,18 +93,29 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-command options: the fields are the subcommand's own argparse dests, and
-# each record rejects its own out-of-range values when it is built
+# per-command options: each field is one --flag of its subcommand, declared
+# once (`_option`: no default makes it required; argparse's type comes from the
+# annotation), and each record rejects its own out-of-range values when built
+
+_ENSEMBLES = ("pure", "mixed")
+
+
+def _option(default=MISSING, help=None, choices=None):
+    return field(default=default, metadata={"help": help, "choices": choices})
+
 
 class _Options:
-    def peak_bytes(self, config: RunConfig) -> int:   # see _estimated_bytes
+    def peak_bytes(self, config: RunConfig) -> int:
+        """Peak memory a run's arrays and output take, estimated from its
+        counts alone, before anything is allocated; 0 for commands of fixed
+        size."""
         return 0
 
 
 @dataclass(frozen=True)
 class Fig1Options(_Options):
-    n: int
-    ensemble: str
+    n: int = _option(10000, "number of states")
+    ensemble: str = _option("mixed", choices=_ENSEMBLES)
 
     def __post_init__(self):
         _check_counts(self.n)
@@ -115,9 +126,9 @@ class Fig1Options(_Options):
 
 @dataclass(frozen=True)
 class Fig2Options(_Options):
-    n: int
-    ensemble: str
-    trials: int
+    n: int = _option(500, "number of states")
+    ensemble: str = _option("mixed", choices=_ENSEMBLES)
+    trials: int = _option(500, "basis-set draws per state")
 
     def __post_init__(self):
         _check_counts(self.n, self.trials)
@@ -130,13 +141,13 @@ class Fig2Options(_Options):
 
 @dataclass(frozen=True)
 class SweepOptions(_Options):
-    n: int
-    state_file: str | None
-    werner: float
+    n: int = _option(10000, "number of basis-set draws")
+    state_file: str | None = _option(None, "JSON state file (see README)")
+    werner: float = _option(0.9, "Werner parameter used when no state file is given")
 
     def __post_init__(self):
         _check_counts(self.n)
-        if not self.state_file and not 0.0 <= self.werner <= 1.0:
+        if self.state_file is None and not 0.0 <= self.werner <= 1.0:
             raise ConfigError(f"--werner must be in [0, 1], got {self.werner}")
 
     def peak_bytes(self, config):
@@ -145,10 +156,10 @@ class SweepOptions(_Options):
 
 @dataclass(frozen=True)
 class WernerThresholdOptions(_Options):
-    settings: int
-    tol: float
-    lo: float
-    hi: float
+    settings: int = _option(2, "2: X/Z conditional pair; 3: full Pauli MUB triple", (2, 3))
+    tol: float = _option(1e-6, "bracket width at stop")
+    lo: float = _option(0.5, "lower bracket endpoint")
+    hi: float = _option(0.99, "upper bracket endpoint")
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -159,9 +170,9 @@ class WernerThresholdOptions(_Options):
 
 @dataclass(frozen=True)
 class CvScanOptions(_Options):
-    r_min: float
-    r_max: float
-    steps: int
+    r_min: float = _option(0.0)
+    r_max: float = _option(2.0)
+    steps: int = _option(9)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -176,15 +187,17 @@ class CvScanOptions(_Options):
 
 @dataclass(frozen=True)
 class EvalOptions(_Options):
-    state_file: str
-    witness: str
-    direction: str
+    state_file: str = _option(help="JSON state file (see README)")
+    witness: str = _option(choices=("pair-conditional", "pair-symmetric-mi", "mub-conditional",
+                                    "mub-mi", "sumdiff-discrete"))
+    direction: str = _option("AtoB", "steering direction for conditional witnesses",
+                             ("AtoB", "BtoA"))
 
 
 @dataclass(frozen=True)
 class SeparableAuditOptions(_Options):
-    n: int
-    k_max: int
+    n: int = _option(10000, "number of separable states")
+    k_max: int = _option(4, "max product terms per mixture")
 
     def __post_init__(self):
         _check_counts(self.n)
@@ -217,7 +230,7 @@ class RunConfig:
             if not os.path.isdir(parent):
                 raise ConfigError(f"--out directory {parent} does not exist")
             _check_name_lengths(self.out_path)
-        need = _estimated_bytes(self)
+        need = self.options.peak_bytes(self)
         if _MEMORY_BUDGET is not None and need > _MEMORY_BUDGET:
             raise ConfigError(
                 f"{self.command} would need about {need / 2**30:.3g} GiB of memory, "
@@ -237,12 +250,6 @@ def _check_name_lengths(out_path: str) -> None:
         if len(os.fsencode(_temporary_name(name))) > limit:
             raise ConfigError(f"--out name too long: {name} and its temporary copy must "
                               f"fit the {limit}-byte file name limit of {directory}")
-
-
-def _estimated_bytes(config: RunConfig) -> int:
-    """Peak memory a run's arrays and output take, estimated from its counts
-    alone, before anything is allocated; 0 for commands of fixed size."""
-    return config.options.peak_bytes(config)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,8 @@ def _cmd_fig2(config: RunConfig, options: Fig2Options) -> int:
 
 
 def _cmd_sweep(config: RunConfig, options: SweepOptions) -> int:
-    rho = load_state(options.state_file) if options.state_file else werner_state(options.werner)
+    rho = (werner_state(options.werner) if options.state_file is None
+           else load_state(options.state_file))
     if rho.dims[0] != rho.dims[1]:
         raise ConfigError(f"sweep needs equal local dimensions, got {rho.dims}")
     try:
@@ -481,15 +489,21 @@ def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> i
     return 0
 
 
-# command -> (its options record, its handler, whether it writes JSON only)
+# command -> (its options record, its handler, whether it writes JSON only, its help)
 _COMMANDS = {
-    "fig1": (Fig1Options, _cmd_fig1, False),
-    "fig2": (Fig2Options, _cmd_fig2, False),
-    "sweep": (SweepOptions, _cmd_sweep, False),
-    "werner-threshold": (WernerThresholdOptions, _cmd_werner_threshold, True),
-    "cv-scan": (CvScanOptions, _cmd_cv_scan, False),
-    "eval": (EvalOptions, _cmd_eval, True),
-    "separable-audit": (SeparableAuditOptions, _cmd_separable_audit, True),
+    "fig1": (Fig1Options, _cmd_fig1, False,
+             "conditional vs symmetric violation survey over random states"),
+    "fig2": (Fig2Options, _cmd_fig2, False,
+             "per-state basis-search survey of directional violations"),
+    "sweep": (SweepOptions, _cmd_sweep, False,
+              "directional violations of one state under many random basis sets"),
+    "werner-threshold": (WernerThresholdOptions, _cmd_werner_threshold, True,
+                         "bisect the Werner-state violation threshold"),
+    "cv-scan": (CvScanOptions, _cmd_cv_scan, False,
+                "Gaussian two-mode squeezed-vacuum witness scan over r"),
+    "eval": (EvalOptions, _cmd_eval, True, "evaluate one witness on a state loaded from file"),
+    "separable-audit": (SeparableAuditOptions, _cmd_separable_audit, True,
+                        "max violation of every witness over random separable states"),
 }
 
 
@@ -547,57 +561,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entrosteer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig1", parents=[common],
-                       help="conditional vs symmetric violation survey over random states")
-    p.add_argument("--n", type=int, default=10000, help="number of states")
-    p.add_argument("--ensemble", choices=["pure", "mixed"], default="mixed")
-
-    p = sub.add_parser("fig2", parents=[common],
-                       help="per-state basis-search survey of directional violations")
-    p.add_argument("--n", type=int, default=500, help="number of states")
-    p.add_argument("--ensemble", choices=["pure", "mixed"], default="mixed")
-    p.add_argument("--trials", type=int, default=500, help="basis-set draws per state")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="directional violations of one state under many random basis sets")
-    p.add_argument("--n", type=int, default=10000, help="number of basis-set draws")
-    p.add_argument("--state-file", default=None, help="JSON state file (see README)")
-    p.add_argument("--werner", type=float, default=0.9,
-                   help="Werner parameter used when no state file is given")
-
-    p = sub.add_parser("werner-threshold", parents=[common],
-                       help="bisect the Werner-state violation threshold")
-    p.add_argument("--settings", type=int, choices=[2, 3], default=2,
-                   help="2: X/Z conditional pair; 3: full Pauli MUB triple")
-    p.add_argument("--tol", type=float, default=1e-6, help="bracket width at stop")
-    p.add_argument("--lo", type=float, default=0.5, help="lower bracket endpoint")
-    p.add_argument("--hi", type=float, default=0.99, help="upper bracket endpoint")
-
-    p = sub.add_parser("cv-scan", parents=[common],
-                       help="Gaussian two-mode squeezed-vacuum witness scan over r")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=2.0)
-    p.add_argument("--steps", type=int, default=9)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate one witness on a state loaded from file")
-    p.add_argument("--state-file", required=True, help="JSON state file (see README)")
-    p.add_argument("--witness", required=True,
-                   choices=["pair-conditional", "pair-symmetric-mi", "mub-conditional",
-                            "mub-mi", "sumdiff-discrete"])
-    p.add_argument("--direction", choices=["AtoB", "BtoA"], default="AtoB",
-                   help="steering direction for conditional witnesses")
-
-    p = sub.add_parser("separable-audit", parents=[common],
-                       help="max violation of every witness over random separable states")
-    p.add_argument("--n", type=int, default=10000, help="number of separable states")
-    p.add_argument("--k-max", type=int, default=4, help="max product terms per mixture")
-
+    arg_types = {"int": int, "float": float}   # the annotations, as strings
+    for command, (options_cls, _, _, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for f in fields(options_cls):
+            required = f.default is MISSING
+            p.add_argument("--" + f.name.replace("_", "-"), type=arg_types.get(f.type),
+                           default=None if required else f.default, required=required,
+                           **f.metadata)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options_cls, _, json_only = _COMMANDS[args.command]
+    options_cls, _, json_only, _ = _COMMANDS[args.command]
     fmt = args.format or ("json" if json_only else "csv")
     if json_only and fmt == "csv":
         raise ConfigError(f"{args.command} produces JSON only")

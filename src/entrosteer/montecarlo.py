@@ -1,12 +1,9 @@
 """Monte Carlo surveys over random states and measurement bases.
 
-Work items (states) get one derived integer seed each, drawn up front from the
-caller's generator; every item then owns a fresh stream seeded by its own
-integer, exactly `np.random.default_rng(seed)`; the stack samplers derive all
-those streams in one vectorised pass (`_item_streams`). Chunking for the batch
-evaluators uses a fixed block size. Together these make survey output a pure
-function of (seed, n, parameters), independent of thread count, and any single
-item reproducible in isolation.
+Work items (states) each own a random stream derived from one integer seed
+(`streams`), and the batch evaluators chunk over a fixed block size, so survey
+output is a pure function of (seed, n, parameters), independent of thread
+count, and any single item is reproducible in isolation.
 
 The surveys hold no witness math of their own. Each layer has one owner, which
 the scalar witness API shares: `measure` contracts states with measurements
@@ -22,13 +19,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .infotheory import _entropies, _joint_entropies, _modular_entropies
 from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
-from .qmat import DensityMatrix, ginibre_density, validate_density_stack
+from .qmat import DensityMatrix, _haar_unitaries, ginibre_density, validate_density_stack
+from .streams import _derived_seeds, _item_streams
 from .witness import (
     _conditional_sum,
     _left_sum,
@@ -69,193 +66,7 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# seeding and scheduling
-
-def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
-    return rng.integers(0, 2**63 - 1, size=n).tolist()
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and the
-# PCG64 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(seeds) -> np.ndarray:
-    """`SeedSequence(s).generate_state(4, np.uint64)` for every seed s in
-    [0, 2**64), as one (n, 4) uint64 array.
-
-    This is numpy's SeedSequence hash with each scalar uint32 word replaced by
-    an array of that word over all seeds; the hash constants do not depend on
-    the data, so they run as Python integers. A seed's entropy is its 32-bit
-    words, low word first; numpy mixes a one-word seed with zero padding,
-    which equals a zero high word, so every seed takes the two-word path.
-    """
-    s = np.asarray(seeds, dtype=np.uint64)
-    zero = np.zeros(s.shape, np.uint32)
-    entropy = [(s & _MASK32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in entropy]
-    for src in range(len(pool)):
-        for dst in range(len(pool)):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    hash_const = _INIT_B
-    state = np.empty(s.shape + (8,), np.uint32)
-    for k in range(8):
-        value = pool[k % len(pool)] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[..., k] = value ^ (value >> _XSHIFT)
-    # pairs of 32-bit words, low word first, whatever the host byte order
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _limbs(hi, lo):
-    # the 32-bit limbs of the 128-bit values hi:lo, least significant first
-    return [lo & _MASK32, lo >> 32, hi & _MASK32, hi >> 32]
-
-
-def _carried(cols):
-    """The (hi, lo) uint64 halves of the 128-bit values whose 32-bit columns,
-    least significant first, hold `cols` (each below 2**64): each column's
-    carry goes into the next, and the last one's is dropped (mod 2**128)."""
-    limbs, carry = [], 0
-    for col in cols:
-        col = col + carry
-        limbs.append(col & _MASK32)
-        carry = col >> 32
-    return limbs[3] << 32 | limbs[2], limbs[1] << 32 | limbs[0]
-
-
-def _lcg_step(hi, lo, inc):
-    """One PCG64 LCG step, hi:lo * _PCG_MULT + inc mod 2**128, with `inc`
-    given as its `_limbs`: schoolbook multiplication by the constant, each
-    limb product (below 2**64) split between its column and the next."""
-    x = _limbs(hi, lo)
-    mult = [np.uint64(_PCG_MULT >> 32 * j & _MASK32) for j in range(4)]
-    cols = list(inc)
-    for i in range(4):
-        for j in range(4 - i):
-            p = x[i] * mult[j]
-            cols[i + j] = cols[i + j] + (p & _MASK32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
-    return _carried(cols)
-
-
-def _pcg64_states(words: np.ndarray, ranked: bool = False):
-    """Every item's PCG64 stream from its `(n, 4)` seed words, in one
-    vectorised pass over uint64 halves; returns `(seeded, drawn)`.
-
-    `seeded` is (state_hi, state_lo, inc_hi, inc_lo) as
-    `pcg_setseq_128_srandom_r` leaves it, with initial state w0:w1 and
-    sequence w2:w3: inc = w2:w3 << 1 | 1, state = (inc + w0:w1) * MULT + inc.
-    `drawn` is None or, when `ranked`, the stream after a first
-    `integers(1, 5)`: (state_hi, state_lo, uinteger, rank). That draw takes
-    one LCG step and its XSL-RR output; Lemire's method on the output's low
-    32 bits never rejects for a range of 4, so the rank is 1 plus their top
-    two bits, and the high 32 bits stay buffered as `uinteger`.
-    """
-    w0, w1, w2, w3 = words.T
-    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
-    inc = _limbs(inc_hi, inc_lo)
-    state = _lcg_step(*_carried([a + b for a, b in zip(inc, _limbs(w0, w1))]), inc)
-    seeded = (*state, inc_hi, inc_lo)
-    if not ranked:
-        return seeded, None
-    hi, lo = _lcg_step(*state, inc)
-    xor, rot = hi ^ lo, hi >> 58
-    out = xor >> rot | xor << (64 - rot & 63)
-    return seeded, (hi, lo, out >> 32, (1 + ((out & _MASK32) >> 30)).astype(np.intp))
-
-
-def _state_dict(state_hi, state_lo, inc_hi, inc_lo, uinteger=None) -> dict:
-    # a `PCG64.state` from uint64 halves, with a buffered half word if given
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": int(state_hi) << 64 | int(state_lo),
-                  "inc": int(inc_hi) << 64 | int(inc_lo)},
-        "has_uint32": int(uinteger is not None),
-        "uinteger": int(uinteger or 0),
-    }
-
-
-def _item_streams(seeds, streams: list | None = None, ranks: np.ndarray | None = None):
-    """An iterator that yields, for each seed in turn, a Generator in the
-    state of `np.random.default_rng(seed)`, so every draw matches that
-    generator's.
-
-    Every item's state comes from one vectorised pass (`_seed_words`, then
-    `_pcg64_states`), and one Generator is loaded with each state in turn
-    through one reused dict: draw each item before asking for the next. When
-    a `ranks` array is passed, it is filled at once with each item's
-    `integers(1, 5)`, worked out from the stream's first output, and each
-    Generator is in its state after that draw. When a `streams` list is
-    passed, each item's `bit_generator.state` after its draws is appended to
-    it, so the item's stream can be resumed elsewhere.
-
-    On every call, the first item of every `_BLOCK` is checked against a
-    real `default_rng`: its seeded state and, with `ranks`, its rank and its
-    state after that draw. A numpy that seeds or draws differently raises
-    RuntimeError instead of changing the samples.
-    """
-    seeded, drawn = _pcg64_states(_seed_words(seeds), ranks is not None)
-    for k in range(0, len(seeds), _BLOCK):
-        g = np.random.default_rng(seeds[k])
-        same = g.bit_generator.state == _state_dict(*(a[k] for a in seeded))
-        if drawn is not None:
-            state_hi, state_lo, uinteger, rank = (a[k] for a in drawn)
-            same = same and g.integers(1, 5) == rank and g.bit_generator.state == (
-                _state_dict(state_hi, state_lo, seeded[2][k], seeded[3][k], uinteger)
-            )
-        if not same:
-            raise RuntimeError(
-                "this numpy seeds default_rng differently from the vectorised "
-                f"SeedSequence and PCG64 derivation (numpy {np.__version__}); "
-                "the per-item streams cannot be reproduced"
-            )
-    if drawn is None:
-        return _loaded(*seeded, None, streams)
-    state_hi, state_lo, uinteger, ranks[:] = drawn
-    return _loaded(state_hi, state_lo, *seeded[2:], uinteger, streams)
-
-
-def _loaded(state_hi, state_lo, inc_hi, inc_lo, uinteger, streams):
-    # the iterator of `_item_streams`; the Python ints are made block by block
-    g = np.random.default_rng(0)
-    bit_gen = g.bit_generator
-    loaded = _state_dict(0, 0, 0, 0, None if uinteger is None else 0)
-    inner = loaded["state"]
-    for lo in range(0, len(state_hi), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        halves = [a[block].tolist() for a in (state_hi, state_lo, inc_hi, inc_lo)]
-        buffered = repeat(0) if uinteger is None else uinteger[block].tolist()
-        for s_hi, s_lo, i_hi, i_lo, u in zip(*halves, buffered):
-            inner["state"] = s_hi << 64 | s_lo
-            inner["inc"] = i_hi << 64 | i_lo
-            loaded["uinteger"] = u
-            bit_gen.state = loaded
-            yield g
-            if streams is not None:
-                streams.append(bit_gen.state)
-
+# scheduling
 
 def _worker_count(threads: int, items: int, cpus: int | None) -> int:
     """Threads worth starting: no more than requested, than there are work
@@ -372,12 +183,23 @@ def _records(vals: np.ndarray) -> list[SurveyRecord]:
     return [SurveyRecord(i, *row) for i, row in enumerate(zip(*vals.T.tolist()))]
 
 
+def _two_qubit_stack(states, what: str) -> np.ndarray:
+    # the (n, 4, 4) stack of a non-empty list of two-qubit DensityMatrix states
+    states = list(states)
+    if not states:
+        raise ValueError(f"{what} needs at least one state")
+    for s in states:
+        if not isinstance(s, DensityMatrix):
+            raise TypeError(f"{what} takes DensityMatrix states, got {type(s).__name__}")
+        if s.dims != (2, 2):
+            raise ValueError(f"{what} is defined for two-qubit states, got dims {s.dims}")
+    return np.stack([s.mat for s in states])
+
+
 def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
     """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
     triples on both sides, for an explicit list of two-qubit states."""
-    if any(s.dims != (2, 2) for s in states):
-        raise ValueError("scatter survey is defined for two-qubit states")
-    mats = np.stack([s.mat for s in states])
+    mats = _two_qubit_stack(states, "scatter survey")
     return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats), threads))
 
 
@@ -423,12 +245,7 @@ def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Gener
     while done < trials:
         t = min(_TRIAL_CHUNK, trials - done)
         raw = rng.standard_normal((t, 2, d, d, 2))
-        z = raw[..., 0] + 1j * raw[..., 1]
-        q, r = np.linalg.qr(z)
-        diag = np.einsum("...ii->...i", r)
-        mag = np.abs(diag)
-        phase = np.where(mag > 0, diag, 1.0) / np.where(mag > 0, mag, 1.0)
-        u = q * phase[..., None, :]
+        u = _haar_unitaries(raw[..., 0] + 1j * raw[..., 1])
         a = np.einsum("tjk,mkl->tmjl", u[:, 0], ref).reshape(-1, d, d)
         b = np.einsum("tjk,mkl->tmjl", u[:, 1], ref).reshape(-1, d, d)
         p = _product_joints(mat[None], a, b).reshape(t, n_bases, d, d)
@@ -618,7 +435,7 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
 def ppt_min_eigenvalue(states) -> float:
     """Smallest partial-transpose eigenvalue over a batch of two-qubit states;
     nonnegative (within tolerance) certifies every state separable."""
-    return _ppt_min_eigenvalue(np.stack([s.mat for s in states]))
+    return _ppt_min_eigenvalue(_two_qubit_stack(states, "PPT check"))
 
 
 def _ppt_min_eigenvalue(mats: np.ndarray) -> float:
@@ -647,9 +464,7 @@ def soundness_audit(states, threads: int = 1, eta: float = _SMEAR_ETA) -> dict[s
     (elements (1-eta) P_i + eta I/2) exercising the operator-norm bound.
     On separable inputs every returned value should be <= 0 up to 1e-9.
     """
-    if any(s.dims != (2, 2) for s in states):
-        raise ValueError("soundness audit is defined for two-qubit states")
-    return _soundness_audit(np.stack([s.mat for s in states]), threads, eta)
+    return _soundness_audit(_two_qubit_stack(states, "soundness audit"), threads, eta)
 
 
 def _soundness_audit(

@@ -218,12 +218,18 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _haar_unitaries(z)
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary Q of ``z = QR`` with R's diagonal phases folded into
+    Q, for one complex Ginibre matrix ``(d, d)`` or a stack ``(..., d, d)``."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(diag)
     # Zero diagonal entries have probability zero; fall back to phase 1.
     phase = np.where(mag > 0, diag, 1.0) / np.where(mag > 0, mag, 1.0)
-    return q * phase
+    return q * phase[..., None, :]
 
 
 def random_pure_state(d_a: int, d_b: int, rng: np.random.Generator) -> PureState:

@@ -642,7 +642,8 @@ class TestWorkBudget:
 
     @staticmethod
     def estimate(argv):
-        return cli._estimated_bytes(cli._config_from_args(cli._build_parser().parse_args(argv)))
+        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        return config.options.peak_bytes(config)
 
     @pytest.mark.parametrize(
         "argv",
@@ -848,6 +849,12 @@ class TestConfigurationErrors:
         out = tmp_path / ("x" * (limit - suffix - len(".manifest.json")) + ".csv")
         assert main(["fig1", "--n", "3", "--out", str(out)]) == 0
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv", ".json"]
+
+    def test_empty_sweep_state_file(self, tmp_path):
+        # an empty path is a state file that cannot be read, not "no state file"
+        out = tmp_path / "sweep.csv"
+        self.fails_cleanly("sweep", "--n", "5", "--state-file", "", "--out", str(out))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("k_max", ["0", "-2"])
     def test_k_max_below_one(self, tmp_path, k_max):

@@ -332,6 +332,35 @@ class TestSoundnessAudit:
             soundness_audit([random_density(rng, 3, 3)])
 
 
+_SINGLET = singlet_state().to_density().mat
+
+
+class TestStateListInputs:
+    """The three entry points that take a list of states check it at one
+    boundary: two-qubit `DensityMatrix` states, at least one of them."""
+
+    @pytest.mark.parametrize(
+        "entry", [survey_fig1_states, soundness_audit, ppt_min_eigenvalue],
+        ids=["survey_fig1_states", "soundness_audit", "ppt_min_eigenvalue"],
+    )
+    @pytest.mark.parametrize(
+        "states,error,match",
+        [
+            ([], ValueError, "needs at least one state"),
+            # the singlet's matrix read as a (4, 1) state: its 2x2 partial
+            # transpose is negative, but the (4, 1) one is not
+            ([DensityMatrix((4, 1), _SINGLET)], ValueError, r"got dims \(4, 1\)"),
+            ([DensityMatrix((3, 3), np.eye(9) / 9)], ValueError, r"got dims \(3, 3\)"),
+            (_SINGLET, TypeError, "takes DensityMatrix states, got ndarray"),
+            ([werner_state(0.5), _SINGLET], TypeError, "got ndarray"),
+        ],
+        ids=["empty", "dims-4x1", "dims-3x3", "bare-array", "array-in-list"],
+    )
+    def test_rejects(self, entry, states, error, match):
+        with pytest.raises(error, match=match):
+            entry(states)
+
+
 def _one_bad_state(fault):
     # an unvalidated stack of Werner states with one faulty matrix in it
     mats = np.stack([werner_state(p).mat for p in (0.2, 0.5, 0.9)])

@@ -21,11 +21,11 @@ from entrosteer import (
     separable_sample,
     survey_fig1,
 )
-from entrosteer import cli, montecarlo, qmat
+from entrosteer import cli, montecarlo, qmat, streams
 from entrosteer.cli import main, save_state
-from entrosteer.montecarlo import _derived_seeds
+from entrosteer.streams import _derived_seeds
 
-_BLOCK_DEFAULT = montecarlo._BLOCK
+_BLOCK_DEFAULT = streams._BLOCK
 
 PINNED = [
     (
@@ -182,14 +182,14 @@ def _derived_states(words):
     """The streams `_pcg64_states` derives from (n, 4) seed words, as
     `PCG64.state` dicts: seeded, and after the first `integers(1, 5)`, with
     that rank."""
-    seeded, (hi, lo, uinteger, ranks) = montecarlo._pcg64_states(
+    seeded, (hi, lo, uinteger, ranks) = streams._pcg64_states(
         np.array(words, dtype=np.uint64), ranked=True
     )
     inc = seeded[2:]
     return [
-        (montecarlo._state_dict(*(a[k] for a in seeded)),
+        (streams._state_dict(*(a[k] for a in seeded)),
          int(ranks[k]),
-         montecarlo._state_dict(hi[k], lo[k], inc[0][k], inc[1][k], uinteger[k]))
+         streams._state_dict(hi[k], lo[k], inc[0][k], inc[1][k], uinteger[k]))
         for k in range(len(words))
     ]
 
@@ -202,7 +202,7 @@ def _numpy_states(g):
 
 
 def _check_seeds(seeds):
-    words = montecarlo._seed_words(seeds)
+    words = streams._seed_words(seeds)
     assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
     for seed, w in zip(seeds, words):
         assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
@@ -241,7 +241,7 @@ def test_item_streams_draw_as_default_rng(monkeypatch):
     # an odd count of 32-bit draws leaves a buffered half word in the
     # generator; the next item must not see it. A small block makes several
     # blocks, each loaded and checked on its own
-    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    monkeypatch.setattr(streams, "_BLOCK", 4)
     seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(65), 20)
 
     def draws(g):
@@ -252,10 +252,10 @@ def test_item_streams_draw_as_default_rng(monkeypatch):
             int(g.integers(1, 5)),
         )
 
-    got = [draws(g) for g in montecarlo._item_streams(seeds)]
+    got = [draws(g) for g in streams._item_streams(seeds)]
     assert got == [draws(np.random.default_rng(s)) for s in seeds]
     ranks = np.full(len(seeds), -1, dtype=np.intp)
-    got = [draws(g) for g in montecarlo._item_streams(seeds, ranks=ranks)]
+    got = [draws(g) for g in streams._item_streams(seeds, ranks=ranks)]
     expected = [_numpy_states(np.random.default_rng(s)) for s in seeds]
     assert ranks.tolist() == [rank for _, rank, _ in expected]
     ranked = []
@@ -269,19 +269,19 @@ def test_item_streams_draw_as_default_rng(monkeypatch):
 @pytest.mark.parametrize("ensemble,shape", [("mixed", None), ("pure", (2, 4))])
 def test_recorded_streams_match_default_rng(monkeypatch, ensemble, shape):
     # the fig2 streams: each item's state after its state draws
-    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    monkeypatch.setattr(streams, "_BLOCK", 7)
     seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(67), 40)
-    streams = []
-    montecarlo._ensemble_stack(ensemble, seeds, streams)
+    recorded = []
+    montecarlo._ensemble_stack(ensemble, seeds, recorded)
     expected = []
     for s in seeds:
         g = np.random.default_rng(s)
         g.standard_normal(shape or (2, 4, int(g.integers(1, 5))))
         expected.append(g.bit_generator.state)
-    assert streams == expected
+    assert recorded == expected
 
 
-def _wrong_words(seeds, seed_words=montecarlo._seed_words):
+def _wrong_words(seeds, seed_words=streams._seed_words):
     words = seed_words(seeds)
     words[:, 0] ^= np.uint64(1)
     return words
@@ -295,7 +295,7 @@ def _carry_dropped(cols):
 
 @pytest.mark.parametrize(
     "attr,wrong",
-    [("_seed_words", _wrong_words), ("_PCG_MULT", montecarlo._PCG_MULT + 2),
+    [("_seed_words", _wrong_words), ("_PCG_MULT", streams._PCG_MULT + 2),
      ("_carried", _carry_dropped)],
     ids=["words", "multiplier", "carry"],
 )
@@ -309,24 +309,24 @@ def _carry_dropped(cols):
     ids=["fig1", "pure", "separable"],
 )
 def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
-    monkeypatch.setattr(montecarlo, attr, wrong)
+    monkeypatch.setattr(streams, attr, wrong)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         sample(np.random.default_rng(66))
 
 
-def _later_words_wrong(seeds, seed_words=montecarlo._seed_words):
+def _later_words_wrong(seeds, seed_words=streams._seed_words):
     words = seed_words(seeds)
     words[1:, 1] ^= np.uint64(1 << 40)
     return words
 
 
-def _rank_wrong(words, ranked=False, states=montecarlo._pcg64_states):
+def _rank_wrong(words, ranked=False, states=streams._pcg64_states):
     seeded, drawn = states(words, ranked)
     hi, lo, uinteger, ranks = drawn
     return seeded, (hi, lo, uinteger, ranks % 4 + 1)
 
 
-def _buffer_wrong(words, ranked=False, states=montecarlo._pcg64_states):
+def _buffer_wrong(words, ranked=False, states=streams._pcg64_states):
     seeded, drawn = states(words, ranked)
     hi, lo, uinteger, ranks = drawn
     return seeded, (hi, lo, uinteger ^ np.uint64(1), ranks)
@@ -341,8 +341,8 @@ def _buffer_wrong(words, ranked=False, states=montecarlo._pcg64_states):
 def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wrong, block):
     # only item 0 is right in the first case: the first item of the next
     # block must be checked; the others break only what the mixed draw sets
-    monkeypatch.setattr(montecarlo, attr, wrong)
-    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    monkeypatch.setattr(streams, attr, wrong)
+    monkeypatch.setattr(streams, "_BLOCK", block)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         survey_fig1(5, "mixed", np.random.default_rng(68))
 
