@@ -83,9 +83,17 @@ class GaussianState:
         object.__setattr__(self, "cov", c)
 
 
+def _gaussian(g, what: str) -> GaussianState:
+    """`g`, checked at a witness's entry to be a GaussianState; `what` names
+    the witness in the TypeError otherwise."""
+    if not isinstance(g, GaussianState):
+        raise TypeError(f"{what} takes a GaussianState, got {type(g).__name__}")
+    return g
+
+
 def symplectic_eigenvalues(g: GaussianState) -> np.ndarray:
     """The two symplectic eigenvalues, ascending; physical states have >= 1/2."""
-    ev = np.abs(np.linalg.eigvals(1j * _SYMPLECTIC @ g.cov))
+    ev = np.abs(np.linalg.eigvals(1j * _SYMPLECTIC @ _gaussian(g, "symplectic_eigenvalues").cov))
     return np.sort(ev)[::2]
 
 
@@ -152,7 +160,7 @@ def walborn_cv(g: GaussianState, direction: str = "AtoB") -> WitnessReport:
     Evaluated in closed form from Gaussian conditional variances. For "AtoB"
     the entropies are of B's quadratures conditioned on A's.
     """
-    cov = g.cov
+    cov = _gaussian(g, "walborn_cv").cov
     if direction == "AtoB":
         vx = _conditional_variance(cov, _XB, _XA)
         vk = _conditional_variance(cov, _KB, _KA)
@@ -171,6 +179,7 @@ def reid_sumdiff_cv(g: GaussianState, signs=("minus", "plus")) -> WitnessReport:
     Units are a variance product, not bits; the report keeps the shared field
     names, with violation = bound - lhs so positive still means witnessed.
     """
+    _gaussian(g, "reid_sumdiff_cv")
     if len(signs) != 2:
         raise ValueError("signs must be a pair (x sign, k sign)")
     vx = _pm_variance(g.cov, _XA, _XB, signs[0])
@@ -186,6 +195,7 @@ def entropic_sumdiff_cv(g: GaussianState, signs=("minus", "plus")) -> WitnessRep
     states both flip sign at the same squeezing because a Gaussian saturates
     the entropy-variance relation.
     """
+    _gaussian(g, "entropic_sumdiff_cv")
     if len(signs) != 2:
         raise ValueError("signs must be a pair (x sign, k sign)")
     vx = _pm_variance(g.cov, _XA, _XB, signs[0])

@@ -7,13 +7,14 @@ Omega for eigenbases and its POVM generalization built from operator norms.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .infotheory import _checked_probs
-from .qmat import DensityMatrix
+from .infotheory import _checked_probs, _joint_entropies
+from .qmat import DensityMatrix, _density
 
 ORTHO_TOL = 1e-10
 POVM_TOL = 1e-10
@@ -218,28 +219,41 @@ def _element_stack(povms, n: int) -> np.ndarray:
     return out
 
 
+def _measurement_pairs(pairs) -> tuple:
+    """``pairs`` as a tuple, each measurement checked to be a projective basis
+    or a POVM first, so that any other value raises `as_povm`'s TypeError and
+    never reaches the hash lookup of `_pair_stacks`."""
+    pairs = tuple(pairs)
+    for pair in pairs:
+        for meas in pair:
+            if not isinstance(meas, (ProjectiveBasis, Povm)):
+                as_povm(meas)   # raises the TypeError naming the type
+    return pairs
+
+
 @lru_cache(maxsize=SET_CACHE_SIZE)
 def _pair_stacks(pairs: tuple) -> tuple:
-    """``(dims, f_stack, g_stack)`` of m measurement pairs: the distinct
-    ``(d_A, d_B)`` of the pairs in order of first use, and Alice's and Bob's
-    padded element stacks (``None`` when the pairs differ in dims)."""
+    """``(dims, f_stack, g_stack, last)`` of m measurement pairs: the distinct
+    ``(d_A, d_B)`` of the pairs in order of first use, Alice's and Bob's
+    padded element stacks (``None`` when the pairs differ in dims), and the
+    one-item list that holds the statistics of the last state seen with the
+    set (`_set_statistics`)."""
     fs, gs = zip(*[(as_povm(a), as_povm(b)) for a, b in pairs])
     dims = tuple(dict.fromkeys((f.dim, g.dim) for f, g in zip(fs, gs)))
     if len(dims) > 1:
-        return dims, None, None
+        return dims, None, None, [None]
     n_a, n_b = max(len(f.elements) for f in fs), max(len(g.elements) for g in gs)
-    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b)
+    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b), [None]
 
 
-def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
+def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
     """Checked joint distributions of m measurement pairs, ``(m, n_a, n_b)``.
 
-    ``pairs`` holds (Alice's measurement, Bob's measurement) tuples; each may
-    be a projective basis or a POVM. ``n_a`` and ``n_b`` are the largest
-    outcome counts: a joint with fewer outcomes fills the top-left block of
-    its slice and the padding is exactly zero, so every pair takes part in
-    the same two contraction steps. The element stacks depend on the
-    measurements alone and are built once per set (`_pair_stacks`).
+    ``dims``, ``f_stack`` and ``g_stack`` are the `_pair_stacks` entry of the
+    pairs, whose measurements may be projective bases or POVMs. ``n_a`` and
+    ``n_b`` are the largest outcome counts: a joint with fewer outcomes fills
+    the top-left block of its slice and the padding is exactly zero, so every
+    pair takes part in the same two contraction steps.
 
     A stacked matmul forms ``T[m, b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]``
     in O(m n_b d_A^2 d_B^2); then ``P[m, a, b] = sum_(i,k) E_a[i, k]
@@ -248,12 +262,6 @@ def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
     depending on its column, so relabelling Bob's outcomes would not permute
     P exactly. The probability checks run once over the whole stack.
     """
-    pairs = tuple(pairs)
-    for pair in pairs:
-        for meas in pair:
-            if not isinstance(meas, (ProjectiveBasis, Povm)):
-                as_povm(meas)   # raises the TypeError naming the type
-    dims, f_stack, g_stack = _pair_stacks(pairs)
     for f_dim, g_dim in dims:
         if (f_dim, g_dim) != rho.dims:
             raise ValueError(
@@ -267,6 +275,33 @@ def _joint_stack(rho: DensityMatrix, pairs) -> np.ndarray:
     return _checked_probs(p, axis=(1, 2))
 
 
+def _set_statistics(rho: DensityMatrix, pairs, entropies: bool = True) -> tuple:
+    """``(p, (H(A,B), H(A), H(B)))`` of a checked state and m measurement
+    pairs: the `_joint_stack` joints and their `_joint_entropies`. With
+    ``entropies=False`` the entropies are None unless already known, for a
+    caller that needs the joints alone.
+
+    Each set keeps these for the last state it saw, held by weakref, in its
+    `_pair_stacks` entry, so witnesses called one after another on the same
+    state and set contract once. States and measurements are immutable and
+    compared by identity, so a kept result is exactly what a recomputation
+    would give; callers share the arrays and only read them. The slot is read
+    once and written with one assignment, which keeps threads that share a set
+    consistent.
+    """
+    dims, f_stack, g_stack, last = _pair_stacks(_measurement_pairs(pairs))
+    seen = last[0]
+    if seen is not None and seen[0]() is rho:
+        if seen[2] is not None or not entropies:
+            return seen[1], seen[2]
+        p = seen[1]
+    else:
+        p = _joint_stack(rho, dims, f_stack, g_stack)
+    h = _joint_entropies(p) if entropies else None
+    last[0] = (weakref.ref(rho), p, h)
+    return p, h
+
+
 def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     """Joint outcome distribution P(a, b) = Tr[(E_a (x) E_b) rho].
 
@@ -274,7 +309,9 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     promoted to rank-1 POVMs so a single code path serves both. This is the
     one-pair case of the stacked kernel the witnesses use.
     """
-    p = _joint_stack(rho, [(meas_a, meas_b)])[0]
+    _density(rho, "joint_distribution")
+    dims, f_stack, g_stack, _ = _pair_stacks(_measurement_pairs([(meas_a, meas_b)]))
+    p = _joint_stack(rho, dims, f_stack, g_stack)[0]
     return JointDistribution(*p.shape, p)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .infotheory import _entropies, _joint_entropies, _modular_entropies
 from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
-from .qmat import DensityMatrix, _haar_unitaries, ginibre_density, validate_density_stack
+from .qmat import DensityMatrix, _density, _haar_unitaries, ginibre_density, validate_density_stack
 from .streams import _derived_seeds, _item_streams
 from .witness import (
     _conditional_sum,
@@ -256,8 +256,8 @@ def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Gener
     return v_ab, v_ba
 
 
-def _equal_dims_matrix(rho: DensityMatrix) -> np.ndarray:
-    if rho.dims[0] != rho.dims[1]:
+def _equal_dims_matrix(rho: DensityMatrix, what: str) -> np.ndarray:
+    if _density(rho, what).dims[0] != rho.dims[1]:
         raise ValueError("basis search needs equal local dimensions")
     return rho.mat
 
@@ -291,7 +291,7 @@ def optimize_bases(
     are provenance labels recorded in the result (surveys fill them with the
     item index and its derived integer seed; direct callers may leave them).
     """
-    return _optimize(_equal_dims_matrix(rho), trials, rng, state_id, seed)
+    return _optimize(_equal_dims_matrix(rho, "optimize_bases"), trials, rng, state_id, seed)
 
 
 def survey_fig2(
@@ -329,7 +329,7 @@ def basis_sweep(
     violations per pair, no maximization."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    v_ab, v_ba = _directional_trial_values(_equal_dims_matrix(rho), n, rng)
+    v_ab, v_ba = _directional_trial_values(_equal_dims_matrix(rho, "basis_sweep"), n, rng)
     return list(zip(v_ab.tolist(), v_ba.tolist()))
 
 

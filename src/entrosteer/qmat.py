@@ -112,6 +112,14 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
+def _density(rho, what: str) -> DensityMatrix:
+    """`rho`, checked at a public entry point to be a DensityMatrix; `what`
+    names that entry point in the TypeError otherwise."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"{what} takes a DensityMatrix, got {type(rho).__name__}")
+    return rho
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A bipartite pure state vector, unit-normalized within 1e-10."""
@@ -155,7 +163,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
     numpy.ndarray
         Hermitian, unit-trace ``d_keep x d_keep`` matrix.
     """
-    d_a, d_b = rho.dims
+    d_a, d_b = _density(rho, "partial_trace").dims
     r = rho.mat.reshape(d_a, d_b, d_a, d_b)
     if keep == "A":
         return np.einsum("ijkj->ik", r)
@@ -171,7 +179,7 @@ def partial_transpose(rho: DensityMatrix, party: str = "B") -> np.ndarray:
     separability, which makes this the standard independent check on sampled
     separable states.
     """
-    d_a, d_b = rho.dims
+    d_a, d_b = _density(rho, "partial_transpose").dims
     r = rho.mat.reshape(d_a, d_b, d_a, d_b)
     if party == "B":
         out = r.transpose(0, 3, 2, 1)

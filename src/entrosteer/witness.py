@@ -20,18 +20,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .infotheory import _joint_entropies, _modular_entropies, shannon_entropy
+from .infotheory import _modular_entropies, shannon_entropy
 from .measure import (
     SET_CACHE_SIZE,
     ProjectiveBasis,
-    _joint_stack,
+    _set_statistics,
     as_povm,
     is_mub_set,
     measurement_distribution,
     overlap_omega,
     povm_omega,
 )
-from .qmat import DensityMatrix, partial_trace
+from .qmat import DensityMatrix, _density, partial_trace
 
 MUB_CHECK_TOL = 1e-8
 
@@ -118,9 +118,10 @@ def pair_conditional(
     model exists. Measurements may be projective bases or POVMs; the bound
     uses the steered party's pair (operator-norm form for POVMs).
     """
+    _density(rho, "pair_conditional")
     if direction not in ("AtoB", "BtoA"):
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
-    h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))
+    _, (h_joint, h_a, h_b) = _set_statistics(rho, ((r_a, r_b), (s_a, s_b)))
     if direction == "AtoB":
         lhs = float(_conditional_sum(h_joint, h_a))
         bound = _pair_bound(r_b, s_b)
@@ -137,13 +138,14 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     either party admits a local-hidden-state model, so its violation rules out
     both directions at once. Projective bases only (equal local dimensions N).
     """
+    _density(rho, "pair_symmetric_mi")
     for m in (r_a, s_a, r_b, s_b):
         if not isinstance(m, ProjectiveBasis):
             raise TypeError("the symmetric witness takes projective bases only")
     if rho.dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
     n = rho.dims[0]
-    lhs = float(_mi_sum(*_joint_entropies(_joint_stack(rho, [(r_a, r_b), (s_a, s_b)]))))
+    lhs = float(_mi_sum(*_set_statistics(rho, ((r_a, r_b), (s_a, s_b)))[1]))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(n * n / omega)
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
@@ -179,6 +181,7 @@ def mub_conditional(
     floored by :func:`sanchez_ruiz_bound`; the other party's bases are
     unconstrained (they only condition).
     """
+    _density(rho, "mub_conditional")
     if len(bases_a) != len(bases_b):
         raise ValueError(
             f"both parties need the same number of bases, got {len(bases_a)} and {len(bases_b)}"
@@ -192,7 +195,7 @@ def mub_conditional(
         n = d_a
     else:
         raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
-    h_joint, h_a, h_b = _joint_entropies(_joint_stack(rho, zip(bases_a, bases_b)))
+    _, (h_joint, h_a, h_b) = _set_statistics(rho, zip(bases_a, bases_b))
     lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
     bound = sanchez_ruiz_bound(n)
     return WitnessReport("mub_conditional", direction, lhs, bound, bound - lhs)
@@ -205,7 +208,7 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
     for qubits the bound is exactly 1 bit. Validation mirrors
     :func:`mub_conditional` (B side checked; by MI symmetry either would do).
     """
-    if rho.dims[0] != rho.dims[1]:
+    if _density(rho, "mub_mi").dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
     if len(bases_a) != len(bases_b):
         raise ValueError(
@@ -213,7 +216,7 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
         )
     n = rho.dims[1]
     _validate_mub_side(bases_b, n, "steered-side (B)")
-    lhs = float(_mi_sum(*_joint_entropies(_joint_stack(rho, zip(bases_a, bases_b)))))
+    lhs = float(_mi_sum(*_set_statistics(rho, zip(bases_a, bases_b))[1]))
     bound = _mub_mi_bound(n)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)
 
@@ -228,10 +231,11 @@ def sumdiff_discrete(
     conditional entropy, so this is weaker than the conditional witness but
     needs no conditioning. ``signs`` picks the sign per observable pair.
     """
+    _density(rho, "sumdiff_discrete")
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
-    pairs = [(r_a, r_b), (s_a, s_b)]
-    p = _joint_stack(rho, pairs)
+    pairs = ((r_a, r_b), (s_a, s_b))
+    p, _ = _set_statistics(rho, pairs, entropies=False)
     shapes = [(len(as_povm(a).elements), len(as_povm(b).elements)) for a, b in pairs]
     lhs = float(_left_sum(_modular_entropies(p, shapes, signs)))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
@@ -248,7 +252,7 @@ def violation_gap(rho: DensityMatrix, r_b, s_b) -> float:
     Bob's marginals are both uniform. Callers are responsible for using it
     only in matched-overlap configurations.
     """
-    n = rho.dims[1]
+    n = _density(rho, "violation_gap").dims[1]
     rho_b = partial_trace(rho, "B")
     h_r = shannon_entropy(measurement_distribution(rho_b, r_b))
     h_s = shannon_entropy(measurement_distribution(rho_b, s_b))

@@ -727,15 +727,9 @@ _FLAGS = {
     "--verbose": st.none(),
 }
 _COMMON = ["--seed", "--threads", "--format", "--out", "--verbose"]
-_COMMANDS = {
-    "fig1": ["--n", "--ensemble"],
-    "fig2": ["--n", "--ensemble", "--trials"],
-    "sweep": ["--n", "--state-file", "--werner"],
-    "werner-threshold": ["--settings", "--tol", "--lo", "--hi"],
-    "cv-scan": ["--r-min", "--r-max", "--steps"],
-    "eval": ["--state-file", "--witness", "--direction"],
-    "separable-audit": ["--n", "--k-max"],
-}
+# each subcommand's own flags, read from its options record as the parser is
+_COMMANDS = {command: ["--" + f.name.replace("_", "-") for f in fields(options_cls)]
+             for command, (options_cls, *_) in cli._COMMANDS.items()}
 # given every time: eval needs them, and the other defaults are large runs
 _ALWAYS = {"fig1": ["--n"], "fig2": ["--n", "--trials"], "sweep": ["--n"],
            "separable-audit": ["--n"], "eval": ["--state-file", "--witness"]}
@@ -760,6 +754,16 @@ def _argvs(draw):
 
 
 class TestArgvFuzz:
+    def test_every_parser_option_has_a_value_strategy(self):
+        # a new option cannot go unfuzzed
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for command, subparser in sub.choices.items():
+            flags = {flag for a in subparser._actions for flag in a.option_strings
+                     if flag.startswith("--") and flag != "--help"}
+            assert flags == set(_COMMON + _COMMANDS[command]), command
+            assert flags <= set(_FLAGS), command
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_argvs())

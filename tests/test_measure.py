@@ -1,4 +1,8 @@
+import functools
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -9,6 +13,7 @@ import pytest
 from conftest import (
     loop_joint_probs,
     loop_povm_joint_probs,
+    loop_violation,
     random_basis,
     random_density,
     random_povm,
@@ -49,6 +54,65 @@ except ImportError:  # numpy < 2
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# (witness, direction) of the interleaving test; None for a symmetric witness
+_MENU = (("pair_conditional", "AtoB"), ("pair_conditional", "BtoA"),
+         ("pair_symmetric_mi", None), ("sumdiff_discrete", None),
+         ("mub_conditional", "AtoB"), ("mub_conditional", "BtoA"), ("mub_mi", None))
+
+
+@functools.cache
+def _interleaving_inputs():
+    """Three two-qutrit states from fixed seeds and the qutrit MUB set, built
+    once, so that each example starts from the slots the last one left."""
+    rhos = tuple(random_density(np.random.default_rng(seed), 3, 3) for seed in (5, 6, 7))
+    return rhos, mub_set(3)
+
+
+def _menu_measurements(name, bases):
+    r, s = bases[0], bases[-1]
+    return (bases, bases) if name.startswith("mub") else (r, s, r, s)
+
+
+def _menu_call(k, rho, bases):
+    name, direction = _MENU[k]
+    kwargs = {} if direction is None else {"direction": direction}
+    return getattr(witness, name)(rho, *_menu_measurements(name, bases), **kwargs)
+
+
+# run in a new interpreter: every report of the menu on every state, each
+# computed after emptying the set caches, so nothing is reused
+_FRESH_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from entrosteer import measure
+from test_measure import _MENU, _interleaving_inputs, _menu_call
+rhos, bases = _interleaving_inputs()
+out = []
+for rho in rhos:
+    for k in range(len(_MENU)):
+        measure._pair_stacks.cache_clear()
+        rep = _menu_call(k, rho, bases)
+        out.append([rep.lhs_bits.hex(), rep.bound_bits.hex(), rep.violation_bits.hex()])
+print(json.dumps(out))
+"""
+
+
+@functools.cache
+def _fresh_process_reports():
+    package_root = os.path.dirname(os.path.dirname(measure.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT, os.path.dirname(__file__), package_root],
+        capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+@functools.cache
+def _menu_oracle(k, i):
+    name, direction = _MENU[k]
+    rhos, bases = _interleaving_inputs()
+    return loop_violation(name, rhos[i], *_menu_measurements(name, bases),
+                          direction=direction or "AtoB")
 
 
 class TestProjectiveBasis:
@@ -276,7 +340,8 @@ class TestOneTimeWork:
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         kernel = counting("kernel", measure._joint_stack)
         monkeypatch.setattr(measure, "_joint_stack", kernel)
-        monkeypatch.setattr(witness, "_joint_stack", kernel)
+        monkeypatch.setattr(measure, "_joint_entropies",
+                            counting("entropies", measure._joint_entropies))
         monkeypatch.setattr(measure, "_element_stack",
                             counting("element_stack", measure._element_stack))
         for name in ("is_mub_set", "overlap_omega", "povm_omega"):
@@ -327,15 +392,135 @@ class TestOneTimeWork:
             sumdiff_discrete(rho2, trine, fz, trine, fz)
             measurement_distribution(rho_b, z)
             measurement_distribution(rho_b, fx)
-            return 9   # witness calls
 
         calls()   # warm-up: promotes each basis, roots each POVM, derives each set once
         assert {"element_stack", "is_mub_set", "overlap_omega", "povm_omega"} <= set(counts)
         counts.clear()
-        witness_calls = sum(calls() for _ in range(50))
-        # one stacked contraction per witness call, and no one-time work: no
-        # element stack, overlap constant or MUB check is derived again
-        assert counts == {"kernel": witness_calls}
+        for _ in range(50):
+            calls()
+        # each set still holds the statistics of the state it saw last, which
+        # is the same state again: no contraction, and no one-time work (no
+        # element stack, overlap constant or MUB check is derived again)
+        assert counts == {}
+
+    def test_a_round_over_fresh_states_contracts_once_per_state_and_set(self, counts):
+        # the single-state benchmark's traffic: 8 calls on 3 sets per state
+        qubits = pauli_bases()
+        x, _, z = qubits
+        eye = np.eye(2, dtype=complex)
+        fx, fz = (Povm(2, tuple(0.8 * np.outer(v, v.conj()) + 0.1 * eye for v in b.vectors))
+                  for b in (x, z))
+        rhos = [random_density(np.random.default_rng(seed), 2, 2) for seed in range(6)]
+
+        def round_():
+            for rho in rhos:
+                pair_conditional(rho, x, z, x, z)
+                pair_conditional(rho, x, z, x, z, direction="BtoA")
+                pair_symmetric_mi(rho, x, z, x, z)
+                sumdiff_discrete(rho, x, z, x, z)
+                mub_conditional(rho, qubits, qubits)
+                mub_conditional(rho, qubits, qubits, direction="BtoA")
+                mub_mi(rho, qubits, qubits)
+                pair_conditional(rho, fx, fz, fx, fz)
+
+        round_()
+        assert counts["kernel"] == 3 * len(rhos)
+        # only the last state of each set is kept, so a second round over
+        # the same states reuses nothing from the first
+        round_()
+        assert counts["kernel"] == 6 * len(rhos)
+
+    def test_sumdiff_alone_takes_no_entropy_pass(self, counts):
+        x, _, z = pauli_bases()
+        rho = random_density(np.random.default_rng(4), 2, 2)
+        first = sumdiff_discrete(rho, x, z, x, z)
+        assert (counts["kernel"], counts["entropies"]) == (1, 0)
+        # the witnesses that need the entropies take them from the kept joints
+        pair_conditional(rho, x, z, x, z)
+        pair_symmetric_mi(rho, x, z, x, z)
+        assert sumdiff_discrete(rho, x, z, x, z) == first
+        assert (counts["kernel"], counts["entropies"]) == (1, 1)
+
+    def test_returning_to_an_earlier_state_recomputes_it(self, counts):
+        x, _, z = pauli_bases()
+        a, b = werner_state(0.8), random_density(np.random.default_rng(1), 2, 2)
+        first = pair_conditional(a, x, z, x, z)
+        other = pair_conditional(b, x, z, x, z)
+        again = pair_conditional(a, x, z, x, z)
+        assert counts["kernel"] == 3
+        assert again == first and other != first
+
+    def test_the_kept_state_is_not_kept_alive(self, counts):
+        x, _, z = pauli_bases()
+        rho = random_density(np.random.default_rng(2), 2, 2)
+        before = pair_conditional(rho, x, z, x, z)
+        released = weakref.ref(rho)
+        del rho
+        gc.collect()
+        assert released() is None
+        # a new state, wherever it is allocated, is contracted afresh
+        rho = random_density(np.random.default_rng(2), 2, 2)
+        assert pair_conditional(rho, x, z, x, z) == before
+        assert counts["kernel"] == 2
+
+    def test_dims_mismatch_raises_on_every_call_and_stores_nothing(self, counts):
+        x, _, z = pauli_bases()
+        qutrit = random_density(np.random.default_rng(3), 3, 3)
+        message = r"dims \(2, 2\) do not match state dims \(3, 3\)"
+        for k in range(1, 4):
+            for call in (lambda: pair_conditional(qutrit, x, z, x, z),
+                         lambda: pair_symmetric_mi(qutrit, x, z, x, z),
+                         lambda: sumdiff_discrete(qutrit, x, z, x, z)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+            assert counts["kernel"] == 3 * k
+            assert measure._pair_stacks(((x, x), (z, z)))[3] == [None]
+        # the set still serves a state that fits
+        pair_conditional(werner_state(0.8), x, z, x, z)
+        assert measure._pair_stacks(((x, x), (z, z)))[3] != [None]
+
+    def test_threads_alternating_two_states_on_one_set_agree_with_serial(self):
+        rng = np.random.default_rng(12)
+        rhos = [random_density(rng, 3, 3) for _ in range(2)]
+        bases = mub_set(3)
+        r, s = bases[0], bases[-1]
+
+        def reports(rho):
+            return (mub_conditional(rho, bases, bases), mub_mi(rho, bases, bases),
+                    mub_conditional(rho, bases, bases, direction="BtoA"),
+                    pair_conditional(rho, r, s, r, s), sumdiff_discrete(rho, r, s, r, s))
+
+        serial = [reports(rho) for rho in rhos]
+        results = [None] * 4
+
+        def run(k):
+            results[k] = [reports(rhos[(k + i) % 2]) for i in range(100)]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            assert got == [serial[(k + i) % 2] for i in range(100)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_MENU) - 1), st.integers(0, 2)),
+                    min_size=1, max_size=40))
+    def test_interleaved_calls_match_a_fresh_process_and_the_oracles(self, order):
+        rhos, bases = _interleaving_inputs()
+        fresh = _fresh_process_reports()
+        for k, i in order:
+            rep = _menu_call(k, rhos[i], bases)
+            bits = [rep.lhs_bits.hex(), rep.bound_bits.hex(), rep.violation_bits.hex()]
+            assert bits == fresh[i * len(_MENU) + k], (_MENU[k], i)
+            assert abs(rep.violation_bits - _menu_oracle(k, i)) <= 1e-12, (_MENU[k], i)
 
     def test_non_mub_set_raises_on_every_call(self):
         x, y, z = pauli_bases()
@@ -417,7 +602,7 @@ class TestOneTimeWork:
         with pytest.raises(ValueError):
             x.vectors[0, 0] = 0.0
         # the cached element stacks are shared by every later call on the set
-        _, f_stack, g_stack = measure._pair_stacks(((x, smeared),))
+        _, f_stack, g_stack, _ = measure._pair_stacks(((x, smeared),))
         assert not f_stack.flags.writeable and not g_stack.flags.writeable
 
 

@@ -5,24 +5,33 @@ from conftest import random_basis, random_density
 from entrosteer import (
     DensityMatrix,
     as_povm,
+    basis_sweep,
     entanglement_of_formation,
+    entropic_sumdiff_cv,
     joint_distribution,
     mub_conditional,
     mub_mi,
     mub_set,
+    optimize_bases,
     pair_conditional,
     pair_symmetric_mi,
     partial_trace,
+    partial_transpose,
     pauli_bases,
     random_unitary,
+    reid_sumdiff_cv,
     rotate_basis,
     sanchez_ruiz_bound,
     singlet_state,
     sumdiff_discrete,
+    symplectic_eigenvalues,
+    tmsv,
     violation_gap,
     von_neumann_entropy,
+    walborn_cv,
     werner_state,
 )
+from entrosteer import measure
 
 
 def binary_entropy(q):
@@ -311,6 +320,51 @@ class TestMeasurementTypes:
         b3 = random_basis(rng, 3)
         with pytest.raises(ValueError, match="direction must be"):
             pair_conditional(werner_state(0.5), b3, b3, x, z, direction="sideways")
+
+
+_X, _, _Z = _TRIPLE = pauli_bases()
+# each public entry point that takes a state, called with the state `s`
+_DISCRETE_ENTRIES = {
+    "pair_conditional": lambda s: pair_conditional(s, _X, _Z, _X, _Z),
+    "pair_symmetric_mi": lambda s: pair_symmetric_mi(s, _X, _Z, _X, _Z),
+    "sumdiff_discrete": lambda s: sumdiff_discrete(s, _X, _Z, _X, _Z),
+    "mub_conditional": lambda s: mub_conditional(s, _TRIPLE, _TRIPLE, direction="BtoA"),
+    "mub_mi": lambda s: mub_mi(s, _TRIPLE, _TRIPLE),
+    "violation_gap": lambda s: violation_gap(s, _X, _Z),
+    "joint_distribution": lambda s: joint_distribution(s, _X, _Z),
+    "partial_trace": lambda s: partial_trace(s, "B"),
+    "partial_transpose": lambda s: partial_transpose(s),
+    "optimize_bases": lambda s: optimize_bases(s, 3, np.random.default_rng(0)),
+    "basis_sweep": lambda s: basis_sweep(s, 3, np.random.default_rng(0)),
+}
+_CV_ENTRIES = {
+    "walborn_cv": walborn_cv,
+    "reid_sumdiff_cv": reid_sumdiff_cv,
+    "entropic_sumdiff_cv": entropic_sumdiff_cv,
+    "symplectic_eigenvalues": symplectic_eigenvalues,
+}
+
+
+class TestStateTypes:
+    """A value that is not the entry point's state class raises TypeError
+    naming the entry point, before any cache lookup."""
+
+    @pytest.mark.parametrize(
+        "name,state,expected",
+        [(name, state, "DensityMatrix") for name in _DISCRETE_ENTRIES
+         for state in (np.eye(4) / 4, tmsv(0.5))]
+        + [(name, state, "GaussianState") for name in _CV_ENTRIES
+           for state in (0.5 * np.eye(4), werner_state(0.5))],
+        ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    )
+    def test_wrong_state_type_raises(self, name, state, expected):
+        entry = _DISCRETE_ENTRIES.get(name) or _CV_ENTRIES[name]
+        lookups = measure._pair_stacks.cache_info()
+        with pytest.raises(TypeError, match=f"^{name} takes a {expected}, "
+                                            f"got {type(state).__name__}$"):
+            entry(state)
+        info = measure._pair_stacks.cache_info()
+        assert (info.hits, info.misses) == (lookups.hits, lookups.misses)
 
 
 class TestViolationGap:

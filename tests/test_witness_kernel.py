@@ -153,13 +153,13 @@ def test_maximally_mixed_b_marginal_gives_zero_gap(seed, d):
 def test_unequal_outcome_counts_share_one_stack():
     # a qubit trine on Alice, a two-outcome POVM on Bob: the padded 3 x 3
     # slice holds the 3 x 2 joint and a zero column
-    from entrosteer.measure import _joint_stack
+    from entrosteer.measure import _set_statistics
 
     rng = np.random.default_rng(5)
     rho = random_density(rng, 2, 2)
     three, two = trine(rng, 2), random_povm(rng, 2, 2)
     x = random_basis(rng, 2)
-    p = _joint_stack(rho, [(three, two), (x, three)])
+    p, _ = _set_statistics(rho, [(three, two), (x, three)])
     assert p.shape == (2, 3, 3)
     assert np.all(p[0, :, 2] == 0.0) and np.all(p[1, 2, :] == 0.0)
     assert not p.flags.writeable
