@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .witness import WitnessReport
+from .qmat import STRUCT_TOL
+from .witness import WitnessReport, _by_direction
 
 LOG2_PI_E = math.log2(math.pi * math.e)
 
@@ -76,7 +77,7 @@ class GaussianState:
         # eigvalsh rounds at the size of the largest entry, so the floor scales
         # with it: a pure state's zero eigenvalue at r = 8 (entries ~4e6)
         # comes out near -1e-9
-        floor = -1e-10 * max(1.0, float(np.abs(c).max()))
+        floor = -STRUCT_TOL * max(1.0, float(np.abs(c).max()))
         if np.linalg.eigvalsh(check).min() < floor:
             raise ValueError("covariance violates the uncertainty condition")
         c.setflags(write=False)
@@ -154,6 +155,13 @@ def _pm_variance(cov: np.ndarray, i: int, j: int, sign: str) -> float:
     )
 
 
+def _sumdiff_variances(g, signs, what: str) -> tuple[float, float]:
+    cov = _gaussian(g, what).cov
+    if len(signs) != 2:
+        raise ValueError("signs must be a pair (x sign, k sign)")
+    return _pm_variance(cov, _XA, _XB, signs[0]), _pm_variance(cov, _KA, _KB, signs[1])
+
+
 def walborn_cv(g: GaussianState, direction: str = "AtoB") -> WitnessReport:
     """Conditional entropic witness: h(x|x') + h(k|k') >= log2(pi e).
 
@@ -161,14 +169,8 @@ def walborn_cv(g: GaussianState, direction: str = "AtoB") -> WitnessReport:
     the entropies are of B's quadratures conditioned on A's.
     """
     cov = _gaussian(g, "walborn_cv").cov
-    if direction == "AtoB":
-        vx = _conditional_variance(cov, _XB, _XA)
-        vk = _conditional_variance(cov, _KB, _KA)
-    elif direction == "BtoA":
-        vx = _conditional_variance(cov, _XA, _XB)
-        vk = _conditional_variance(cov, _KA, _KB)
-    else:
-        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
+    x, k = _by_direction(direction, ((_XB, _XA), (_KB, _KA)), ((_XA, _XB), (_KA, _KB)))
+    vx, vk = _conditional_variance(cov, *x), _conditional_variance(cov, *k)
     lhs = _gaussian_entropy_bits(vx) + _gaussian_entropy_bits(vk)
     return WitnessReport("walborn_cv", direction, lhs, LOG2_PI_E, LOG2_PI_E - lhs)
 
@@ -179,11 +181,7 @@ def reid_sumdiff_cv(g: GaussianState, signs=("minus", "plus")) -> WitnessReport:
     Units are a variance product, not bits; the report keeps the shared field
     names, with violation = bound - lhs so positive still means witnessed.
     """
-    _gaussian(g, "reid_sumdiff_cv")
-    if len(signs) != 2:
-        raise ValueError("signs must be a pair (x sign, k sign)")
-    vx = _pm_variance(g.cov, _XA, _XB, signs[0])
-    vk = _pm_variance(g.cov, _KA, _KB, signs[1])
+    vx, vk = _sumdiff_variances(g, signs, "reid_sumdiff_cv")
     lhs = vx * vk
     return WitnessReport("reid_sumdiff_cv", "symmetric", lhs, 0.25, 0.25 - lhs)
 
@@ -195,11 +193,7 @@ def entropic_sumdiff_cv(g: GaussianState, signs=("minus", "plus")) -> WitnessRep
     states both flip sign at the same squeezing because a Gaussian saturates
     the entropy-variance relation.
     """
-    _gaussian(g, "entropic_sumdiff_cv")
-    if len(signs) != 2:
-        raise ValueError("signs must be a pair (x sign, k sign)")
-    vx = _pm_variance(g.cov, _XA, _XB, signs[0])
-    vk = _pm_variance(g.cov, _KA, _KB, signs[1])
+    vx, vk = _sumdiff_variances(g, signs, "entropic_sumdiff_cv")
     lhs = _gaussian_entropy_bits(vx) + _gaussian_entropy_bits(vk)
     return WitnessReport(
         "entropic_sumdiff_cv", "symmetric", lhs, LOG2_PI_E, LOG2_PI_E - lhs

@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import validate_density_stack
+from .qmat import STRUCT_TOL, _check_entries, validate_density_stack
 
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
 NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
-SUM_TOL = 1e-10
 IMAG_TOL = 1e-8
 
 
@@ -28,8 +27,6 @@ def _checked_probs(p, axis=None) -> np.ndarray:
             raise ValueError("joint probabilities acquired a non-negligible imaginary part")
         p = p.real
     p = np.array(p, dtype=float)
-    if not p.size:
-        raise ValueError("empty probability distribution")
     low = p.min()
     if not low >= -NEG_TOL:   # also catches NaN
         raise ValueError(
@@ -38,7 +35,7 @@ def _checked_probs(p, axis=None) -> np.ndarray:
     if low < 0.0:
         p[p < 0.0] = 0.0
     s = p.sum(axis=axis)
-    bad = np.abs(s - 1.0) > SUM_TOL
+    bad = np.abs(s - 1.0) > STRUCT_TOL   # NaN entries failed the minimum
     if bad.any():
         total = np.ravel(s)[np.ravel(bad)][0]
         raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-10")
@@ -53,30 +50,36 @@ class ProbVector:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _checked_probs(np.ravel(self.probs)))
+        object.__setattr__(self, "probs", _probs_1d(self.probs))
 
 
 def _probs_1d(p) -> np.ndarray:
-    return _checked_probs(np.ravel(getattr(p, "probs", p)))
+    p = np.ravel(getattr(p, "probs", p))
+    _check_entries(p[None], "probability distribution")
+    return _checked_probs(p)
 
 
 def _probs_2d(joint) -> np.ndarray:
     arr = np.asarray(getattr(joint, "probs", joint))
     if arr.ndim != 2:
         raise ValueError(f"joint distribution must be a matrix, got ndim {arr.ndim}")
-    return _checked_probs(arr)
+    return _probs_1d(arr).reshape(arr.shape)
 
 
-def _entropy_raw(p: np.ndarray) -> float:
-    # 0*log(0) = 0 by continuity
-    q = p[p > ZERO_CUTOFF]
-    return float(-(q * np.log2(q)).sum()) if q.size else 0.0
+def _terms(p: np.ndarray) -> np.ndarray:
+    """-p log2 p entrywise; entries at or below ZERO_CUTOFF give 0."""
+    return -(p * np.log2(np.where(p > ZERO_CUTOFF, p, 1.0)))
 
 
 def _entropies(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each distribution along the last axis of p; entries
-    at or below ZERO_CUTOFF (zeros, zero padding) contribute nothing."""
-    return -(p * np.log2(np.where(p > ZERO_CUTOFF, p, 1.0))).sum(axis=-1)
+    """Shannon entropy of each distribution along the last axis of p: the one
+    Shannon sum, which every entropy of the package takes."""
+    return _terms(p).sum(axis=-1)
+
+
+def _spectrum_entropies(evals: np.ndarray) -> np.ndarray:
+    """`_entropies` of each spectrum along the last axis, clamped to [0, 1]."""
+    return _entropies(np.clip(evals, 0.0, 1.0))
 
 
 def _joint_entropies(p: np.ndarray):
@@ -92,7 +95,7 @@ def _joint_entropies(p: np.ndarray):
     parts = np.concatenate(
         [p.reshape(*lead, cells), p.sum(axis=-1), p.sum(axis=-2)], axis=-1
     )
-    terms = -(parts * np.log2(np.where(parts > ZERO_CUTOFF, parts, 1.0)))
+    terms = _terms(parts)
     return (
         terms[..., :cells].sum(axis=-1),
         terms[..., cells:cells + n_a].sum(axis=-1),
@@ -128,7 +131,7 @@ def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
 
 def shannon_entropy(p) -> float:
     """-sum p_i log2 p_i in bits; accepts a ProbVector or array-like."""
-    return _entropy_raw(_probs_1d(p))
+    return float(_entropies(_probs_1d(p)))
 
 
 def conditional_entropy(joint, direction: str = "B|A") -> float:
@@ -172,7 +175,7 @@ def von_neumann_entropy(m) -> float:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     ev = validate_density_stack(mat[None])[0]
-    return _entropy_raw(np.clip(ev, 0.0, 1.0))
+    return float(_spectrum_entropies(ev))
 
 
 def concurrence(rho) -> float:
@@ -199,4 +202,4 @@ def entanglement_of_formation(rho) -> float:
     """
     c = concurrence(rho)
     x = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
-    return _entropy_raw(np.array([x, 1.0 - x]))
+    return float(_entropies(np.array([x, 1.0 - x])))

@@ -13,11 +13,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .infotheory import _checked_probs, _joint_entropies
-from .qmat import DensityMatrix, _density
+from .infotheory import _checked_probs, _joint_entropies, _probs_2d
+from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _density, _floored_eigenvalues
+from .qmat import _hermitian_stack
 
-ORTHO_TOL = 1e-10
-POVM_TOL = 1e-10
 # Measurement sets whose derived data the witness path keeps. Measurements are
 # immutable and hash by identity; a cache entry holds them, so no id is reused.
 SET_CACHE_SIZE = 32
@@ -36,8 +35,9 @@ class ProjectiveBasis:
             raise ValueError(
                 f"expected {self.dim} vectors of length {self.dim}, got shape {v.shape}"
             )
+        _check_entries(v[None], "basis")
         gram = v.conj() @ v.T
-        if np.max(np.abs(gram - np.eye(self.dim))) > ORTHO_TOL:
+        if not np.abs(gram - np.eye(self.dim)).max() <= STRUCT_TOL:
             raise ValueError("basis vectors are not orthonormal within 1e-10")
         v.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
@@ -67,23 +67,17 @@ class Povm:
     stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        els = []
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, e in enumerate(self.elements):
-            m = np.array(e, dtype=complex)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"element {k} has shape {m.shape}, expected square dim {self.dim}")
-            if np.max(np.abs(m - m.conj().T)) > POVM_TOL:
-                raise ValueError(f"element {k} is not Hermitian within 1e-10")
-            if np.linalg.eigvalsh(m).min() < -POVM_TOL:
-                raise ValueError(f"element {k} is not positive semidefinite within 1e-10")
-            els.append(m)
-            total += m
+        els = [np.array(e, dtype=complex) for e in self.elements]
         if not els:
             raise ValueError("a POVM needs at least one element")
-        if np.max(np.abs(total - np.eye(self.dim))) > POVM_TOL:
-            raise ValueError("POVM elements do not sum to identity within 1e-10")
+        for k, m in enumerate(els):
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"element {k} has shape {m.shape}, expected square dim {self.dim}")
         stacked = np.stack(els)
+        _hermitian_stack(stacked, "POVM element")
+        _floored_eigenvalues(stacked, "POVM element")
+        if not np.abs(stacked.sum(axis=0) - np.eye(self.dim)).max() <= STRUCT_TOL:
+            raise ValueError("POVM elements do not sum to identity within 1e-10")
         stacked.setflags(write=False)
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "elements", tuple(stacked))
@@ -118,7 +112,7 @@ class JointDistribution:
             raise ValueError(f"expected shape {(self.n_a, self.n_b)}, got {p.shape}")
         object.__setattr__(self, "n_a", int(self.n_a))
         object.__setattr__(self, "n_b", int(self.n_b))
-        object.__setattr__(self, "probs", _checked_probs(p))
+        object.__setattr__(self, "probs", _probs_2d(p))
 
 
 def pauli_bases() -> list[ProjectiveBasis]:
@@ -192,6 +186,7 @@ def is_mub_set(bases, tol: float = 1e-8) -> bool:
 
 def rotate_basis(basis: ProjectiveBasis, u: np.ndarray) -> ProjectiveBasis:
     """Apply a unitary to every vector of a basis (u @ v_i for each i)."""
+    _check_entries(np.asarray(u)[None], "rotation matrix")
     return ProjectiveBasis(basis.dim, basis.vectors @ np.asarray(u).T)
 
 
@@ -351,6 +346,7 @@ def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
     a = np.asarray(mat, dtype=complex)
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state shape {a.shape} does not match measurement dim {m.dim}")
+    _check_entries(a[None], "density matrix")
     return _checked_probs(np.einsum("aij,ji->a", m.stacked, a))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import _entropies, _joint_entropies, _modular_entropies
+from .infotheory import _joint_entropies, _modular_entropies, _spectrum_entropies
 from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
 from .qmat import DensityMatrix, _density, _haar_unitaries, ginibre_density, validate_density_stack
 from .streams import _derived_seeds, _item_streams
@@ -31,7 +31,7 @@ from .witness import (
     _left_sum,
     _mi_sum,
     _mub_mi_bound,
-    _pair_bound,
+    _pair_omega,
     sanchez_ruiz_bound,
 )
 
@@ -155,7 +155,7 @@ def _mub_matrices(d: int) -> np.ndarray:
 def _purity_scaled(evals: np.ndarray) -> np.ndarray:
     """1 - S(rho) / 2 from the ascending two-qubit eigenvalues ``(..., 4)``:
     1 for a pure state, 0 for the maximally mixed one."""
-    return 1.0 - _entropies(np.clip(evals, 0.0, 1.0)) / 2.0
+    return 1.0 - _spectrum_entropies(evals) / 2.0
 
 
 def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarray:
@@ -481,7 +481,7 @@ def _soundness_audit(
     x_basis, _, z_basis = pauli_bases()
     povm_x = _smeared_povm(x_basis, eta)
     povm_z = _smeared_povm(z_basis, eta)
-    bound_povm = _pair_bound(povm_x, povm_z)
+    bound_povm = math.log2(_pair_omega(povm_x, povm_z))
 
     def block(idx):
         p = _product_joints(mats[idx], trip, trip)       # (s, 3, 2, 2): X, Y, Z

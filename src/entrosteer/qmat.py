@@ -12,19 +12,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Structural invariants (Hermiticity, trace, eigenvalue floor) are checked to
-# 1e-10, well above double-precision noise for the dimensions this package
-# targets (<= 32).
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIG_TOL = 1e-10
+# Structural invariants (Hermiticity, trace or probability total, eigenvalue
+# floor, orthonormality, POVM completeness, norm) are checked to 1e-10, well
+# above double-precision noise for the dimensions this package targets (<= 32).
+STRUCT_TOL = 1e-10
 
 
+# each check below reduces the whole stack first and looks for the index only
+# on failure, which keeps a stack of one as cheap as a single matrix
 def _raise_at(bad: np.ndarray, message: str) -> None:
     i = int(np.argmax(bad))
     if bad.size > 1:
         message += f" (stack index {i})"
     raise ValueError(message)
+
+
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Raise unless the ``(n, ...)`` stack `a` has entries, each finite and at
+    most 2 in size (valid ones are at most 1), before any sum can overflow."""
+    if not a.size:
+        raise ValueError(f"empty {what}")
+    size = np.abs(a).reshape(len(a), -1)
+    if not size.max() <= 2.0:
+        finite = np.isfinite(size).all(axis=1)
+        if finite.all():
+            _raise_at(size.max(axis=1) > 2.0, f"{what} has an entry of size above 2")
+        _raise_at(~finite, f"{what} contains non-finite entries")
+
+
+def _hermitian_stack(mats: np.ndarray, what: str) -> None:
+    """`_check_entries`, then Hermiticity within 1e-10, of an ``(n, D, D)`` stack."""
+    _check_entries(mats, what)
+    asym = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    if not asym.max() <= STRUCT_TOL:
+        _raise_at(~(asym.max(axis=(-2, -1)) <= STRUCT_TOL), f"{what} is not Hermitian within 1e-10")
+
+
+def _floored_eigenvalues(mats: np.ndarray, what: str) -> np.ndarray:
+    """One batched ``eigvalsh`` of a Hermitian stack, checked to be >= -1e-10."""
+    evals = np.linalg.eigvalsh(mats)
+    if not evals[:, 0].min() >= -STRUCT_TOL:
+        _raise_at(~(evals[:, 0] >= -STRUCT_TOL), f"{what} has an eigenvalue below -1e-10")
+    return evals
 
 
 def validate_density_stack(mats: np.ndarray) -> np.ndarray:
@@ -43,30 +72,25 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        The checks run over the whole stack in this order: finite entries,
-        Hermitian within 1e-10, unit trace within 1e-10, no eigenvalue below
-        -1e-10. The first check that fails names its lowest failing index
-        (a stack of one gets the bare message, as ``DensityMatrix`` raises it).
+        The checks run over the whole stack in this order: finite entries at
+        most 2 in size, Hermitian and unit trace within 1e-10, no eigenvalue
+        below -1e-10. The first check that fails names its lowest failing
+        index (a stack of one gets the bare message, as ``DensityMatrix``).
     """
-    # each check reduces the whole stack first and looks for the index only
-    # on failure, which keeps a stack of one as cheap as a single matrix
-    finite = np.isfinite(mats)
-    if not finite.all():
-        _raise_at(~finite.all(axis=(-2, -1)), "density matrix contains non-finite entries")
-    asym = np.abs(mats - mats.conj().swapaxes(-1, -2))
-    if asym.max() > HERM_TOL:
-        _raise_at(
-            asym.max(axis=(-2, -1)) > HERM_TOL, "density matrix is not Hermitian within 1e-10"
-        )
+    _hermitian_stack(mats, "density matrix")
     tr = np.trace(mats, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
-    if off.max() > TRACE_TOL:
-        i = int(np.argmax(off > TRACE_TOL))
-        _raise_at(off > TRACE_TOL, f"density matrix trace {tr[i]} differs from 1 beyond 1e-10")
-    evals = np.linalg.eigvalsh(mats)
-    if evals[:, 0].min() < -EIG_TOL:
-        _raise_at(evals[:, 0] < -EIG_TOL, "density matrix has an eigenvalue below -1e-10")
-    return evals
+    if off.max() > STRUCT_TOL:   # finite: the entries are bounded
+        i = int(np.argmax(off > STRUCT_TOL))
+        _raise_at(off > STRUCT_TOL, f"density matrix trace {tr[i]} differs from 1 beyond 1e-10")
+    return _floored_eigenvalues(mats, "density matrix")
+
+
+def _subsystem_dims(dims) -> tuple[int, int]:
+    d_a, d_b = (int(d) for d in dims)
+    if d_a < 1 or d_b < 1:
+        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    return d_a, d_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +115,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        d_a, d_b = (int(d) for d in self.dims)
-        if d_a < 1 or d_b < 1:
-            raise ValueError(f"subsystem dimensions must be >= 1, got {self.dims}")
+        d_a, d_b = _subsystem_dims(self.dims)
         m = np.array(self.mat, dtype=complex)
         if m.ndim != 2:
             raise ValueError(f"density matrix must be two-dimensional, got shape {m.shape}")
@@ -128,17 +150,14 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        d_a, d_b = (int(d) for d in self.dims)
-        if d_a < 1 or d_b < 1:
-            raise ValueError(f"subsystem dimensions must be >= 1, got {self.dims}")
+        d_a, d_b = _subsystem_dims(self.dims)
         v = np.array(self.vec, dtype=complex).ravel()
         if v.size != d_a * d_b:
             raise ValueError(
                 f"dims {self.dims} require a vector of length {d_a * d_b}, got {v.size}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("state vector contains non-finite entries")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        _check_entries(v[None], "state vector")
+        if not abs(np.linalg.norm(v) - 1.0) <= STRUCT_TOL:
             raise ValueError("state vector is not unit-normalized within 1e-10")
         v.setflags(write=False)
         object.__setattr__(self, "dims", (d_a, d_b))
@@ -246,8 +265,7 @@ def random_pure_state(d_a: int, d_b: int, rng: np.random.Generator) -> PureState
     A vector of i.i.d. standard complex Gaussians, normalized, is
     rotation-invariant and therefore uniform on the unit sphere.
     """
-    if d_a < 1 or d_b < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got ({d_a}, {d_b})")
+    _subsystem_dims((d_a, d_b))
     n = d_a * d_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState((d_a, d_b), v / np.linalg.norm(v))
@@ -273,8 +291,7 @@ def random_mixed_state(
         ``G G^dagger / Tr(G G^dagger)`` for a ``(d_a*d_b) x rank`` complex
         standard-Gaussian matrix G.
     """
-    if d_a < 1 or d_b < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got ({d_a}, {d_b})")
+    _subsystem_dims((d_a, d_b))
     n = d_a * d_b
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")

@@ -33,8 +33,6 @@ from .measure import (
 )
 from .qmat import DensityMatrix, _density, partial_trace
 
-MUB_CHECK_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -53,8 +51,8 @@ def sanchez_ruiz_bound(n: int) -> float:
     ``sum_i H(R_i) >= (n/2) log2(n/2) + (n/2 + 1) log2(n/2 + 1)`` for even n
     and ``sum_i H(R_i) >= (n+1) log2((n+1)/2)`` for odd n.
     """
-    if n < 2:
-        raise ValueError(f"bound defined for dimension >= 2, got {n}")
+    if not 2 <= n <= 2**53:   # floats skip integers past 2**53; 10**400 has no float
+        raise ValueError(f"bound defined for dimensions 2 to 2**53, got {n}")
     if n % 2 == 0:
         half = n / 2.0
         return half * math.log2(half) + (half + 1.0) * math.log2(half + 1.0)
@@ -77,9 +75,11 @@ def _pair_omega(meas_r, meas_s) -> float:
     return povm_omega(as_povm(meas_r), as_povm(meas_s))
 
 
-def _pair_bound(meas_r, meas_s) -> float:
-    """log2 of the overlap constant of the steered party's measurement pair."""
-    return math.log2(_pair_omega(meas_r, meas_s))
+def _by_direction(direction: str, a_to_b, b_to_a):
+    """`a_to_b` for direction "AtoB" (Alice steers Bob), `b_to_a` for "BtoA"."""
+    if direction not in ("AtoB", "BtoA"):
+        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
+    return a_to_b if direction == "AtoB" else b_to_a
 
 
 def _left_sum(terms: np.ndarray):
@@ -119,15 +119,10 @@ def pair_conditional(
     uses the steered party's pair (operator-norm form for POVMs).
     """
     _density(rho, "pair_conditional")
-    if direction not in ("AtoB", "BtoA"):
-        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
+    steered = _by_direction(direction, (r_b, s_b), (r_a, s_a))
     _, (h_joint, h_a, h_b) = _set_statistics(rho, ((r_a, r_b), (s_a, s_b)))
-    if direction == "AtoB":
-        lhs = float(_conditional_sum(h_joint, h_a))
-        bound = _pair_bound(r_b, s_b)
-    else:
-        lhs = float(_conditional_sum(h_joint, h_b))
-        bound = _pair_bound(r_a, s_a)
+    lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
+    bound = math.log2(_pair_omega(*steered))
     return WitnessReport("pair_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -139,9 +134,7 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     both directions at once. Projective bases only (equal local dimensions N).
     """
     _density(rho, "pair_symmetric_mi")
-    for m in (r_a, s_a, r_b, s_b):
-        if not isinstance(m, ProjectiveBasis):
-            raise TypeError("the symmetric witness takes projective bases only")
+    _projective((r_a, s_a, r_b, s_b), "the symmetric witness")
     if rho.dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
     n = rho.dims[0]
@@ -151,24 +144,30 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
 
 
-def _validate_mub_side(bases, dim: int, label: str) -> None:
-    for b in bases:
-        if not isinstance(b, ProjectiveBasis):
-            raise TypeError(f"{label} takes projective bases only, got {type(b).__name__}")
-    _check_mub_side(tuple(bases), dim, label)
+def _projective(meas, what: str) -> tuple:
+    """`meas` as a tuple, checked to hold projective bases only."""
+    meas = tuple(meas)
+    for m in meas:
+        if not isinstance(m, ProjectiveBasis):
+            raise TypeError(f"{what} takes projective bases only, got {type(m).__name__}")
+    return meas
 
 
 @lru_cache(maxsize=SET_CACHE_SIZE)
-def _check_mub_side(bases: tuple, dim: int, label: str) -> None:
-    """Raise unless `bases` is a complete MUB set in dimension `dim`; a set
-    that passes is not checked again."""
+def _check_mub_side(bases: tuple, counts: tuple, dim: int, label: str) -> None:
+    """Raise unless both parties hold as many bases (`counts`) and the steered
+    `bases` are a complete MUB set in `dim`; a set that passes is cached."""
+    if counts[0] != counts[1]:
+        raise ValueError(
+            f"both parties need the same number of bases, got {counts[0]} and {counts[1]}"
+        )
     if len(bases) != dim + 1:
         raise ValueError(
             f"{label} needs a complete set of {dim + 1} bases, got {len(bases)}"
         )
     if any(b.dim != dim for b in bases):
         raise ValueError(f"{label} bases must all have dimension {dim}")
-    if not is_mub_set(bases, tol=MUB_CHECK_TOL):
+    if not is_mub_set(bases):
         raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
 
 
@@ -181,20 +180,11 @@ def mub_conditional(
     floored by :func:`sanchez_ruiz_bound`; the other party's bases are
     unconstrained (they only condition).
     """
-    _density(rho, "mub_conditional")
-    if len(bases_a) != len(bases_b):
-        raise ValueError(
-            f"both parties need the same number of bases, got {len(bases_a)} and {len(bases_b)}"
-        )
-    d_a, d_b = rho.dims
-    if direction == "AtoB":
-        _validate_mub_side(bases_b, d_b, "steered-side (B)")
-        n = d_b
-    elif direction == "BtoA":
-        _validate_mub_side(bases_a, d_a, "steered-side (A)")
-        n = d_a
-    else:
-        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
+    d_a, d_b = _density(rho, "mub_conditional").dims
+    n, steered, label = _by_direction(
+        direction, (d_b, bases_b, "steered-side (B)"), (d_a, bases_a, "steered-side (A)")
+    )
+    _check_mub_side(_projective(steered, label), (len(bases_a), len(bases_b)), n, label)
     _, (h_joint, h_a, h_b) = _set_statistics(rho, zip(bases_a, bases_b))
     lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
     bound = sanchez_ruiz_bound(n)
@@ -210,12 +200,9 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
     """
     if _density(rho, "mub_mi").dims[0] != rho.dims[1]:
         raise ValueError("symmetric witness needs equal local dimensions")
-    if len(bases_a) != len(bases_b):
-        raise ValueError(
-            f"both parties need the same number of bases, got {len(bases_a)} and {len(bases_b)}"
-        )
     n = rho.dims[1]
-    _validate_mub_side(bases_b, n, "steered-side (B)")
+    label = "steered-side (B)"
+    _check_mub_side(_projective(bases_b, label), (len(bases_a), len(bases_b)), n, label)
     lhs = float(_mi_sum(*_set_statistics(rho, zip(bases_a, bases_b))[1]))
     bound = _mub_mi_bound(n)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)

@@ -1,12 +1,18 @@
-"""The lazy package namespace and the command-line entry point's BLAS policy."""
+"""The lazy package namespace, the library's numeric entry points, where each
+numerical rule is defined, and the command-line entry point's BLAS policy."""
 
+import ast
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrosteer
 
@@ -124,3 +130,123 @@ class TestBlasDefault:
             _run_cli("python-m", [*argv, "--out", str(out)], blas)
             data.add(out.read_bytes())
         assert len(data) == 1
+
+
+# Values the library entry points must either handle or refuse with a
+# ValueError or TypeError: small finite floats, NaN, infinities, huge values
+# and the smallest subnormal.
+_SPECIALS = (np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324)
+_VALUES = st.one_of(st.sampled_from(_SPECIALS), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _near(draw, valid):
+    """`valid` as drawn from: unchanged, with one entry or every entry replaced
+    by a drawn value, scaled by a huge or tiny factor, or an array of a drawn
+    shape (at most 3 axes of at most 4 entries) filled with drawn values."""
+    a = np.array(valid, dtype=complex if np.iscomplexobj(valid) else float)
+    kind = draw(st.sampled_from(["valid", "poke", "fill", "scale", "shape"]))
+    if kind == "poke" and a.size:
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(_VALUES)
+    elif kind == "fill":
+        a[...] = draw(_VALUES)
+    elif kind == "scale":
+        a = a * draw(st.sampled_from([1e308, -1e308, 5e-324, 2.0]))
+    elif kind == "shape":
+        shape = draw(st.lists(st.integers(0, 4), max_size=3))
+        values = draw(st.lists(_VALUES, min_size=math.prod(shape), max_size=math.prod(shape)))
+        a = np.array(values, dtype=float).reshape(shape)
+    return a
+
+
+_DIMS = st.just((2, 2)) | st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+
+
+def _basis(draw):
+    return entrosteer.ProjectiveBasis(draw(st.integers(-1, 3)), draw(_near(np.eye(2))))
+
+
+def _povm(draw):
+    half = np.eye(2) / 2
+    return entrosteer.Povm(draw(st.integers(-1, 3)), (draw(_near(half)), draw(_near(half))))
+
+
+# entry point -> a call of it whose arguments come from Hypothesis' `data.draw`
+_CALLS = {
+    "DensityMatrix": lambda d: entrosteer.DensityMatrix(
+        d(_DIMS), d(_near(np.eye(4, dtype=complex) / 4))),
+    "PureState": lambda d: entrosteer.PureState(d(_DIMS), d(_near(np.eye(4)[0]))),
+    "ProjectiveBasis": _basis,
+    "Povm": _povm,
+    "rotate_basis": lambda d: entrosteer.rotate_basis(
+        entrosteer.pauli_bases()[2], d(_near(np.eye(2)))),
+    "ProbVector": lambda d: entrosteer.ProbVector(d(_near([0.5, 0.5]))),
+    "JointDistribution": lambda d: entrosteer.JointDistribution(
+        2, 2, d(_near(np.eye(2) / 2))),
+    "shannon_entropy": lambda d: entrosteer.shannon_entropy(d(_near([0.25] * 4))),
+    "von_neumann_entropy": lambda d: entrosteer.von_neumann_entropy(
+        d(_near(np.eye(2) / 2))),
+    "conditional_entropy": lambda d: entrosteer.conditional_entropy(
+        d(_near(np.eye(2) / 2))),
+    "mutual_information": lambda d: entrosteer.mutual_information(
+        d(_near(np.eye(3) / 3))),
+    "modular_sum_entropy": lambda d: entrosteer.modular_sum_entropy(
+        d(_near(np.eye(2) / 2)), "plus"),
+    "measurement_distribution": lambda d: entrosteer.measurement_distribution(
+        d(_near(np.eye(2, dtype=complex) / 2)), entrosteer.pauli_bases()[0]),
+    "overlap_omega": lambda d: entrosteer.overlap_omega(_basis(d), _basis(d)),
+    "povm_omega": lambda d: entrosteer.povm_omega(_povm(d), _povm(d)),
+    "is_mub_set": lambda d: entrosteer.is_mub_set(
+        [entrosteer.pauli_bases()[0], _basis(d)]),
+    "sanchez_ruiz_bound": lambda d: entrosteer.sanchez_ruiz_bound(d(st.one_of(
+        st.integers(-2, 10**400), _VALUES))),
+}
+
+
+def _numbers(out):
+    """What a call returned, a float, bool or array, or the array held by the
+    object it built."""
+    for field in ("mat", "vec", "vectors", "stacked", "probs"):
+        if hasattr(out, field):
+            return getattr(out, field)
+    return out
+
+
+class TestLibraryBoundary:
+    @pytest.mark.parametrize("name", sorted(_CALLS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_returns_finite_values_or_refuses(self, name, data):
+        # a RuntimeWarning fails the test through the pytest configuration
+        try:
+            out = _CALLS[name](data.draw)
+        except (ValueError, TypeError) as exc:
+            assert not isinstance(exc, np.linalg.LinAlgError), repr(exc)
+            return
+        assert np.all(np.isfinite(_numbers(out))), (name, out)
+
+
+_SRC = pathlib.Path(entrosteer.__file__).parent
+
+
+def _module_trees():
+    for path in sorted(_SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+class TestOneDefinitionPerRule:
+    def test_tolerance_and_logarithm_live_in_their_modules(self):
+        """The structural tolerance 1e-10 is written only in `qmat`, and only
+        `infotheory` takes `np.log2`, the logarithm of every Shannon sum."""
+        misplaced = []
+        for module, tree in _module_trees():
+            for node in ast.walk(tree):
+                if (module != "qmat" and isinstance(node, ast.Constant)
+                        and type(node.value) is float and node.value == 1e-10):
+                    misplaced.append(f"{module}:{node.lineno} 1e-10")
+                if (module != "infotheory" and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute) and node.func.attr == "log2"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id in ("np", "numpy")):
+                    misplaced.append(f"{module}:{node.lineno} np.log2")
+        assert misplaced == []

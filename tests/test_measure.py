@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from collections import Counter
 
@@ -128,6 +129,43 @@ class TestProjectiveBasis:
         b = random_basis(rng, 3)
         assert np.max(np.abs(b.matrix[:, 1] - b.vectors[1])) < 1e-15
         assert np.max(np.abs(b.matrix.conj().T @ b.matrix - np.eye(3))) < 1e-10
+
+
+def _qubit_measurement(kind: str, value: float):
+    """Build a qubit basis, POVM or rotated basis with `value` in one entry of
+    its vectors, elements or rotation matrix."""
+    m = np.eye(2, dtype=complex) / (2.0 if kind == "POVM element" else 1.0)
+    m[0, 0] = value
+    if kind == "basis vector":
+        return ProjectiveBasis(2, m)
+    if kind == "POVM element":
+        return Povm(2, (m, np.eye(2) / 2))
+    return rotate_basis(pauli_bases()[2], m)
+
+
+class TestUnboundedEntries:
+    @pytest.mark.parametrize("kind", ["basis vector", "POVM element", "rotation matrix"])
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "contains non-finite entries"),
+        (np.inf, "contains non-finite entries"),
+        (-np.inf, "contains non-finite entries"),
+        (1e308, "has an entry of size above 2"),
+    ], ids=["nan", "inf", "-inf", "1e308"])
+    def test_refused_when_built(self, kind, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                _qubit_measurement(kind, value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ProjectiveBasis(0, np.zeros((0, 0))),
+        lambda: Povm(0, (np.zeros((0, 0)),)),
+    ], ids=["basis", "povm"])
+    def test_dimension_zero_is_refused(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^empty (basis|POVM element)$"):
+                build()
 
 
 class TestPauliBases:
