@@ -133,6 +133,9 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
             "--out", "OUT.json")
     add("error-zero-states", "fig1", "--n", "0")
     add("error-zero-threads", "fig1", "--n", "5", "--threads", "0")
+    add("error-zero-trials", "fig2", "--trials", "0")
+    add("error-negative-threads", "fig1", "--threads", "-1")
+    add("error-zero-sweep", "sweep", "--n", "0")
     add("error-absurd-count", "fig1", "--n", str(10**15))
     add("error-threshold-csv", "werner-threshold", "--format", "csv")
     add("error-eval-missing-file", "eval", "--state-file", "missing.json", "--witness",

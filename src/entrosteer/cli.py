@@ -44,7 +44,7 @@ from .montecarlo import (
     survey_fig2,
     threshold_bisect,
 )
-from .qmat import DensityMatrix, validate_density_stack, werner_state
+from .qmat import DensityMatrix, _choice, _count, validate_density_stack, werner_state
 from .witness import (
     WitnessReport,
     mub_conditional,
@@ -83,9 +83,15 @@ class ConfigError(Exception):
     """Invalid command-line configuration or unreadable input file."""
 
 
-def _check_counts(*counts: int) -> None:
-    if min(counts) < 1:
-        raise ConfigError("counts must be >= 1")
+def _flags(record, *names: str, options: tuple = ()) -> None:
+    """Check each named field of `record` as the --flag it is parsed from: a
+    count (`qmat._count`), or one of `options` (`qmat._choice`)."""
+    for name in names:
+        flag, value = "--" + name.replace("_", "-"), getattr(record, name)
+        try:
+            _choice(value, options, flag) if options else _count(value, flag)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
@@ -95,7 +101,8 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
 # ---------------------------------------------------------------------------
 # per-command options: each field is one --flag of its subcommand, declared
 # once (`_option`: no default makes it required; argparse's type comes from the
-# annotation), and each record rejects its own out-of-range values when built
+# annotation), and each record rejects its own out-of-range values when built:
+# every int field is a count >= 1 (`_Options`), and the records check the rest
 
 _ENSEMBLES = ("pure", "mixed")
 
@@ -105,6 +112,9 @@ def _option(default=MISSING, help=None, choices=None):
 
 
 class _Options:
+    def __post_init__(self):
+        _flags(self, *[f.name for f in fields(self) if f.type == "int"])
+
     def peak_bytes(self, config: RunConfig) -> int:
         """Peak memory a run's arrays and output take, estimated from its
         counts alone, before anything is allocated; 0 for commands of fixed
@@ -117,9 +127,6 @@ class Fig1Options(_Options):
     n: int = _option(10000, "number of states")
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
 
-    def __post_init__(self):
-        _check_counts(self.n)
-
     def peak_bytes(self, config):
         return _table_bytes(config, self.n, 1024)
 
@@ -129,9 +136,6 @@ class Fig2Options(_Options):
     n: int = _option(500, "number of states")
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
     trials: int = _option(500, "basis-set draws per state")
-
-    def __post_init__(self):
-        _check_counts(self.n, self.trials)
 
     def peak_bytes(self, config):
         in_flight = _worker_count(config.threads, self.n, os.cpu_count())
@@ -146,7 +150,7 @@ class SweepOptions(_Options):
     werner: float = _option(0.9, "Werner parameter used when no state file is given")
 
     def __post_init__(self):
-        _check_counts(self.n)
+        super().__post_init__()
         if self.state_file is None and not 0.0 <= self.werner <= 1.0:
             raise ConfigError(f"--werner must be in [0, 1], got {self.werner}")
 
@@ -162,6 +166,7 @@ class WernerThresholdOptions(_Options):
     hi: float = _option(0.99, "upper bracket endpoint")
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.tol > 0:
             raise ConfigError("tolerance must be positive")
         if not 0.0 <= self.lo < self.hi <= 1.0:
@@ -175,8 +180,7 @@ class CvScanOptions(_Options):
     steps: int = _option(9)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"--steps must be >= 1, got {self.steps}")
+        super().__post_init__()
         if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_max)):
             raise ConfigError(
                 f"need finite 0 <= r-min <= r-max, got {self.r_min}, {self.r_max}")
@@ -199,11 +203,6 @@ class SeparableAuditOptions(_Options):
     n: int = _option(10000, "number of separable states")
     k_max: int = _option(4, "max product terms per mixture")
 
-    def __post_init__(self):
-        _check_counts(self.n)
-        if self.k_max < 1:
-            raise ConfigError(f"--k-max must be >= 1, got {self.k_max}")
-
     def peak_bytes(self, config):
         terms = self.n * (self.k_max + 1) // 2
         return self.n * _AUDIT_STATE_BYTES + terms * _AUDIT_TERM_BYTES
@@ -219,9 +218,8 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_counts(self.threads)
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        _flags(self, "threads")
+        _flags(self, "format", options=("csv", "json"))
         if self.out_path:
             # checked before the run, not when its result is written
             if os.path.isdir(self.out_path):

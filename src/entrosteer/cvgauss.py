@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import STRUCT_TOL
+from .qmat import STRUCT_TOL, _choice, _state
 from .witness import WitnessReport, _by_direction
 
 LOG2_PI_E = math.log2(math.pi * math.e)
@@ -84,17 +84,10 @@ class GaussianState:
         object.__setattr__(self, "cov", c)
 
 
-def _gaussian(g, what: str) -> GaussianState:
-    """`g`, checked at a witness's entry to be a GaussianState; `what` names
-    the witness in the TypeError otherwise."""
-    if not isinstance(g, GaussianState):
-        raise TypeError(f"{what} takes a GaussianState, got {type(g).__name__}")
-    return g
-
-
 def symplectic_eigenvalues(g: GaussianState) -> np.ndarray:
     """The two symplectic eigenvalues, ascending; physical states have >= 1/2."""
-    ev = np.abs(np.linalg.eigvals(1j * _SYMPLECTIC @ _gaussian(g, "symplectic_eigenvalues").cov))
+    cov = _state(g, "symplectic_eigenvalues", GaussianState).cov
+    ev = np.abs(np.linalg.eigvals(1j * _SYMPLECTIC @ cov))
     return np.sort(ev)[::2]
 
 
@@ -146,9 +139,7 @@ def _conditional_variance(cov: np.ndarray, target: int, given: int) -> float:
 
 
 def _pm_variance(cov: np.ndarray, i: int, j: int, sign: str) -> float:
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    s = 1.0 if sign == "plus" else -1.0
+    s = 1.0 if _choice(sign, ("plus", "minus"), "sign") == "plus" else -1.0
     return _significant(
         float(cov[i, i] + cov[j, j] + 2.0 * s * cov[i, j]),
         float(cov[i, i] + cov[j, j] + 2.0 * abs(cov[i, j])),
@@ -156,7 +147,7 @@ def _pm_variance(cov: np.ndarray, i: int, j: int, sign: str) -> float:
 
 
 def _sumdiff_variances(g, signs, what: str) -> tuple[float, float]:
-    cov = _gaussian(g, what).cov
+    cov = _state(g, what, GaussianState).cov
     if len(signs) != 2:
         raise ValueError("signs must be a pair (x sign, k sign)")
     return _pm_variance(cov, _XA, _XB, signs[0]), _pm_variance(cov, _KA, _KB, signs[1])
@@ -168,7 +159,7 @@ def walborn_cv(g: GaussianState, direction: str = "AtoB") -> WitnessReport:
     Evaluated in closed form from Gaussian conditional variances. For "AtoB"
     the entropies are of B's quadratures conditioned on A's.
     """
-    cov = _gaussian(g, "walborn_cv").cov
+    cov = _state(g, "walborn_cv", GaussianState).cov
     x, k = _by_direction(direction, ((_XB, _XA), (_KB, _KA)), ((_XA, _XB), (_KA, _KB)))
     vx, vk = _conditional_variance(cov, *x), _conditional_variance(cov, *k)
     lhs = _gaussian_entropy_bits(vx) + _gaussian_entropy_bits(vk)

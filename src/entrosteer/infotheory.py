@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import STRUCT_TOL, _check_entries, validate_density_stack
+from .qmat import STRUCT_TOL, _check_entries, _choice, validate_density_stack
 
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
 NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
@@ -119,9 +119,7 @@ def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
         n = shape[0]
         if shape[1] != n:
             raise ValueError(f"modular sums need a square joint, got shape {shape}")
-        if sign not in ("plus", "minus"):
-            raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-        idx[i] = (a + b) % n if sign == "plus" else (a - b) % n
+        idx[i] = (a + b) % n if _choice(sign, ("plus", "minus"), "sign") == "plus" else (a - b) % n
     flat = p.reshape(-1, m, n_a, n_b)
     dist = np.zeros((len(flat), m, max(n_a, n_b)))
     rows = np.arange(len(flat))[:, None, None, None]
@@ -139,11 +137,8 @@ def conditional_entropy(joint, direction: str = "B|A") -> float:
 
     Rows of the joint index party A, columns party B.
     """
-    p = _probs_2d(joint)
-    if direction not in ("B|A", "A|B"):
-        raise ValueError(f"direction must be 'B|A' or 'A|B', got {direction!r}")
-    h_ab, h_a, h_b = _joint_entropies(p[None])
-    marg = h_a if direction == "B|A" else h_b
+    h_ab, h_a, h_b = _joint_entropies(_probs_2d(joint)[None])
+    marg = h_a if _choice(direction, ("B|A", "A|B"), "direction") == "B|A" else h_b
     return max(0.0, float(h_ab[0] - marg[0]))
 
 

@@ -14,8 +14,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .infotheory import _checked_probs, _joint_entropies, _probs_2d
-from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _density, _floored_eigenvalues
-from .qmat import _hermitian_stack
+from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _count, _floored_eigenvalues
+from .qmat import _hermitian_stack, _state
 
 # Measurement sets whose derived data the witness path keeps. Measurements are
 # immutable and hash by identity; a cache entry holds them, so no id is reused.
@@ -30,6 +30,7 @@ class ProjectiveBasis:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _count(self.dim, "dimension", 0))   # 0: "empty basis" below
         v = np.array(self.vectors, dtype=complex)
         if v.shape != (self.dim, self.dim):
             raise ValueError(
@@ -40,7 +41,6 @@ class ProjectiveBasis:
         if not np.abs(gram - np.eye(self.dim)).max() <= STRUCT_TOL:
             raise ValueError("basis vectors are not orthonormal within 1e-10")
         v.setflags(write=False)
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -67,6 +67,7 @@ class Povm:
     stacked: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _count(self.dim, "dimension", 0))
         els = [np.array(e, dtype=complex) for e in self.elements]
         if not els:
             raise ValueError("a POVM needs at least one element")
@@ -79,7 +80,6 @@ class Povm:
         if not np.abs(stacked.sum(axis=0) - np.eye(self.dim)).max() <= STRUCT_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-10")
         stacked.setflags(write=False)
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "elements", tuple(stacked))
         object.__setattr__(self, "stacked", stacked)
 
@@ -107,11 +107,11 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_a", _count(self.n_a, "n_a", 0))
+        object.__setattr__(self, "n_b", _count(self.n_b, "n_b", 0))
         p = np.asarray(self.probs)
         if p.shape != (self.n_a, self.n_b):
             raise ValueError(f"expected shape {(self.n_a, self.n_b)}, got {p.shape}")
-        object.__setattr__(self, "n_a", int(self.n_a))
-        object.__setattr__(self, "n_b", int(self.n_b))
         object.__setattr__(self, "probs", _probs_2d(p))
 
 
@@ -151,7 +151,7 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
     magnitudes make every cross-basis overlap squared equal to 1/d. Prime
     powers would need the finite-field construction, which is not implemented.
     """
-    if d == 2:
+    if _count(d, "dimension") == 2:
         return pauli_bases()
     if not _is_prime(d):
         raise ValueError(
@@ -270,11 +270,9 @@ def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
     return _checked_probs(p, axis=(1, 2))
 
 
-def _set_statistics(rho: DensityMatrix, pairs, entropies: bool = True) -> tuple:
+def _set_statistics(rho: DensityMatrix, pairs) -> tuple:
     """``(p, (H(A,B), H(A), H(B)))`` of a checked state and m measurement
-    pairs: the `_joint_stack` joints and their `_joint_entropies`. With
-    ``entropies=False`` the entropies are None unless already known, for a
-    caller that needs the joints alone.
+    pairs: the `_joint_stack` joints and their `_joint_entropies`.
 
     Each set keeps these for the last state it saw, held by weakref, in its
     `_pair_stacks` entry, so witnesses called one after another on the same
@@ -287,12 +285,9 @@ def _set_statistics(rho: DensityMatrix, pairs, entropies: bool = True) -> tuple:
     dims, f_stack, g_stack, last = _pair_stacks(_measurement_pairs(pairs))
     seen = last[0]
     if seen is not None and seen[0]() is rho:
-        if seen[2] is not None or not entropies:
-            return seen[1], seen[2]
-        p = seen[1]
-    else:
-        p = _joint_stack(rho, dims, f_stack, g_stack)
-    h = _joint_entropies(p) if entropies else None
+        return seen[1], seen[2]
+    p = _joint_stack(rho, dims, f_stack, g_stack)
+    h = _joint_entropies(p)
     last[0] = (weakref.ref(rho), p, h)
     return p, h
 
@@ -304,7 +299,7 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     promoted to rank-1 POVMs so a single code path serves both. This is the
     one-pair case of the stacked kernel the witnesses use.
     """
-    _density(rho, "joint_distribution")
+    _state(rho, "joint_distribution")
     dims, f_stack, g_stack, _ = _pair_stacks(_measurement_pairs([(meas_a, meas_b)]))
     p = _joint_stack(rho, dims, f_stack, g_stack)[0]
     return JointDistribution(*p.shape, p)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .infotheory import _joint_entropies, _modular_entropies, _spectrum_entropies
 from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
-from .qmat import DensityMatrix, _density, _haar_unitaries, ginibre_density, validate_density_stack
+from .qmat import DensityMatrix, _choice, _count, _equal_dims, _haar_unitaries, _state
+from .qmat import ginibre_density, validate_density_stack
 from .streams import _derived_seeds, _item_streams
 from .witness import (
     _conditional_sum,
@@ -101,7 +102,7 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
     on to `_item_streams`.
     """
     n = len(seeds)
-    if ensemble == "pure":
+    if _choice(ensemble, ("pure", "mixed"), "ensemble") == "pure":
         draws = np.empty((n, 2, 4))
         for g, row in zip(_item_streams(seeds, streams), draws):
             g.standard_normal(out=row)
@@ -112,8 +113,6 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
         sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
         v = v / np.sqrt(sq[:, 0])
         return v[:, :, None] * v.conj()[:, None, :]
-    if ensemble != "mixed":
-        raise ValueError(f"ensemble must be 'pure' or 'mixed', got {ensemble!r}")
     ranks = np.empty(n, dtype=np.intp)
     items = _item_streams(seeds, streams, ranks)
     bufs = [np.empty((np.count_nonzero(ranks == r), 2, 4, r)) for r in range(1, 5)]
@@ -127,9 +126,7 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
 
 
 def _sample_stack(n: int, ensemble: str, rng: np.random.Generator):
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    seeds = _derived_seeds(rng, n)
+    seeds = _derived_seeds(rng, _count(n, "n"))
     return _ensemble_stack(ensemble, seeds), seeds
 
 
@@ -198,7 +195,8 @@ def _two_qubit_stack(states, what: str) -> np.ndarray:
 
 def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
     """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
-    triples on both sides, for an explicit list of two-qubit states."""
+    triples on both sides, for a list of two-qubit states; `threads` >= 1."""
+    _count(threads, "threads")
     mats = _two_qubit_stack(states, "scatter survey")
     return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats), threads))
 
@@ -209,8 +207,9 @@ def survey_fig1(
     """Scatter survey over n sampled states (ensemble "pure" or "mixed").
 
     The sampled stack is validated once, and the validation eigenvalues give
-    the purity column; no DensityMatrix is built per state.
+    the purity column; no DensityMatrix is built per state. `threads` >= 1.
     """
+    _count(threads, "threads")
     return _records(_survey_fig1_values(n, ensemble, rng, threads))
 
 
@@ -256,15 +255,7 @@ def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Gener
     return v_ab, v_ba
 
 
-def _equal_dims_matrix(rho: DensityMatrix, what: str) -> np.ndarray:
-    if _density(rho, what).dims[0] != rho.dims[1]:
-        raise ValueError("basis search needs equal local dimensions")
-    return rho.mat
-
-
 def _optimize(mat, trials: int, rng, state_id: int, seed: int) -> OptimizationResult:
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     v_ab, v_ba = _directional_trial_values(mat, trials, rng)
     i = int(np.argmax(np.minimum(v_ab, v_ba)))
     return OptimizationResult(
@@ -291,7 +282,8 @@ def optimize_bases(
     are provenance labels recorded in the result (surveys fill them with the
     item index and its derived integer seed; direct callers may leave them).
     """
-    return _optimize(_equal_dims_matrix(rho, "optimize_bases"), trials, rng, state_id, seed)
+    _equal_dims(_state(rho, "optimize_bases"), "basis search")
+    return _optimize(rho.mat, _count(trials, "trials"), rng, state_id, seed)
 
 
 def survey_fig2(
@@ -304,11 +296,11 @@ def survey_fig2(
     seed, so items are independent of scheduling and individually replayable.
     The states are drawn as one stack on the calling thread, which records
     each item's stream state after its state draws, and are validated once;
-    each pool thread then resumes its item's stream for the trials.
+    each pool thread (`threads` >= 1) then resumes its item's stream.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    seeds = _derived_seeds(rng, n)
+    _count(trials, "trials")
+    _count(threads, "threads")
+    seeds = _derived_seeds(rng, _count(n, "n"))
     streams = []
     mats = _ensemble_stack(ensemble, seeds, streams)
     purity = _purity_scaled(validate_density_stack(mats)).tolist()
@@ -327,9 +319,8 @@ def basis_sweep(
 ) -> list[tuple[float, float]]:
     """n independent random basis-set pairs on one state; both directional
     violations per pair, no maximization."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    v_ab, v_ba = _directional_trial_values(_equal_dims_matrix(rho, "basis_sweep"), n, rng)
+    _equal_dims(_state(rho, "basis_sweep"), "basis search")
+    v_ab, v_ba = _directional_trial_values(rho.mat, _count(n, "n"), rng)
     return list(zip(v_ab.tolist(), v_ba.tolist()))
 
 
@@ -341,13 +332,24 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
 
     `witness_family` maps a parameter to a signed violation; it must be
     negative at `lo` and positive at `hi` (monotonicity is the caller's
-    responsibility). Returns the crossing within `tol`, or within one float
+    responsibility; BracketError otherwise). A NaN at any evaluated parameter,
+    the endpoints included, raises ValueError naming it, as do endpoints beyond
+    2**1022 in size. Returns the crossing within `tol`, or within one float
     spacing when `tol` is finer than that: bisection stops as soon as the
     midpoint is no longer strictly inside the bracket.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    f_lo, f_hi = witness_family(lo), witness_family(hi)
+    if not abs(lo) + abs(hi) <= 2.0**1022:   # so every midpoint is finite
+        raise ValueError(f"bracket endpoints must lie within 2**1022, got [{lo}, {hi}]")
+
+    def f(p):   # a NaN midpoint would otherwise move `hi`
+        value = witness_family(p)
+        if math.isnan(value):
+            raise ValueError(f"witness family is NaN at parameter {p!r}")
+        return value
+
+    f_lo, f_hi = f(lo), f(hi)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
@@ -356,7 +358,7 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if witness_family(mid) < 0.0:
+        if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -374,9 +376,7 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
 
 
 def _sample_separable_stack(n: int, k_max: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1 or k_max < 1:
-        raise ValueError(f"need n >= 1 and k_max >= 1, got n={n}, k_max={k_max}")
-    return _separable_stack(_derived_seeds(rng, n), k_max)
+    return _separable_stack(_derived_seeds(rng, _count(n, "n")), _count(k_max, "k_max"))
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
@@ -447,29 +447,27 @@ def _ppt_min_eigenvalue(mats: np.ndarray) -> float:
 _SMEAR_ETA = 0.2     # identity weight of the audit's smeared POVM elements
 
 
-def _smeared_povm(basis, eta: float) -> Povm:
-    eye = np.eye(2, dtype=complex)
-    els = tuple(
-        (1.0 - eta) * np.outer(v, v.conj()) + eta * eye / 2.0 for v in basis.vectors
-    )
-    return Povm(2, els)
+def _smeared_povm(basis) -> Povm:
+    eta, eye = _SMEAR_ETA, np.eye(2, dtype=complex)
+    return Povm(2, tuple((1.0 - eta) * np.outer(v, v.conj()) + eta * eye / 2.0
+                         for v in basis.vectors))
 
 
-def soundness_audit(states, threads: int = 1, eta: float = _SMEAR_ETA) -> dict[str, float]:
+def soundness_audit(states, threads: int = 1) -> dict[str, float]:
     """Max violation of every implemented discrete witness over a state batch.
 
     Covers both pair-conditional directions (X/Z), the pair symmetric MI
     witness, both full-MUB conditional directions, the full-MUB MI witness,
     the modular sum/difference witness, and a smeared-POVM conditional pair
-    (elements (1-eta) P_i + eta I/2) exercising the operator-norm bound.
-    On separable inputs every returned value should be <= 0 up to 1e-9.
+    (elements (1-eta) P_i + eta I/2, eta = 0.2) exercising the operator-norm
+    bound. On separable inputs every returned value should be <= 0 up to
+    1e-9. `threads` >= 1 caps the worker threads.
     """
-    return _soundness_audit(_two_qubit_stack(states, "soundness audit"), threads, eta)
+    _count(threads, "threads")
+    return _soundness_audit(_two_qubit_stack(states, "soundness audit"), threads)
 
 
-def _soundness_audit(
-    mats: np.ndarray, threads: int = 1, eta: float = _SMEAR_ETA
-) -> dict[str, float]:
+def _soundness_audit(mats: np.ndarray, threads: int = 1) -> dict[str, float]:
     # mats: validated (n, 4, 4) two-qubit states
     trip = _mub_matrices(2)
     # the X/Z pair bounds (conditional, symmetric and sum/difference) are
@@ -479,8 +477,8 @@ def _soundness_audit(
     bound_c3 = sanchez_ruiz_bound(2)
     bound_m3 = _mub_mi_bound(2)
     x_basis, _, z_basis = pauli_bases()
-    povm_x = _smeared_povm(x_basis, eta)
-    povm_z = _smeared_povm(z_basis, eta)
+    povm_x = _smeared_povm(x_basis)
+    povm_z = _smeared_povm(z_basis)
     bound_povm = math.log2(_pair_omega(povm_x, povm_z))
 
     def block(idx):

@@ -86,11 +86,27 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
     return _floored_eigenvalues(mats, "density matrix")
 
 
+def _count(value, name: str, low: int = 1, high: float = float("inf")) -> int:
+    """`value` as an int, the one count and dimension check: TypeError unless an
+    int or numpy integer (not a bool or float), ValueError outside [low, high]."""
+    if type(value) is not int and not isinstance(value, np.integer):   # bool fails too
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be >= {low}, got {value}" if value < low
+                         else f"{name} must be <= {high}, got {value}")
+    return int(value)
+
+
+def _choice(value, options: tuple, name: str):
+    """`value`, checked to be one of `options` (ValueError naming `name`)."""
+    if value not in options:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, options))}, got {value!r}")
+    return value
+
+
 def _subsystem_dims(dims) -> tuple[int, int]:
-    d_a, d_b = (int(d) for d in dims)
-    if d_a < 1 or d_b < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
-    return d_a, d_b
+    d_a, d_b = dims
+    return _count(d_a, "subsystem dimension"), _count(d_b, "subsystem dimension")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +150,18 @@ class DensityMatrix:
         return self.dims[0] * self.dims[1]
 
 
-def _density(rho, what: str) -> DensityMatrix:
-    """`rho`, checked at a public entry point to be a DensityMatrix; `what`
-    names that entry point in the TypeError otherwise."""
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(f"{what} takes a DensityMatrix, got {type(rho).__name__}")
-    return rho
+def _state(value, what: str, cls: type = DensityMatrix):
+    """`value`, checked at the public entry point `what` to be a `cls` (TypeError)."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} takes a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _equal_dims(rho: DensityMatrix, what: str) -> int:
+    """The local dimension of `rho`, whose parties must share it (ValueError)."""
+    if rho.dims[0] != rho.dims[1]:
+        raise ValueError(f"{what} needs equal local dimensions")
+    return rho.dims[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +204,11 @@ def partial_trace(rho: DensityMatrix, keep: str) -> np.ndarray:
     numpy.ndarray
         Hermitian, unit-trace ``d_keep x d_keep`` matrix.
     """
-    d_a, d_b = _density(rho, "partial_trace").dims
+    d_a, d_b = _state(rho, "partial_trace").dims
     r = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    if keep == "A":
+    if _choice(keep, ("A", "B"), "keep") == "A":
         return np.einsum("ijkj->ik", r)
-    if keep == "B":
-        return np.einsum("ijil->jl", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("ijil->jl", r)
 
 
 def partial_transpose(rho: DensityMatrix, party: str = "B") -> np.ndarray:
@@ -198,15 +218,10 @@ def partial_transpose(rho: DensityMatrix, party: str = "B") -> np.ndarray:
     separability, which makes this the standard independent check on sampled
     separable states.
     """
-    d_a, d_b = _density(rho, "partial_transpose").dims
+    d_a, d_b = _state(rho, "partial_transpose").dims
     r = rho.mat.reshape(d_a, d_b, d_a, d_b)
-    if party == "B":
-        out = r.transpose(0, 3, 2, 1)
-    elif party == "A":
-        out = r.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return out.reshape(rho.total_dim, rho.total_dim)
+    axes = (2, 1, 0, 3) if _choice(party, ("A", "B"), "party") == "A" else (0, 3, 2, 1)
+    return r.transpose(axes).reshape(rho.total_dim, rho.total_dim)
 
 
 def singlet_state() -> PureState:
@@ -242,8 +257,7 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     folded back into Q; without that phase correction the distribution is not
     rotation-invariant.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _count(d, "dimension")
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return _haar_unitaries(z)
 
@@ -265,7 +279,7 @@ def random_pure_state(d_a: int, d_b: int, rng: np.random.Generator) -> PureState
     A vector of i.i.d. standard complex Gaussians, normalized, is
     rotation-invariant and therefore uniform on the unit sphere.
     """
-    _subsystem_dims((d_a, d_b))
+    d_a, d_b = _subsystem_dims((d_a, d_b))
     n = d_a * d_b
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState((d_a, d_b), v / np.linalg.norm(v))
@@ -291,10 +305,9 @@ def random_mixed_state(
         ``G G^dagger / Tr(G G^dagger)`` for a ``(d_a*d_b) x rank`` complex
         standard-Gaussian matrix G.
     """
-    _subsystem_dims((d_a, d_b))
+    d_a, d_b = _subsystem_dims((d_a, d_b))
     n = d_a * d_b
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in [1, {n}], got {rank}")
+    rank = _count(rank, "rank", 1, n)
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return DensityMatrix((d_a, d_b), ginibre_density(g))
 

@@ -31,7 +31,7 @@ from .measure import (
     overlap_omega,
     povm_omega,
 )
-from .qmat import DensityMatrix, _density, partial_trace
+from .qmat import DensityMatrix, _choice, _count, _equal_dims, _state, partial_trace
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ def sanchez_ruiz_bound(n: int) -> float:
     ``sum_i H(R_i) >= (n/2) log2(n/2) + (n/2 + 1) log2(n/2 + 1)`` for even n
     and ``sum_i H(R_i) >= (n+1) log2((n+1)/2)`` for odd n.
     """
-    if not 2 <= n <= 2**53:   # floats skip integers past 2**53; 10**400 has no float
-        raise ValueError(f"bound defined for dimensions 2 to 2**53, got {n}")
+    _count(n, "dimension", 2, 2**53)   # floats skip integers past 2**53; 10**400 has no float
     if n % 2 == 0:
         half = n / 2.0
         return half * math.log2(half) + (half + 1.0) * math.log2(half + 1.0)
@@ -77,9 +76,7 @@ def _pair_omega(meas_r, meas_s) -> float:
 
 def _by_direction(direction: str, a_to_b, b_to_a):
     """`a_to_b` for direction "AtoB" (Alice steers Bob), `b_to_a` for "BtoA"."""
-    if direction not in ("AtoB", "BtoA"):
-        raise ValueError(f"direction must be 'AtoB' or 'BtoA', got {direction!r}")
-    return a_to_b if direction == "AtoB" else b_to_a
+    return a_to_b if _choice(direction, ("AtoB", "BtoA"), "direction") == "AtoB" else b_to_a
 
 
 def _left_sum(terms: np.ndarray):
@@ -118,7 +115,7 @@ def pair_conditional(
     model exists. Measurements may be projective bases or POVMs; the bound
     uses the steered party's pair (operator-norm form for POVMs).
     """
-    _density(rho, "pair_conditional")
+    _state(rho, "pair_conditional")
     steered = _by_direction(direction, (r_b, s_b), (r_a, s_a))
     _, (h_joint, h_a, h_b) = _set_statistics(rho, ((r_a, r_b), (s_a, s_b)))
     lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
@@ -133,11 +130,9 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     either party admits a local-hidden-state model, so its violation rules out
     both directions at once. Projective bases only (equal local dimensions N).
     """
-    _density(rho, "pair_symmetric_mi")
+    _state(rho, "pair_symmetric_mi")
     _projective((r_a, s_a, r_b, s_b), "the symmetric witness")
-    if rho.dims[0] != rho.dims[1]:
-        raise ValueError("symmetric witness needs equal local dimensions")
-    n = rho.dims[0]
+    n = _equal_dims(rho, "symmetric witness")
     lhs = float(_mi_sum(*_set_statistics(rho, ((r_a, r_b), (s_a, s_b)))[1]))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(n * n / omega)
@@ -180,7 +175,7 @@ def mub_conditional(
     floored by :func:`sanchez_ruiz_bound`; the other party's bases are
     unconstrained (they only condition).
     """
-    d_a, d_b = _density(rho, "mub_conditional").dims
+    d_a, d_b = _state(rho, "mub_conditional").dims
     n, steered, label = _by_direction(
         direction, (d_b, bases_b, "steered-side (B)"), (d_a, bases_a, "steered-side (A)")
     )
@@ -198,9 +193,7 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
     for qubits the bound is exactly 1 bit. Validation mirrors
     :func:`mub_conditional` (B side checked; by MI symmetry either would do).
     """
-    if _density(rho, "mub_mi").dims[0] != rho.dims[1]:
-        raise ValueError("symmetric witness needs equal local dimensions")
-    n = rho.dims[1]
+    n = _equal_dims(_state(rho, "mub_mi"), "symmetric witness")
     label = "steered-side (B)"
     _check_mub_side(_projective(bases_b, label), (len(bases_a), len(bases_b)), n, label)
     lhs = float(_mi_sum(*_set_statistics(rho, zip(bases_a, bases_b))[1]))
@@ -218,11 +211,11 @@ def sumdiff_discrete(
     conditional entropy, so this is weaker than the conditional witness but
     needs no conditioning. ``signs`` picks the sign per observable pair.
     """
-    _density(rho, "sumdiff_discrete")
+    _state(rho, "sumdiff_discrete")
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
     pairs = ((r_a, r_b), (s_a, s_b))
-    p, _ = _set_statistics(rho, pairs, entropies=False)
+    p, _ = _set_statistics(rho, pairs)
     shapes = [(len(as_povm(a).elements), len(as_povm(b).elements)) for a, b in pairs]
     lhs = float(_left_sum(_modular_entropies(p, shapes, signs)))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
@@ -239,7 +232,7 @@ def violation_gap(rho: DensityMatrix, r_b, s_b) -> float:
     Bob's marginals are both uniform. Callers are responsible for using it
     only in matched-overlap configurations.
     """
-    n = _density(rho, "violation_gap").dims[1]
+    n = _state(rho, "violation_gap").dims[1]
     rho_b = partial_trace(rho, "B")
     h_r = shannon_entropy(measurement_distribution(rho_b, r_b))
     h_s = shannon_entropy(measurement_distribution(rho_b, s_b))

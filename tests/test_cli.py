@@ -633,6 +633,28 @@ class TestValidation:
         code, _ = run(tmp_path, "fig1", "--n", "5", "--threads", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fig1", "--n", "0"], "--n must be >= 1, got 0"),
+        (["fig1", "--n", "5", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["fig1", "--n", "5", "--threads", "-1"], "--threads must be >= 1, got -1"),
+        (["fig2", "--n", "2", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["sweep", "--n", "-3"], "--n must be >= 1, got -3"),
+        (["separable-audit", "--n", "3", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        (["cv-scan", "--steps", "0"], "--steps must be >= 1, got 0"),
+    ], ids=["n", "threads-zero", "threads-negative", "trials", "sweep-n", "k-max", "steps"])
+    def test_count_errors_name_the_flag(self, monkeypatch, capsys, argv, message):
+        # every count said "counts must be >= 1" for --n, --trials and --threads
+        monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value,kind", [(2.0, "float"), (True, "bool")])
+    def test_records_refuse_a_count_that_is_no_integer(self, value, kind):
+        with pytest.raises(cli.ConfigError, match=f"^--n must be an integer, got {kind}$"):
+            cli.Fig1Options(n=value)
+        with pytest.raises(cli.ConfigError, match=f"^--threads must be an integer, got {kind}$"):
+            RunConfig(command="fig1", seed=0, options=cli.Fig1Options(n=1), threads=value)
+
 
 class TestWorkBudget:
     """A run whose estimated memory exceeds physical memory is a

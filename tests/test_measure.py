@@ -167,6 +167,18 @@ class TestUnboundedEntries:
             with pytest.raises(ValueError, match="^empty (basis|POVM element)$"):
                 build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: ProjectiveBasis(2.0, np.eye(2)),
+        lambda: ProjectiveBasis(True, np.eye(1)),
+        lambda: Povm(2.0, (np.eye(2),)),
+        lambda: JointDistribution(2.0, 2, np.eye(2) / 2),
+        lambda: mub_set(3.0),
+    ], ids=["basis-float", "basis-bool", "povm-float", "joint-float", "mub-set-float"])
+    def test_a_dimension_that_is_no_integer_is_refused(self, build):
+        # each of these built, with its dimension truncated to an int
+        with pytest.raises(TypeError, match=r"^(dimension|n_a) must be an integer, got "):
+            build()
+
 
 class TestPauliBases:
     def test_eigenvector_order(self):
@@ -468,15 +480,20 @@ class TestOneTimeWork:
         round_()
         assert counts["kernel"] == 6 * len(rhos)
 
-    def test_sumdiff_alone_takes_no_entropy_pass(self, counts):
+    @pytest.mark.parametrize("first", ["sumdiff_discrete", "pair_conditional",
+                                       "pair_symmetric_mi"])
+    def test_one_contraction_and_one_entropy_pass_per_state_and_set(self, counts, first):
+        # whichever witness meets a (state, set) first fills the slot with the
+        # joints and their entropies; the others, and repeats, read it
         x, _, z = pauli_bases()
         rho = random_density(np.random.default_rng(4), 2, 2)
-        first = sumdiff_discrete(rho, x, z, x, z)
-        assert (counts["kernel"], counts["entropies"]) == (1, 0)
-        # the witnesses that need the entropies take them from the kept joints
-        pair_conditional(rho, x, z, x, z)
-        pair_symmetric_mi(rho, x, z, x, z)
-        assert sumdiff_discrete(rho, x, z, x, z) == first
+        witnesses = {"sumdiff_discrete": sumdiff_discrete, "pair_conditional": pair_conditional,
+                     "pair_symmetric_mi": pair_symmetric_mi}
+        reports = {first: witnesses[first](rho, x, z, x, z)}
+        assert (counts["kernel"], counts["entropies"]) == (1, 1)
+        for name, witness_fn in witnesses.items():
+            reports.setdefault(name, witness_fn(rho, x, z, x, z))
+            assert witness_fn(rho, x, z, x, z) == reports[name]
         assert (counts["kernel"], counts["entropies"]) == (1, 1)
 
     def test_returning_to_an_earlier_state_recomputes_it(self, counts):

@@ -245,6 +245,36 @@ class TestThresholdBisect:
         with pytest.raises(ValueError):
             threshold_bisect(lambda x: x, -1.0, 1.0, tol=float("nan"))
 
+    @pytest.mark.parametrize(
+        "family,where",
+        [
+            # a NaN midpoint moved `hi`, and 0.3000000002793968 came back
+            (lambda p: math.nan if 0.3 < p < 0.6 else p - 0.7, "0.5"),
+            (lambda p: math.nan if p == 0.0 else p - 0.7, "0.0"),
+            (lambda p: math.nan if p == 1.0 else p - 0.7, "1.0"),
+        ],
+        ids=["inside", "lo", "hi"],
+    )
+    def test_a_nan_value_raises_naming_the_parameter(self, family, where):
+        with pytest.raises(ValueError, match=rf"^witness family is NaN at parameter {where}$"):
+            threshold_bisect(family, 0.0, 1.0, tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "family,lo,hi",
+        [
+            (lambda p: -1.0 if p < 0.5 else 1.0, -math.inf, 1.0),
+            (lambda p: -1.0 if p < 0.5 else 1.0, 0.0, math.inf),
+            (lambda p: -1.0 if p < 0.5 else 1.0, 0.0, math.nan),
+            # a midpoint sum overflows once lo has moved past 8e307
+            (lambda p: p - 1.65e308, -1e307, 1.7e308),
+        ],
+        ids=["lo-inf", "hi-inf", "hi-nan", "sum-overflows"],
+    )
+    def test_endpoints_beyond_2_1022_raise(self, family, lo, hi):
+        # each of these returned an infinite or NaN crossing
+        with pytest.raises(ValueError, match=r"^bracket endpoints must lie within 2\*\*1022"):
+            threshold_bisect(family, lo, hi, tol=1e-6)
+
     def test_tolerance_below_float_spacing_stops(self):
         calls = []
 
@@ -390,3 +420,39 @@ def _one_bad_state(fault):
 def test_survey_kernels_run_the_probability_checks(kernel, fault, message):
     with pytest.raises(ValueError, match=message):
         kernel(_one_bad_state(fault))
+
+
+class TestThreadCounts:
+    """`threads` is a count >= 1, checked before anything is drawn from the
+    caller's generator."""
+
+    @staticmethod
+    def _call(entry, rng, threads):
+        states = [werner_state(0.5)]
+        return {
+            "survey_fig1": lambda: survey_fig1(3, "mixed", rng, threads=threads),
+            "survey_fig1_states": lambda: survey_fig1_states(states, threads=threads),
+            "survey_fig2": lambda: survey_fig2(2, "mixed", 3, rng, threads=threads),
+            "soundness_audit": lambda: soundness_audit(states, threads=threads),
+        }[entry]()
+
+    @pytest.mark.parametrize("entry", ["survey_fig1", "survey_fig1_states", "survey_fig2",
+                                       "soundness_audit"])
+    @pytest.mark.parametrize("threads,error,message", [
+        (0, ValueError, "threads must be >= 1, got 0"),
+        (-5, ValueError, "threads must be >= 1, got -5"),
+        (2.0, TypeError, "threads must be an integer, got float"),
+        (True, TypeError, "threads must be an integer, got bool"),
+    ], ids=["zero", "negative", "float", "bool"])
+    def test_refused_before_sampling(self, entry, threads, error, message):
+        # zero and negative counts ran one thread without a word
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(error, match=f"^{message}$"):
+            self._call(entry, rng, threads)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("entry", ["survey_fig1", "survey_fig2"])
+    def test_numpy_integer_threads_run(self, entry):
+        a = self._call(entry, np.random.default_rng(5), np.int64(2))
+        assert a == self._call(entry, np.random.default_rng(5), 1)

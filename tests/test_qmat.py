@@ -282,3 +282,50 @@ class TestRandomStates:
     def test_mixed_rejects_bad_rank(self, rng, rank):
         with pytest.raises(ValueError):
             random_mixed_state(2, 2, rank, rng)
+
+
+class TestArgumentRules:
+    """Counts and dimensions are ints or numpy integers, never bools or
+    floats (TypeError), and at least 1 (ValueError); each string option is one
+    of its values. One helper of `qmat` holds each rule."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix((2.7, 1), np.eye(2) / 2),
+            lambda: DensityMatrix((True, 2), np.eye(2) / 2),
+            lambda: PureState((2.0, 2), np.eye(4)[0]),
+            lambda: random_pure_state(2, 2.0, np.random.default_rng(0)),
+            lambda: random_mixed_state(2, 2, 1.5, np.random.default_rng(0)),
+            lambda: random_unitary(2.5, np.random.default_rng(0)),
+        ],
+        ids=["density-float", "density-bool", "pure-float", "random-pure-float",
+             "random-mixed-rank-float", "unitary-float"],
+    )
+    def test_float_or_bool_counts_raise_type_error(self, build):
+        # these built a state with truncated dims, or failed inside numpy
+        with pytest.raises(TypeError,
+                           match=r"(dimension|rank) must be an integer, got (float|bool)$"):
+            build()
+
+    def test_numpy_integer_dims_are_stored_as_ints(self):
+        rho = DensityMatrix((np.int64(2), np.int32(2)), np.eye(4) / 4)
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: DensityMatrix((0, 2), np.eye(2) / 2),
+             "subsystem dimension must be >= 1, got 0"),
+            (lambda: random_unitary(0, np.random.default_rng(0)), "dimension must be >= 1, got 0"),
+            (lambda: random_mixed_state(2, 2, 5, np.random.default_rng(0)),
+             "rank must be <= 4, got 5"),
+            (lambda: partial_trace(werner_state(0.5), "C"), "keep must be 'A' or 'B', got 'C'"),
+            (lambda: partial_transpose(werner_state(0.5), "C"),
+             "party must be 'A' or 'B', got 'C'"),
+        ],
+        ids=["dims-zero", "unitary-zero", "rank-above", "keep", "party"],
+    )
+    def test_out_of_range_values_raise_value_error(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()

@@ -62,6 +62,15 @@ class TestSanchezRuizBound:
         with pytest.raises(ValueError):
             sanchez_ruiz_bound(1)
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, True, np.float64(4.0)], ids=repr)
+    def test_rejects_a_dimension_that_is_no_integer(self, n):
+        # the bound exists only for the integer dimension of a complete MUB set
+        with pytest.raises(TypeError, match="^dimension must be an integer, got "):
+            sanchez_ruiz_bound(n)
+
+    def test_numpy_integer_dimension_gives_the_int_value(self):
+        assert sanchez_ruiz_bound(np.int64(3)) == sanchez_ruiz_bound(3) == 4.0
+
 
 class TestPairConditional:
     def test_singlet_full_violation(self, xz):
