@@ -6,7 +6,8 @@ the working tree.
 Run from the root of a checkout. The base ref is checked out in a temporary
 git worktree. One fixed list of `python -m entrosteer` runs (the surveys in
 both formats, sweeps over Werner and seeded d = 2, 3, 5 state files, `eval` of
-every witness in both directions, the thresholds, `cv-scan`, the audit, every
+every witness in both directions, and of the MUB and modular witnesses on
+seeded d = 5 and 7 states, the thresholds, `cv-scan`, the audit, every
 `--help` text and the configuration errors) then runs on both sides, one run
 at a time, each in its own empty directory. A case differs when its stdout,
 its stderr, its exit code or its `--out` data file differs; the run manifests
@@ -59,6 +60,7 @@ def state_files(directory: str) -> dict[str, str]:
         "q5": _random_state(rng, 5, 5, 6),
         "q2x3": _random_state(rng, 2, 3, 6),
         "q6": _random_state(rng, 6, 6, 2),
+        "q7": _random_state(rng, 7, 7, 3),
     }
     paths = {}
     for name, data in states.items():
@@ -102,6 +104,12 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
             for direction in ("AtoB", "BtoA"):
                 add(f"eval-{name}-{witness}-{direction}", "eval", "--state-file", states[name],
                     "--witness", witness, "--direction", direction)
+    # q7's full-MUB sum has 8 terms, added left to right
+    for name, witness in [("q5", "mub-conditional"), ("q5", "mub-mi"),
+                          ("q5", "sumdiff-discrete"), ("q7", "mub-conditional")]:
+        for direction in ("AtoB", "BtoA"):
+            add(f"eval-{name}-{witness}-{direction}", "eval", "--state-file", states[name],
+                "--witness", witness, "--direction", direction)
     for settings in ("2", "3"):
         add(f"werner-threshold-{settings}", "werner-threshold", "--settings", settings,
             "--out", "OUT.json")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,22 +110,28 @@ def _modular_entropies(p: np.ndarray, shapes, signs) -> np.ndarray:
 
     Joint i is the top-left ``shapes[i]`` block of ``p[..., i, :, :]`` (the
     rest is zero padding) and must be square, ``N x N``; ``signs[i]`` picks
-    its sign. Each residue's probability is summed in row-major order.
+    its sign. `np.bincount` sums each residue's probabilities in row-major order.
     """
     *lead, m, n_a, n_b = p.shape
-    a = np.arange(n_a)[:, None]
-    b = np.arange(n_b)[None, :]
-    idx = np.empty((m, n_a, n_b), dtype=np.intp)
-    for i, (shape, sign) in enumerate(zip(shapes, signs)):
-        n = shape[0]
-        if shape[1] != n:
+    plan = []
+    for shape, sign in zip(shapes, signs):
+        if shape[1] != shape[0]:
             raise ValueError(f"modular sums need a square joint, got shape {shape}")
-        idx[i] = (a + b) % n if _choice(sign, ("plus", "minus"), "sign") == "plus" else (a - b) % n
-    flat = p.reshape(-1, m, n_a, n_b)
-    dist = np.zeros((len(flat), m, max(n_a, n_b)))
-    rows = np.arange(len(flat))[:, None, None, None]
-    np.add.at(dist, (rows, np.arange(m)[:, None, None], idx), flat)
-    return _entropies(dist).reshape(*lead, m)
+        plan.append((shape[0], _choice(sign, ("plus", "minus"), "sign") == "plus"))
+    count, width = p.size // (m * n_a * n_b), max(n_a, n_b)
+    dist = np.bincount(_residue_bins(count, n_a, n_b, tuple(plan)), p.ravel(), count * m * width)
+    return _entropies(dist.reshape(*lead, m, width))
+
+
+@lru_cache(maxsize=16)
+def _residue_bins(count: int, n_a: int, n_b: int, plan: tuple) -> np.ndarray:
+    """Flat bins of `count` stacked ``(m, n_a, n_b)`` joints: entry (s, i, a, b)
+    goes to residue ``(a +/- b) mod N`` of row (s, i), ``plan[i] = (N, sign is "plus")``."""
+    a, b, width = np.arange(n_a)[:, None], np.arange(n_b), max(n_a, n_b)
+    one = [(a + b if plus else a - b) % n + i * width for i, (n, plus) in enumerate(plan)]
+    bins = (np.ravel(one) + len(plan) * width * np.arange(count)[:, None]).ravel()
+    bins.setflags(write=False)
+    return bins
 
 
 def shannon_entropy(p) -> float:

@@ -162,7 +162,7 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarra
     Pauli triples on both sides."""
     trip = _mub_matrices(2)
     bound_c = sanchez_ruiz_bound(2)
-    bound_m = _mub_mi_bound(2)
+    bound_m = _mub_mi_bound(2, bound_c)
 
     def block(idx):
         h_joint, h_a, h_b = _joint_entropies(_product_joints(mats[idx], trip, trip))
@@ -475,7 +475,7 @@ def _soundness_audit(mats: np.ndarray, threads: int = 1) -> dict[str, float]:
     # they would read 1.0000000000000002 or 0.9999999999999997
     bound_xz = 1.0
     bound_c3 = sanchez_ruiz_bound(2)
-    bound_m3 = _mub_mi_bound(2)
+    bound_m3 = _mub_mi_bound(2, bound_c3)
     x_basis, _, z_basis = pauli_bases()
     povm_x = _smeared_povm(x_basis)
     povm_z = _smeared_povm(z_basis)

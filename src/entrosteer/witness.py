@@ -58,11 +58,11 @@ def sanchez_ruiz_bound(n: int) -> float:
     return (n + 1.0) * math.log2((n + 1.0) / 2.0)
 
 
-def _mub_mi_bound(n: int) -> float:
+def _mub_mi_bound(n: int, floor: float) -> float:
     """Upper bound, in bits, on the sum of N+1 mutual informations over a
     complete MUB set on both sides: ``(N+1) log2 N - G`` with G the
-    :func:`sanchez_ruiz_bound`."""
-    return (n + 1) * math.log2(n) - sanchez_ruiz_bound(n)
+    :func:`sanchez_ruiz_bound` `floor` of dimension n."""
+    return (n + 1) * math.log2(n) - floor
 
 
 @lru_cache(maxsize=SET_CACHE_SIZE)
@@ -80,14 +80,14 @@ def _by_direction(direction: str, a_to_b, b_to_a):
 
 
 def _left_sum(terms: np.ndarray):
-    """Sum of the m terms of one state ``(m,)`` or of each of s states
-    ``(s, m)``, added left to right from 0.
+    """Sum of the m terms of one state ``(m,)``, as Python floats, or of each
+    of s states ``(s, m)``, added left to right from 0: the same IEEE adds.
 
     ``.sum(axis=-1)`` adds pairwise once there are 8 or more terms (the
     full-MUB sums from d = 7 on), so its rounding would depend on m.
     """
     total = 0.0
-    for column in terms.T:
+    for column in terms.tolist() if terms.ndim == 1 else terms.T:
         total = total + column
     return total
 
@@ -149,9 +149,10 @@ def _projective(meas, what: str) -> tuple:
 
 
 @lru_cache(maxsize=SET_CACHE_SIZE)
-def _check_mub_side(bases: tuple, counts: tuple, dim: int, label: str) -> None:
+def _check_mub_side(bases: tuple, counts: tuple, dim: int, label: str) -> float:
     """Raise unless both parties hold as many bases (`counts`) and the steered
-    `bases` are a complete MUB set in `dim`; a set that passes is cached."""
+    `bases` are a complete MUB set in `dim`; cached per set, returns its floor
+    ``sanchez_ruiz_bound(dim)``."""
     if counts[0] != counts[1]:
         raise ValueError(
             f"both parties need the same number of bases, got {counts[0]} and {counts[1]}"
@@ -164,6 +165,7 @@ def _check_mub_side(bases: tuple, counts: tuple, dim: int, label: str) -> None:
         raise ValueError(f"{label} bases must all have dimension {dim}")
     if not is_mub_set(bases):
         raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
+    return sanchez_ruiz_bound(dim)
 
 
 def mub_conditional(
@@ -179,10 +181,9 @@ def mub_conditional(
     n, steered, label = _by_direction(
         direction, (d_b, bases_b, "steered-side (B)"), (d_a, bases_a, "steered-side (A)")
     )
-    _check_mub_side(_projective(steered, label), (len(bases_a), len(bases_b)), n, label)
+    bound = _check_mub_side(_projective(steered, label), (len(bases_a), len(bases_b)), n, label)
     _, (h_joint, h_a, h_b) = _set_statistics(rho, zip(bases_a, bases_b))
     lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
-    bound = sanchez_ruiz_bound(n)
     return WitnessReport("mub_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -195,9 +196,9 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
     """
     n = _equal_dims(_state(rho, "mub_mi"), "symmetric witness")
     label = "steered-side (B)"
-    _check_mub_side(_projective(bases_b, label), (len(bases_a), len(bases_b)), n, label)
+    floor = _check_mub_side(_projective(bases_b, label), (len(bases_a), len(bases_b)), n, label)
     lhs = float(_mi_sum(*_set_statistics(rho, zip(bases_a, bases_b))[1]))
-    bound = _mub_mi_bound(n)
+    bound = _mub_mi_bound(n, floor)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)
 
 

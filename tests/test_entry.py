@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import loop_violation, random_basis, random_density, random_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,6 +197,89 @@ def _povm(draw):
     return entrosteer.Povm(draw(_counts(3)), (draw(_near(half)), draw(_near(half))))
 
 
+# the discrete witnesses' inputs: states of local dimension up to 3, and for
+# each dimension a few fitting measurements (bases and POVMs) and MUB sets
+_W_RNG = np.random.default_rng(17)
+_WITNESS_STATES = st.sampled_from([
+    entrosteer.werner_state(0.8), entrosteer.werner_state(0.2),
+    *(random_density(_W_RNG, d_a, d_b)
+      for d_a, d_b in ((2, 2), (3, 3), (3, 3), (3, 3), (2, 3), (3, 2), (1, 2))),
+    entrosteer.DensityMatrix((3, 3), np.eye(9) / 9), np.eye(4) / 4,
+])
+_MEAS = {d: [*entrosteer.mub_set(d)[::d], random_basis(_W_RNG, d), random_povm(_W_RNG, d, 2),
+             random_povm(_W_RNG, d, 3)] for d in (2, 3)}
+
+
+def _rotated(bases, u):
+    return [entrosteer.rotate_basis(b, u) for b in bases]
+
+
+_MUBS = {d: [list(entrosteer.mub_set(d)),
+             _rotated(entrosteer.mub_set(d), entrosteer.random_unitary(d, _W_RNG))]
+         for d in (2, 3)}
+_DIRECTIONS = st.sampled_from(["AtoB", "BtoA", "sideways", ["AtoB"], None])
+_SIGNS = st.sampled_from([
+    ("plus", "minus"), ("minus", "plus"), ["plus", "minus"], ["minus", "plus"], ["plus", "plus"],
+    ("minus", "minus"), "pm", "plus",
+    ("plus",), ("plus", "minus", "plus"), (["plus"], "minus"), ("plus", "xor"), None,
+])
+
+
+def _measurement(draw, dim, bases_only=False):
+    """A basis of the party's dimension `dim` with `bases_only`. Otherwise
+    mostly a basis or POVM of that dimension; at times one of the other
+    dimension, a drawn basis that may be broken, or no measurement."""
+    kinds = ["fits"] * 6 + ["other", "broken", "none"]
+    kind = "fits" if bases_only else draw(st.sampled_from(kinds))
+    if kind == "broken":
+        return _basis(draw)
+    if kind == "none":
+        return draw(st.sampled_from([None, "X", np.eye(2)]))
+    fits = dim if dim in _MEAS else 2
+    choices = _MEAS[fits if kind == "fits" else 5 - fits]
+    return draw(st.sampled_from(choices[:3] if bases_only else choices))
+
+
+def _measurement_set(draw, dim):
+    """Mostly a complete MUB set of dimension `dim`; at times d + 1 drawn
+    measurements, a set one basis short, or a set of the other dimension."""
+    fits = dim if dim in _MUBS else 2
+    kind = draw(st.sampled_from(["mub"] * 4 + ["drawn", "short", "other"]))
+    if kind == "drawn":
+        return [_measurement(draw, dim) for _ in range(fits + 1)]
+    if kind == "other":
+        return draw(st.sampled_from(_MUBS[5 - fits]))
+    bases = draw(st.sampled_from(_MUBS[fits]))
+    return bases[:-1] if kind == "short" else bases
+
+
+def _witness(name):
+    """A call of the discrete witness `name` that checks the violation it
+    returns against the loop oracle, to 1e-12."""
+    def call(draw):
+        rho = draw(_WITNESS_STATES)
+        d_a, d_b = getattr(rho, "dims", (2, 2))
+        if name.startswith("mub"):
+            meas = (_measurement_set(draw, d_a), _measurement_set(draw, d_b))
+        else:
+            # half the calls draw fitting bases only, which each pair witness takes
+            bases_only = draw(st.booleans())
+            meas = tuple(_measurement(draw, d, bases_only) for d in (d_a, d_a, d_b, d_b))
+        kw = {}
+        if name in ("pair_conditional", "mub_conditional"):
+            kw["direction"] = draw(_DIRECTIONS)
+        if name == "sumdiff_discrete":
+            kw["signs"] = draw(_SIGNS)
+        report = getattr(entrosteer, name)(rho, *meas, **kw)
+        try:
+            want = loop_violation(name, rho, *meas, **kw)
+        except Exception as exc:   # the oracle must take what the witness took
+            raise AssertionError(f"the loop oracle refused accepted input: {exc!r}") from exc
+        assert abs(report.violation_bits - want) < 1e-12, (name, kw, report, want)
+        return report
+    return call
+
+
 # entry point -> a call of it whose arguments come from Hypothesis' `data.draw`
 _CALLS = {
     "DensityMatrix": lambda d: entrosteer.DensityMatrix(
@@ -239,12 +323,17 @@ _CALLS = {
         d(st.lists(_STATES, max_size=3)), threads=d(_counts(2))),
     "threshold_bisect": lambda d: entrosteer.threshold_bisect(
         d(_FAMILIES), d(_VALUES), d(_VALUES), d(_VALUES)),
+    **{name: _witness(name) for name in ("pair_conditional", "pair_symmetric_mi",
+                                         "sumdiff_discrete", "mub_conditional", "mub_mi")},
 }
 
 
 def _numbers(out) -> np.ndarray:
     """Every number a call returned, flattened: a float, bool or array, the
-    array held by an object it built, or those in a record, list or dict."""
+    array held by an object it built, or those in a record, list or dict
+    (whose strings are labels, not numbers)."""
+    if isinstance(out, str):
+        return np.zeros(0)
     for field in ("mat", "vec", "vectors", "stacked", "probs"):
         if hasattr(out, field):
             return np.ravel(getattr(out, field))

@@ -17,6 +17,7 @@ from entrosteer import (
     von_neumann_entropy,
     werner_state,
 )
+from entrosteer.infotheory import _entropies, _modular_entropies
 from entrosteer.measure import JointDistribution
 
 
@@ -133,6 +134,59 @@ class TestModularSumEntropy:
         floor = max(conditional_entropy(j, "B|A"), conditional_entropy(j, "A|B"))
         for sign in ("plus", "minus"):
             assert modular_sum_entropy(j, sign) >= floor - 1e-9
+
+
+def _add_at_modular_entropies(p, shapes, signs):
+    """The modular entropies of a ``(..., m, n_a, n_b)`` stack, each residue's
+    probability summed by `np.add.at` in row-major order."""
+    *lead, m, n_a, n_b = p.shape
+    a, b = np.arange(n_a)[:, None], np.arange(n_b)[None, :]
+    idx = np.stack([(a + b) % n if sign == "plus" else (a - b) % n
+                    for (n, _), sign in zip(shapes, signs)])
+    flat = p.reshape(-1, m, n_a, n_b)
+    dist = np.zeros((len(flat), m, max(n_a, n_b)))
+    np.add.at(dist, (np.arange(len(flat))[:, None, None, None],
+                     np.arange(m)[:, None, None], idx), flat)
+    return _entropies(dist).reshape(*lead, m)
+
+
+class TestModularEntropyStack:
+    """`_modular_entropies` sums each residue with `np.bincount` over cached
+    bins; it must give the bits of the `np.add.at` sum it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_bincount_bins_give_the_add_at_bits(self, n):
+        rng = np.random.default_rng(n)
+        for states in (None, 1, 7, 40):
+            lead = () if states is None else (states,)
+            m = int(rng.integers(1, 4))
+            # a stack side of n or n + 1: joints smaller than the stack are padded
+            n_a, n_b = n + int(rng.integers(0, 2)), n + int(rng.integers(0, 2))
+            p = np.zeros((*lead, m, n_a, n_b))
+            shapes = []
+            for i in range(m):
+                k = int(rng.integers(2, n + 1)) if i else n
+                block = rng.random((*lead, k, k)) * (rng.random((*lead, k, k)) < 0.7)
+                block[..., 0, 0] += 1e-3
+                p[..., i, :k, :k] = block / block.sum(axis=(-2, -1), keepdims=True)
+                shapes.append((k, k))
+            signs = list(rng.choice(["plus", "minus"], size=m))
+            want = _add_at_modular_entropies(p, shapes, signs)
+            for given_signs in (signs, tuple(signs)):
+                got = _modular_entropies(p, shapes, given_signs)
+                assert got.shape == want.shape == (*lead, m)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()   # signed zeros included
+
+    def test_a_sign_that_cannot_be_hashed_is_refused_by_name(self):
+        p = np.full((1, 2, 2), 0.25)
+        with pytest.raises(ValueError, match=r"sign must be 'plus' or 'minus', got \['plus'\]"):
+            _modular_entropies(p, [(2, 2)], [["plus"]])
+
+    def test_the_shape_error_comes_before_the_sign_error(self):
+        p = np.full((1, 2, 3), 1 / 6)
+        with pytest.raises(ValueError, match="square joint, got shape \\(2, 3\\)"):
+            _modular_entropies(p, [(2, 3)], [["plus"]])
 
 
 class TestVonNeumannEntropy:

@@ -175,3 +175,28 @@ def test_mixed_counts_in_sumdiff_need_square_joints(d):
     three, two = trine(rng, d), random_povm(rng, d, 2)
     with pytest.raises(ValueError, match="square joint, got shape \\(3, 2\\)"):
         entrosteer.sumdiff_discrete(rho, three, two, two, two)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_one_state_left_sum_gives_the_survey_bits(m):
+    # one state's terms are added as Python floats, a survey's column by
+    # column; both must round alike, signed zeros included
+    from entrosteer.witness import _left_sum
+
+    rng = np.random.default_rng(m)
+    mixed = np.where(rng.random(m) < 0.5, -0.0, rng.random(m) * 1e-9)
+    for terms in (rng.random(m) * 3.0, np.full(m, -0.0), mixed):
+        one, survey = _left_sum(terms), _left_sum(terms[None])
+        assert survey.shape == (1,)
+        assert float(one).hex() == float(survey[0]).hex()
+
+
+def test_full_mub_conditional_on_a_qudit_7_state_matches_the_loop_oracle():
+    # 8 terms: the first sum that numpy's pairwise `.sum()` would round differently
+    rng = np.random.default_rng(7)
+    rho = random_density(rng, 7, 7)
+    mub = mub_set(7)
+    for direction in ("AtoB", "BtoA"):
+        got = entrosteer.mub_conditional(rho, mub, mub, direction=direction).violation_bits
+        want = loop_violation("mub_conditional", rho, mub, mub, direction=direction)
+        assert abs(got - want) < 1e-12
