@@ -89,6 +89,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
                 "--trials", "150", "--seed", "11", "--threads", "2", "--format", fmt,
                 "--out", f"OUT.{ext}")
     add("fig1-stdout", "fig1", "--n", "50", "--seed", "3")
+    add("fig1-two-threads", "fig1", "--n", "9000", "--seed", "12", "--threads", "2",
+        "--out", "OUT.csv")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
     for p in ("0.3", "0.7", "0.9"):
@@ -122,6 +124,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     for k_max in ("1", "7", "12"):
         add(f"separable-audit-k{k_max}", "separable-audit", "--n", "2000", "--k-max", k_max,
             "--seed", "8", "--threads", "2", "--out", "OUT.json")
+    add("separable-audit-one-thread", "separable-audit", "--n", "5000", "--seed", "9",
+        "--threads", "1", "--out", "OUT.json")
     add("version", "--version")
     add("help", "--help")
     for command in COMMANDS:

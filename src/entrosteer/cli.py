@@ -384,7 +384,7 @@ def _emit_table(config: RunConfig, header: list[str], rows: list, row_format: st
 
 def _cmd_fig1(config: RunConfig, options: Fig1Options) -> int:
     rng = np.random.default_rng(config.seed)
-    vals = _survey_fig1_values(options.n, options.ensemble, rng, config.threads)
+    vals = _survey_fig1_values(options.n, options.ensemble, rng)
     v_ab, _, v_sym, purity = vals.T.tolist()
     rows = list(zip(range(len(v_ab)), v_ab, v_sym, purity))
     _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows,
@@ -476,7 +476,7 @@ def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> i
     mats = _sample_separable_stack(options.n, options.k_max, rng)
     validate_density_stack(mats)
     ppt_min = _ppt_min_eigenvalue(mats)
-    worst = _soundness_audit(mats, threads=config.threads)
+    worst = _soundness_audit(mats)
     sound = all(v <= AUDIT_TOL for v in worst.values())
     _emit(config, _json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
                               "max_violation": worst, "tolerance": AUDIT_TOL,

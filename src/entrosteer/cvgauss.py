@@ -56,7 +56,7 @@ def _out_of_range(problem: str) -> ValueError:
 class GaussianState:
     """Two-mode Gaussian state given by its quadrature covariance matrix.
 
-    The matrix must be symmetric within 1e-12 and satisfy the physicality
+    The matrix must be real, symmetric within 1e-12 and satisfy the physicality
     (uncertainty) condition cov + (i/2) Sigma >= 0, checked spectrally with an
     eigenvalue floor of -1e-10 times the largest entry (at least -1e-10).
     """
@@ -64,7 +64,10 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.cov, dtype=float)
+        c = np.asarray(self.cov)
+        if np.iscomplexobj(c) and np.any(c.imag):   # float() would drop it with a warning
+            raise ValueError("covariance has a nonzero imaginary part")
+        c = np.array(c.real, dtype=float)
         if c.shape != (4, 4):
             raise ValueError(f"covariance must be 4x4, got shape {c.shape}")
         if not np.all(np.isfinite(c)):

@@ -228,17 +228,18 @@ def _measurement_pairs(pairs) -> tuple:
 
 @lru_cache(maxsize=SET_CACHE_SIZE)
 def _pair_stacks(pairs: tuple) -> tuple:
-    """``(dims, f_stack, g_stack, last)`` of m measurement pairs: the distinct
-    ``(d_A, d_B)`` of the pairs in order of first use, Alice's and Bob's
-    padded element stacks (``None`` when the pairs differ in dims), and the
+    """``(dims, f_stack, g_stack, last, shapes)`` of m measurement pairs: the
+    distinct ``(d_A, d_B)`` of the pairs in order of first use, Alice's and
+    Bob's padded element stacks (``None`` when the pairs differ in dims), the
     one-item list that holds the statistics of the last state seen with the
-    set (`_set_statistics`)."""
+    set (`_set_statistics`), and each pair's outcome counts ``(n_A, n_B)``."""
     fs, gs = zip(*[(as_povm(a), as_povm(b)) for a, b in pairs])
     dims = tuple(dict.fromkeys((f.dim, g.dim) for f, g in zip(fs, gs)))
+    shapes = tuple((len(f.elements), len(g.elements)) for f, g in zip(fs, gs))
     if len(dims) > 1:
-        return dims, None, None, [None]
-    n_a, n_b = max(len(f.elements) for f in fs), max(len(g.elements) for g in gs)
-    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b), [None]
+        return dims, None, None, [None], shapes
+    n_a, n_b = map(max, zip(*shapes))
+    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b), [None], shapes
 
 
 def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
@@ -282,7 +283,7 @@ def _set_statistics(rho: DensityMatrix, pairs) -> tuple:
     once and written with one assignment, which keeps threads that share a set
     consistent.
     """
-    dims, f_stack, g_stack, last = _pair_stacks(_measurement_pairs(pairs))
+    dims, f_stack, g_stack, last, _ = _pair_stacks(_measurement_pairs(pairs))
     seen = last[0]
     if seen is not None and seen[0]() is rho:
         return seen[1], seen[2]
@@ -300,7 +301,7 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     one-pair case of the stacked kernel the witnesses use.
     """
     _state(rho, "joint_distribution")
-    dims, f_stack, g_stack, _ = _pair_stacks(_measurement_pairs([(meas_a, meas_b)]))
+    dims, f_stack, g_stack, _, _ = _pair_stacks(_measurement_pairs([(meas_a, meas_b)]))
     p = _joint_stack(rho, dims, f_stack, g_stack)[0]
     return JointDistribution(*p.shape, p)
 
@@ -348,13 +349,13 @@ def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
 def overlap_omega(basis_r: ProjectiveBasis, basis_s: ProjectiveBasis) -> float:
     """Minimal inverse squared overlap between two eigenbases.
 
-    ``Omega = min_{i,j} 1 / |<r_i|s_j>|^2`` lies in [1, dim]: 1 when the bases
-    share a vector, dim exactly when they are mutually unbiased.
+    ``Omega = min_{i,j} 1 / |<r_i|s_j>|^2``, clipped to [1, dim] against rounding:
+    1 when the bases share a vector, dim exactly when they are mutually unbiased.
     """
     if basis_r.dim != basis_s.dim:
         raise ValueError("bases must share a dimension")
     ov = np.abs(basis_r.vectors.conj() @ basis_s.vectors.T) ** 2
-    return float(1.0 / ov.max())
+    return float(np.clip(1.0 / ov.max(), 1.0, basis_r.dim))
 
 
 def povm_omega(f: Povm, g: Povm) -> float:

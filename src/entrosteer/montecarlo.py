@@ -36,7 +36,7 @@ from .witness import (
     sanchez_ruiz_bound,
 )
 
-_BLOCK = 4096        # states per batch block (fixed: partition must not depend on threads)
+_BLOCK = 4096        # states per batch block (fixed: bounds the working set)
 _TRIAL_CHUNK = 512   # trials per draw chunk (prefix-stable: sequential draws from one stream)
 
 
@@ -140,7 +140,7 @@ def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
 # scatter survey (conditional vs symmetric violations, fixed Pauli triples)
 
 def _blocks(n: int) -> list[np.ndarray]:
-    # the fixed partition of n items: it must not depend on the thread count
+    # fixed partition: bounds the working set; no item's arithmetic depends on how n splits
     return [np.arange(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
@@ -155,7 +155,7 @@ def _purity_scaled(evals: np.ndarray) -> np.ndarray:
     return 1.0 - _spectrum_entropies(evals) / 2.0
 
 
-def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarray:
+def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """``(n, 4)`` columns v_conditional_AtoB, v_conditional_BtoA, v_symmetric
     and purity_scaled for validated ``(n, 4, 4)`` states with ascending
     eigenvalues ``evals``: the `mub_conditional` and `mub_mi` witnesses with
@@ -171,7 +171,7 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray, threads: int) -> np.ndarra
         v_sym = _mi_sum(h_joint, h_a, h_b) - bound_m
         return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals[idx])], axis=1)
 
-    return np.concatenate(_parallel_map(block, _blocks(len(mats)), threads), axis=0)
+    return np.concatenate([block(idx) for idx in _blocks(len(mats))], axis=0)
 
 
 def _records(vals: np.ndarray) -> list[SurveyRecord]:
@@ -193,32 +193,26 @@ def _two_qubit_stack(states, what: str) -> np.ndarray:
     return np.stack([s.mat for s in states])
 
 
-def survey_fig1_states(states, threads: int = 1) -> list[SurveyRecord]:
+def survey_fig1_states(states) -> list[SurveyRecord]:
     """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
-    triples on both sides, for a list of two-qubit states; `threads` >= 1."""
-    _count(threads, "threads")
+    triples on both sides, for a list of two-qubit states, on one thread."""
     mats = _two_qubit_stack(states, "scatter survey")
-    return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats), threads))
+    return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats)))
 
 
-def survey_fig1(
-    n: int, ensemble: str, rng: np.random.Generator, threads: int = 1
-) -> list[SurveyRecord]:
+def survey_fig1(n: int, ensemble: str, rng: np.random.Generator) -> list[SurveyRecord]:
     """Scatter survey over n sampled states (ensemble "pure" or "mixed").
 
     The sampled stack is validated once, and the validation eigenvalues give
-    the purity column; no DensityMatrix is built per state. `threads` >= 1.
+    the purity column; no DensityMatrix is built per state. Runs on one thread.
     """
-    _count(threads, "threads")
-    return _records(_survey_fig1_values(n, ensemble, rng, threads))
+    return _records(_survey_fig1_values(n, ensemble, rng))
 
 
-def _survey_fig1_values(
-    n: int, ensemble: str, rng: np.random.Generator, threads: int
-) -> np.ndarray:
+def _survey_fig1_values(n: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:
     # the value columns of survey_fig1, without building a record per state
     mats, _ = _sample_stack(n, ensemble, rng)
-    return _fig1_kernel(mats, validate_density_stack(mats), threads)
+    return _fig1_kernel(mats, validate_density_stack(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +447,7 @@ def _smeared_povm(basis) -> Povm:
                          for v in basis.vectors))
 
 
-def soundness_audit(states, threads: int = 1) -> dict[str, float]:
+def soundness_audit(states) -> dict[str, float]:
     """Max violation of every implemented discrete witness over a state batch.
 
     Covers both pair-conditional directions (X/Z), the pair symmetric MI
@@ -461,22 +455,18 @@ def soundness_audit(states, threads: int = 1) -> dict[str, float]:
     the modular sum/difference witness, and a smeared-POVM conditional pair
     (elements (1-eta) P_i + eta I/2, eta = 0.2) exercising the operator-norm
     bound. On separable inputs every returned value should be <= 0 up to
-    1e-9. `threads` >= 1 caps the worker threads.
+    1e-9. Runs on one thread.
     """
-    _count(threads, "threads")
-    return _soundness_audit(_two_qubit_stack(states, "soundness audit"), threads)
+    return _soundness_audit(_two_qubit_stack(states, "soundness audit"))
 
 
-def _soundness_audit(mats: np.ndarray, threads: int = 1) -> dict[str, float]:
+def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     # mats: validated (n, 4, 4) two-qubit states
     trip = _mub_matrices(2)
-    # the X/Z pair bounds (conditional, symmetric and sum/difference) are
-    # exactly 1 bit; computed from overlap_omega(X, Z) = 2.0000000000000004
-    # they would read 1.0000000000000002 or 0.9999999999999997
-    bound_xz = 1.0
+    x_basis, _, z_basis = pauli_bases()
+    bound_xz = math.log2(_pair_omega(x_basis, z_basis))   # the X/Z pair bounds
     bound_c3 = sanchez_ruiz_bound(2)
     bound_m3 = _mub_mi_bound(2, bound_c3)
-    x_basis, _, z_basis = pauli_bases()
     povm_x = _smeared_povm(x_basis)
     povm_z = _smeared_povm(z_basis)
     bound_povm = math.log2(_pair_omega(povm_x, povm_z))
@@ -502,7 +492,7 @@ def _soundness_audit(mats: np.ndarray, threads: int = 1) -> dict[str, float]:
             "povm_pair_conditional_BtoA": bound_povm - _conditional_sum(hv_joint, hv_b),
         }
 
-    parts = _parallel_map(block, _blocks(len(mats)), threads)
+    parts = [block(idx) for idx in _blocks(len(mats))]
     return {
         name: float(np.concatenate([part[name] for part in parts]).max())
         for name in parts[0]

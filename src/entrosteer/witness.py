@@ -24,6 +24,7 @@ from .infotheory import _modular_entropies, shannon_entropy
 from .measure import (
     SET_CACHE_SIZE,
     ProjectiveBasis,
+    _pair_stacks,
     _set_statistics,
     as_povm,
     is_mub_set,
@@ -216,9 +217,8 @@ def sumdiff_discrete(
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
     pairs = ((r_a, r_b), (s_a, s_b))
-    p, _ = _set_statistics(rho, pairs)
-    shapes = [(len(as_povm(a).elements), len(as_povm(b).elements)) for a, b in pairs]
-    lhs = float(_left_sum(_modular_entropies(p, shapes, signs)))
+    p, _ = _set_statistics(rho, pairs)   # checks the measurements first
+    lhs = float(_left_sum(_modular_entropies(p, _pair_stacks(pairs)[4], signs)))
     omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
     bound = math.log2(omega)
     return WitnessReport("sumdiff_discrete", "symmetric", lhs, bound, bound - lhs)

@@ -108,7 +108,7 @@ def test_03_qubit_mub_mi_bound_and_singlet():
 def test_04_fig1_survey_dominance_and_quadrant():
     t0 = time.perf_counter()
     states, _ = sample_ensemble(10_000, "mixed", np.random.default_rng(SEED))
-    recs = survey_fig1_states(states, threads=2)
+    recs = survey_fig1_states(states)
     v_c = np.array([r.v_conditional_AtoB for r in recs])
     v_m = np.array([r.v_symmetric for r in recs])
     dominance = bool(np.all(v_c >= v_m - 1e-12))
@@ -151,7 +151,7 @@ def test_06_separable_audit():
     t0 = time.perf_counter()
     states = separable_sample(10_000, 4, np.random.default_rng(SEED + 2))
     ppt_ok = ppt_min_eigenvalue(states) >= -1e-12
-    audit = soundness_audit(states, threads=2)
+    audit = soundness_audit(states)
     worst = max(audit.values())
     dt = time.perf_counter() - t0
     ok = ppt_ok and worst <= 1e-9 and dt < 120.0

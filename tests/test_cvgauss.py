@@ -49,6 +49,16 @@ class TestGaussianState:
         with pytest.raises(ValueError):
             GaussianState(0.5 * np.eye(3))
 
+    def test_rejects_complex(self):
+        # the imaginary part was dropped with a ComplexWarning, and the state
+        # was accepted
+        with pytest.raises(ValueError, match="^covariance has a nonzero imaginary part$"):
+            GaussianState(0.5 * np.eye(4) + 1j * np.eye(4))
+
+    def test_complex_with_zero_imaginary_part_is_taken_as_real(self):
+        state = GaussianState(0.5 * np.eye(4).astype(complex))
+        assert state.cov.dtype == float and np.array_equal(state.cov, 0.5 * np.eye(4))
+
     @pytest.mark.parametrize("r", [8.0, 10.0, 12.0])
     def test_highly_squeezed_state_is_physical(self, r):
         # a pure state's zero eigenvalue rounds to about -1e-9 at r = 8, below

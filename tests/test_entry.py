@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrosteer
+from entrosteer.cvgauss import TMSV_R_MAX
 
 BLAS = "OPENBLAS_NUM_THREADS"
 
@@ -280,6 +281,35 @@ def _witness(name):
     return call
 
 
+# the continuous-variable inputs: covariances near the vacuum, a thermal
+# state, a two-mode squeezed vacuum and an unphysical matrix (entries below 1.7,
+# so that `_near`'s huge scale stays finite)
+_COVARIANCES = [0.5 * np.eye(4), 1.5 * np.eye(4), entrosteer.tmsv(0.5).cov, 0.1 * np.eye(4)]
+_GAUSSIANS = [entrosteer.GaussianState(c) for c in _COVARIANCES[:3]] + [
+    entrosteer.tmsv(0.0), entrosteer.tmsv(TMSV_R_MAX), entrosteer.tmsv(7.0)]
+
+
+def _covariance(draw):
+    """A drawn covariance: a `_near` variant of one of `_COVARIANCES`, at times
+    with an imaginary part added, zero or not."""
+    cov = draw(_near(draw(st.sampled_from(_COVARIANCES))))
+    if draw(st.booleans()):
+        cov = cov + 1j * draw(st.sampled_from([0.0, 5e-324, 0.5]))
+    return cov
+
+
+def _gaussian(draw):
+    """Mostly a Gaussian state, a two-mode squeezed vacuum of drawn squeezing
+    (past the usable range at times) or one of `_GAUSSIANS`; at times a state
+    of another type or a bare covariance."""
+    kind = draw(st.sampled_from(["tmsv"] * 3 + ["fixed"] * 2 + ["other"]))
+    if kind == "tmsv":
+        return entrosteer.tmsv(draw(st.floats(0.0, 8.0)))
+    if kind == "fixed":
+        return draw(st.sampled_from(_GAUSSIANS))
+    return draw(st.sampled_from([entrosteer.werner_state(0.5), _COVARIANCES[0], None]))
+
+
 # entry point -> a call of it whose arguments come from Hypothesis' `data.draw`
 _CALLS = {
     "DensityMatrix": lambda d: entrosteer.DensityMatrix(
@@ -314,17 +344,21 @@ _CALLS = {
         d(_counts(3)), d(_counts(3)), d(_counts(4)), _rng()),
     "mub_set": lambda d: entrosteer.mub_set(d(_counts(4))),
     # at most 4 states, 3 trials and 2 threads per call
-    "survey_fig1": lambda d: entrosteer.survey_fig1(
-        d(_counts(4)), d(_ENSEMBLES), _rng(), threads=d(_counts(2))),
+    "survey_fig1": lambda d: entrosteer.survey_fig1(d(_counts(4)), d(_ENSEMBLES), _rng()),
     "survey_fig2": lambda d: entrosteer.survey_fig2(
         d(_counts(4)), d(_ENSEMBLES), d(_counts(3)), _rng(), threads=d(_counts(2))),
     "basis_sweep": lambda d: entrosteer.basis_sweep(d(_STATES), d(_counts(4)), _rng()),
-    "soundness_audit": lambda d: entrosteer.soundness_audit(
-        d(st.lists(_STATES, max_size=3)), threads=d(_counts(2))),
+    "soundness_audit": lambda d: entrosteer.soundness_audit(d(st.lists(_STATES, max_size=3))),
     "threshold_bisect": lambda d: entrosteer.threshold_bisect(
         d(_FAMILIES), d(_VALUES), d(_VALUES), d(_VALUES)),
     **{name: _witness(name) for name in ("pair_conditional", "pair_symmetric_mi",
                                          "sumdiff_discrete", "mub_conditional", "mub_mi")},
+    "GaussianState": lambda d: entrosteer.GaussianState(_covariance(d)),
+    "tmsv": lambda d: entrosteer.tmsv(d(_VALUES | st.floats(0.0, 400.0))),
+    "symplectic_eigenvalues": lambda d: entrosteer.symplectic_eigenvalues(_gaussian(d)),
+    "walborn_cv": lambda d: entrosteer.walborn_cv(_gaussian(d), d(_DIRECTIONS)),
+    "reid_sumdiff_cv": lambda d: entrosteer.reid_sumdiff_cv(_gaussian(d), d(_SIGNS)),
+    "entropic_sumdiff_cv": lambda d: entrosteer.entropic_sumdiff_cv(_gaussian(d), d(_SIGNS)),
 }
 
 

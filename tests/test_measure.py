@@ -657,7 +657,7 @@ class TestOneTimeWork:
         with pytest.raises(ValueError):
             x.vectors[0, 0] = 0.0
         # the cached element stacks are shared by every later call on the set
-        _, f_stack, g_stack, _ = measure._pair_stacks(((x, smeared),))
+        _, f_stack, g_stack, _, _ = measure._pair_stacks(((x, smeared),))
         assert not f_stack.flags.writeable and not g_stack.flags.writeable
 
 
@@ -693,6 +693,14 @@ class TestOverlapOmega:
     def test_mub_pair_reaches_dimension(self, d):
         bases = mub_set(d)
         assert abs(overlap_omega(bases[0], bases[1]) - d) < 1e-9
+
+    def test_clipped_to_its_documented_range(self):
+        # rounded overlaps gave 2.0000000000000004 for X/Z and 7 + 1.8e-15
+        # for a d = 7 MUB pair, outside [1, dim]
+        x, _, z = pauli_bases()
+        assert overlap_omega(x, z) == 2.0
+        bases = mub_set(7)
+        assert overlap_omega(bases[0], bases[1]) == 7.0
 
     def test_symmetric(self, rng):
         r, s = random_basis(rng, 4), random_basis(rng, 4)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -28,7 +29,12 @@ from entrosteer import (
     von_neumann_entropy,
     werner_state,
 )
-from entrosteer.montecarlo import _fig1_kernel, _soundness_audit, _worker_count
+from entrosteer.montecarlo import (
+    _fig1_kernel,
+    _soundness_audit,
+    _survey_fig1_values,
+    _worker_count,
+)
 
 AUDIT_KEYS = {
     "pair_conditional_AtoB",
@@ -115,11 +121,6 @@ class TestSurveyFig1:
         recs = survey_fig1(300, "mixed", np.random.default_rng(9))
         for rec in recs:
             assert rec.v_conditional_AtoB >= rec.v_symmetric - 1e-12
-
-    def test_thread_count_does_not_change_results(self):
-        a = survey_fig1(150, "mixed", np.random.default_rng(10), threads=1)
-        b = survey_fig1(150, "mixed", np.random.default_rng(10), threads=3)
-        assert a == b
 
     def test_pure_ensemble_purity_is_one(self):
         recs = survey_fig1(20, "pure", np.random.default_rng(11))
@@ -325,9 +326,19 @@ class TestSoundnessAudit:
 
     def test_separable_states_never_violate(self):
         states = separable_sample(400, 4, np.random.default_rng(61))
-        audit = soundness_audit(states, threads=2)
+        audit = soundness_audit(states)
         for name, worst in audit.items():
             assert worst <= 1e-9, name
+
+    def test_xz_bound_is_the_pair_witness_bound(self):
+        # the singlet's X/Z conditional sums are exactly 0 in the audit, so
+        # its two values are the bound itself; log2 of an unclipped
+        # overlap_omega(X, Z) read 1.0000000000000002
+        rho = singlet_state().to_density()
+        audit = soundness_audit([rho])
+        x, _, z = pauli_bases()
+        bound = pair_conditional(rho, x, z, x, z).bound_bits
+        assert audit["pair_conditional_AtoB"] == audit["pair_conditional_BtoA"] == bound == 1.0
 
     def test_values_match_public_witnesses(self):
         rho = werner_state(0.9)
@@ -412,7 +423,7 @@ def _one_bad_state(fault):
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda mats: _fig1_kernel(mats, np.full((len(mats), 4), 0.25), threads=1),
+        lambda mats: _fig1_kernel(mats, np.full((len(mats), 4), 0.25)),
         lambda mats: _soundness_audit(mats),
     ],
     ids=["fig1", "audit"],
@@ -423,21 +434,22 @@ def test_survey_kernels_run_the_probability_checks(kernel, fault, message):
 
 
 class TestThreadCounts:
-    """`threads` is a count >= 1, checked before anything is drawn from the
-    caller's generator."""
+    """`survey_fig2`, the one survey with a thread pool, takes `threads`: a
+    count >= 1, checked before anything is drawn from the caller's generator.
+    The others run on one thread and take no `threads` at all."""
 
-    @staticmethod
-    def _call(entry, rng, threads):
-        states = [werner_state(0.5)]
-        return {
-            "survey_fig1": lambda: survey_fig1(3, "mixed", rng, threads=threads),
-            "survey_fig1_states": lambda: survey_fig1_states(states, threads=threads),
-            "survey_fig2": lambda: survey_fig2(2, "mixed", 3, rng, threads=threads),
-            "soundness_audit": lambda: soundness_audit(states, threads=threads),
-        }[entry]()
+    _CALLS = {"survey_fig2": lambda rng, threads: survey_fig2(2, "mixed", 3, rng, threads=threads)}
 
-    @pytest.mark.parametrize("entry", ["survey_fig1", "survey_fig1_states", "survey_fig2",
-                                       "soundness_audit"])
+    def _call(self, entry, rng, threads):
+        return self._CALLS[entry](rng, threads)
+
+    @pytest.mark.parametrize("entry", [survey_fig1, survey_fig1_states, soundness_audit,
+                                       _survey_fig1_values, _fig1_kernel, _soundness_audit],
+                             ids=lambda entry: entry.__name__)
+    def test_serial_surveys_take_no_thread_count(self, entry):
+        assert "threads" not in inspect.signature(entry).parameters
+
+    @pytest.mark.parametrize("entry", sorted(_CALLS))
     @pytest.mark.parametrize("threads,error,message", [
         (0, ValueError, "threads must be >= 1, got 0"),
         (-5, ValueError, "threads must be >= 1, got -5"),
@@ -452,7 +464,7 @@ class TestThreadCounts:
             self._call(entry, rng, threads)
         assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("entry", ["survey_fig1", "survey_fig2"])
+    @pytest.mark.parametrize("entry", sorted(_CALLS))
     def test_numpy_integer_threads_run(self, entry):
         a = self._call(entry, np.random.default_rng(5), np.int64(2))
         assert a == self._call(entry, np.random.default_rng(5), 1)

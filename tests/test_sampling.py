@@ -144,7 +144,7 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble):
     monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(montecarlo, "validate_density_stack", counted_validate)
-    records = survey_fig1(50, ensemble, np.random.default_rng(64), threads=2)
+    records = survey_fig1(50, ensemble, np.random.default_rng(64))
     assert len(records) == 50
     assert calls == {"objects": 0, "eigvalsh": [(50, 4, 4)], "stacks": [(50, 4, 4)]}
 
