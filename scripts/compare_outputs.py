@@ -126,6 +126,9 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
             "--seed", "8", "--threads", "2", "--out", "OUT.json")
     add("separable-audit-one-thread", "separable-audit", "--n", "5000", "--seed", "9",
         "--threads", "1", "--out", "OUT.json")
+    # seed 7 draws more product terms than the expected n * (k_max + 1) / 2
+    add("separable-audit-many-terms", "separable-audit", "--n", "10000", "--seed", "7",
+        "--out", "OUT.json")
     add("version", "--version")
     add("help", "--help")
     for command in COMMANDS:

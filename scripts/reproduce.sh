@@ -6,7 +6,7 @@
 #
 # Desk scale (default) finishes in a couple of minutes. --full bumps the
 # surveys to publication scale (1e5-state scatter, 5e3-state basis search)
-# and can take a few hours on one machine; raise --threads to taste.
+# and can take a few hours on one machine. Only fig2 runs on THREADS threads.
 #
 # Every run is seeded, so re-running the script reproduces the data files
 # byte for byte. Override the seed with ENTROSTEER_SEED or edit SEED below.
@@ -40,9 +40,9 @@ $RUN werner-threshold --settings 2 --tol 1e-6 --seed "$SEED" \
 $RUN werner-threshold --settings 3 --tol 1e-6 --seed "$SEED" \
     --out "$OUTDIR/threshold_mub.json"
 
-$RUN fig1 --ensemble mixed --n "$FIG1_N" --seed "$SEED" --threads "$THREADS" \
+$RUN fig1 --ensemble mixed --n "$FIG1_N" --seed "$SEED" \
     --out "$OUTDIR/fig1_mixed.csv"
-$RUN fig1 --ensemble pure --n "$FIG1_N" --seed "$SEED" --threads "$THREADS" \
+$RUN fig1 --ensemble pure --n "$FIG1_N" --seed "$SEED" \
     --out "$OUTDIR/fig1_pure.csv"
 
 $RUN fig2 --ensemble mixed --n "$FIG2_N" --trials "$FIG2_TRIALS" --seed "$SEED" \
@@ -58,6 +58,6 @@ $RUN cv-scan --r-min 0 --r-max 2 --steps 41 --seed "$SEED" \
     --out "$OUTDIR/cv_scan.csv"
 
 $RUN separable-audit --n "$AUDIT_N" --k-max 4 --seed "$SEED" \
-    --threads "$THREADS" --out "$OUTDIR/separable_audit.json"
+    --out "$OUTDIR/separable_audit.json"
 
 echo "done; manifests sit next to each artifact"

@@ -63,12 +63,12 @@ AUDIT_TOL = 1e-9
 # sizes and from tracemalloc peaks (Python 3.11, numpy 2.4): per state for fig1
 # and fig2, per basis-set draw for sweep, per grid point for cv-scan. JSON
 # output adds _JSON_ROW_BYTES per table row. A separable-audit state costs
-# _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per expected product term, and each
-# fig2 state in flight holds the working set of one trial chunk plus
+# _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per term slot (k_max per state), and
+# each fig2 state in flight holds the working set of one trial chunk plus
 # _TRIAL_BYTES per trial.
 _JSON_ROW_BYTES = 1280
-_AUDIT_STATE_BYTES = 1024
-_AUDIT_TERM_BYTES = 640
+_AUDIT_STATE_BYTES = 2048
+_AUDIT_TERM_BYTES = 512
 _TRIAL_CHUNK_BYTES = 3 * 2**20
 _TRIAL_BYTES = 32
 
@@ -121,6 +121,10 @@ class _Options:
         size."""
         return 0
 
+    def threads_used(self, config: RunConfig) -> int:
+        """Worker threads a run starts: one, except for fig2."""
+        return 1
+
 
 @dataclass(frozen=True)
 class Fig1Options(_Options):
@@ -137,10 +141,12 @@ class Fig2Options(_Options):
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
     trials: int = _option(500, "basis-set draws per state")
 
-    def peak_bytes(self, config):
-        in_flight = _worker_count(config.threads, self.n, os.cpu_count())
+    def threads_used(self, config):
+        return _worker_count(config.threads, self.n, os.cpu_count())   # as survey_fig2 does
+
+    def peak_bytes(self, config):   # each thread holds one state in flight
         return (_table_bytes(config, self.n, 2048)
-                + in_flight * (_TRIAL_CHUNK_BYTES + self.trials * _TRIAL_BYTES))
+                + self.threads_used(config) * (_TRIAL_CHUNK_BYTES + self.trials * _TRIAL_BYTES))
 
 
 @dataclass(frozen=True)
@@ -204,8 +210,7 @@ class SeparableAuditOptions(_Options):
     k_max: int = _option(4, "max product terms per mixture")
 
     def peak_bytes(self, config):
-        terms = self.n * (self.k_max + 1) // 2
-        return self.n * _AUDIT_STATE_BYTES + terms * _AUDIT_TERM_BYTES
+        return self.n * _AUDIT_STATE_BYTES + self.n * self.k_max * _AUDIT_TERM_BYTES
 
 
 @dataclass
@@ -318,7 +323,7 @@ def _write_manifest(config: RunConfig, wall_s: float, blas_threads_defaulted: bo
         "seed": config.seed,
         "parameters": asdict(config.options),
         "format": config.format,
-        "threads": config.threads,
+        "threads": config.options.threads_used(config),
         "versions": {"entrosteer": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         # BLAS threading is fixed when numpy loads; the data bytes do not

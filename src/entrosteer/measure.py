@@ -368,8 +368,8 @@ def povm_omega(f: Povm, g: Povm) -> float:
     for smeared qubit elements ``0.8 P + 0.1 I`` from the X and Z bases it
     would give an entropy-sum bound of 1.573 bits while the Z eigenstate
     achieves only 1.469 bits. Projectors are their own square roots, with
-    ``||P_i Q_j|| = |<r_i|s_j>|``, so projective POVMs reduce exactly to
-    ``overlap_omega`` of the underlying bases.
+    ``||P_i Q_j|| = |<r_i|s_j>|``, so on projective POVMs it agrees with
+    ``overlap_omega`` of the underlying bases to rounding (X/Z: 2.000000000000001).
 
     The square roots are cached on each POVM; all n_f n_g products and their
     norms come from one batched matmul and one batched SVD.

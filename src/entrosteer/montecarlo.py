@@ -60,10 +60,6 @@ class OptimizationResult:
     best_v_BtoA: float
     trials: int
     seed: int
-    # violation pair at the trial maximizing min(v_AtoB, v_BtoA); used to rank
-    # one-way-steering candidates without a second pass
-    best_joint_v_AtoB: float
-    best_joint_v_BtoA: float
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +70,6 @@ def _worker_count(threads: int, items: int, cpus: int | None) -> int:
     items, or than the machine has CPUs (`os.cpu_count()`; None if unknown,
     which leaves the other two caps)."""
     return max(1, min(threads, items, cpus or threads))
-
-
-def _parallel_map(fn, items, threads: int):
-    workers = _worker_count(threads, len(items), os.cpu_count())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None) -> np.ndarray:
@@ -251,15 +239,12 @@ def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Gener
 
 def _optimize(mat, trials: int, rng, state_id: int, seed: int) -> OptimizationResult:
     v_ab, v_ba = _directional_trial_values(mat, trials, rng)
-    i = int(np.argmax(np.minimum(v_ab, v_ba)))
     return OptimizationResult(
         state_id=state_id,
         best_v_AtoB=float(v_ab.max()),
         best_v_BtoA=float(v_ba.max()),
         trials=trials,
         seed=seed,
-        best_joint_v_AtoB=float(v_ab[i]),
-        best_joint_v_BtoA=float(v_ba[i]),
     )
 
 
@@ -267,17 +252,15 @@ def optimize_bases(
     rho: DensityMatrix,
     trials: int,
     rng: np.random.Generator,
-    state_id: int = 0,
-    seed: int = -1,
 ) -> OptimizationResult:
     """Random-search maximization of the directional full-MUB violations.
 
-    Both directions are evaluated on the same trial set. `state_id` and `seed`
-    are provenance labels recorded in the result (surveys fill them with the
-    item index and its derived integer seed; direct callers may leave them).
+    Both directions are evaluated on the same trial set. The result's
+    `state_id` and `seed` read 0 and -1: only `survey_fig2` fills them, with
+    the item index and its derived integer seed.
     """
     _equal_dims(_state(rho, "optimize_bases"), "basis search")
-    return _optimize(rho.mat, _count(trials, "trials"), rng, state_id, seed)
+    return _optimize(rho.mat, _count(trials, "trials"), rng, 0, -1)
 
 
 def survey_fig2(
@@ -305,7 +288,11 @@ def survey_fig2(
         g = np.random.Generator(bit_gen)
         return _optimize(mats[i], trials, g, i, seeds[i]), purity[i]
 
-    return _parallel_map(work, range(n), threads)
+    workers = _worker_count(threads, n, os.cpu_count())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, range(n)))
+    return [work(i) for i in range(n)]
 
 
 def basis_sweep(
@@ -373,12 +360,6 @@ def _sample_separable_stack(n: int, k_max: int, rng: np.random.Generator) -> np.
     return _separable_stack(_derived_seeds(rng, _count(n, "n")), _count(k_max, "k_max"))
 
 
-def _grown(a: np.ndarray, size: int) -> np.ndarray:
-    out = np.empty((size,) + a.shape[1:], a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     """The unvalidated (n, 4, 4) stack of `separable_sample` states.
 
@@ -391,18 +372,12 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     """
     n = len(seeds)
     counts = np.empty(n, dtype=np.intp)
-    cap = n * (k_max + 1) // 2 + 64       # terms held: the expected count, grown when full
-    weights = np.empty(cap)
-    ranks = np.empty(2 * cap, dtype=np.intp)   # factor 2t is Alice's, 2t+1 Bob's
-    draws = np.empty((2 * cap, 8))   # per factor, its (2, 2, rank) block, flat and padded
+    weights = np.empty(n * k_max)   # room for k_max terms each; only the used prefix is written
+    ranks = np.empty(2 * n * k_max, dtype=np.intp)   # factor 2t is Alice's, 2t+1 Bob's
+    draws = np.empty((2 * n * k_max, 8))   # per factor, its (2, 2, rank) block, flat and padded
     t = 0
     for i, g in enumerate(_item_streams(seeds)):
         k = int(g.integers(1, k_max + 1))
-        if t + k > cap:
-            cap += cap // 4 + k
-            weights, ranks, draws = (
-                _grown(weights, cap), _grown(ranks, 2 * cap), _grown(draws, 2 * cap)
-            )
         counts[i] = k
         weights[t : t + k] = g.dirichlet(np.ones(k))
         for f in range(2 * t, 2 * (t + k)):

@@ -284,6 +284,18 @@ class TestManifest:
         options_cls = cli._COMMANDS[argv[0]][0]
         assert parameters == {f.name: getattr(args, f.name) for f in fields(options_cls)}
 
+    @pytest.mark.parametrize("argv,threads", [
+        (["fig1", "--n", "4"], 1),
+        (["separable-audit", "--n", "4"], 1),
+        (["fig2", "--n", "1", "--trials", "5"], 1),
+        (["fig2", "--n", "4", "--trials", "5"], min(2, os.cpu_count() or 2)),
+    ], ids=["fig1", "separable-audit", "fig2-one-state", "fig2"])
+    def test_records_the_threads_used(self, tmp_path, argv, threads):
+        # not the --threads cap: fig1 and the audit run on one thread, and
+        # fig2 starts no more threads than it has states or the machine CPUs
+        assert main([*argv, "--threads", "2", "--out", str(tmp_path / "run.dat")]) == 0
+        assert json.loads((tmp_path / "run.manifest.json").read_text())["threads"] == threads
+
     def test_not_written_for_stdout(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["fig1", "--n", "5"]) == 0
@@ -484,6 +496,11 @@ class TestWernerThresholdCommand:
         code, _ = run(tmp_path, "werner-threshold", "--format", "csv")
         assert code == 2
 
+    def test_rejects_zero_tolerance(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "werner-threshold", "--tol", "0")
+        assert code == 2
+        assert capsys.readouterr().err == "error: tolerance must be positive\n"
+
 
     def test_tolerance_below_float_spacing_terminates(self):
         proc = subprocess.run(
@@ -594,6 +611,14 @@ class TestSeparableAuditCommand:
         assert len(data["max_violation"]) == 9
         assert all(v <= 1e-9 for v in data["max_violation"].values())
 
+    def test_violation_exits_1(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(cli, "_soundness_audit",
+                            lambda mats: {"pair_conditional_AtoB": 1e-6, "mub_mi": -1.0})
+        code, out = run(tmp_path, "separable-audit", "--n", "20")
+        assert code == 1
+        assert "soundness audit found a violation above 1e-09" in caplog.messages
+        assert json.loads(out.read_text())["sound"] is False
+
 
 class TestSeedResolution:
     def test_env_seed_used(self, tmp_path, monkeypatch):
@@ -673,10 +698,13 @@ class TestWorkBudget:
             ["fig1", "--n", "6000"],
             ["sweep", "--n", "6000", "--format", "json"],
             ["separable-audit", "--n", "500", "--k-max", "12"],
+            ["separable-audit", "--n", "2000", "--k-max", "1"],
+            ["separable-audit", "--n", "10000", "--k-max", "4"],
             ["fig2", "--n", "2", "--trials", "30000", "--threads", "2"],
             ["cv-scan", "--steps", "1500", "--format", "json"],
         ],
-        ids=["fig1", "sweep-json", "separable-audit", "fig2", "cv-scan-json"],
+        ids=["fig1", "sweep-json", "separable-audit", "separable-audit-k1",
+             "separable-audit-k4", "fig2", "cv-scan-json"],
     )
     def test_estimate_covers_the_traced_peak(self, tmp_path, argv):
         # every array and Python object of the run is traced; the estimate

@@ -138,6 +138,12 @@ class TestWalbornCv:
         with pytest.raises(ValueError):
             walborn_cv(tmsv(1.0), direction="both")
 
+    def test_zero_conditioning_variance_raises(self):
+        # var(x_A) = 0: the AtoB conditional variances divide by it; either
+        # the constructor or the witness refuses the state
+        with pytest.raises(ValueError):
+            walborn_cv(GaussianState(np.diag([0.0, 1e6, 0.5, 0.5])))
+
 
 class TestReidSumdiffCv:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.2])

@@ -199,13 +199,13 @@ class TestMubSet:
         for g, w in zip(got, want):
             assert np.max(np.abs(g.vectors - w.vectors)) < 1e-12
 
-    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("d", [3, 5, 7, 11])
     def test_prime_dimension_complete_sets(self, d):
         bases = mub_set(d)
         assert len(bases) == d + 1
         assert is_mub_set(bases)
 
-    @pytest.mark.parametrize("d", [1, 4, 6, 9])
+    @pytest.mark.parametrize("d", [1, 4, 6, 9, 25])
     def test_rejects_non_prime(self, d):
         with pytest.raises(ValueError):
             mub_set(d)
@@ -228,6 +228,11 @@ class TestIsMubSet:
     def test_accepts_pair(self):
         x, _, z = pauli_bases()
         assert is_mub_set([x, z])
+
+    def test_rejects_empty_and_mixed_dimensions(self):
+        x, _, _ = pauli_bases()
+        assert not is_mub_set([])
+        assert not is_mub_set([x, mub_set(3)[0]])
 
 
 class TestRotateBasis:
@@ -258,6 +263,10 @@ class TestPovm:
     def test_rejects_non_psd_element(self):
         with pytest.raises(ValueError):
             Povm(2, (np.diag([1.2, 0.0]), np.diag([-0.2, 1.0])))
+
+    def test_rejects_no_elements(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            Povm(2, ())
 
 
 class TestJointDistribution:
@@ -688,6 +697,11 @@ class TestOverlapOmega:
         assert abs(overlap_omega(x, z) - 2.0) < 1e-12
         assert abs(overlap_omega(x, y) - 2.0) < 1e-12
         assert abs(overlap_omega(x, x) - 1.0) < 1e-12
+
+    def test_rejects_dim_mismatch(self):
+        x, _, _ = pauli_bases()
+        with pytest.raises(ValueError, match="share a dimension"):
+            overlap_omega(x, mub_set(3)[0])
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_mub_pair_reaches_dimension(self, d):

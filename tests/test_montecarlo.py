@@ -154,11 +154,6 @@ class TestOptimizeBases:
         assert res.best_v_AtoB < 1e-9
         assert res.best_v_BtoA < 1e-9
 
-    def test_joint_never_beats_marginals(self):
-        res = optimize_bases(werner_state(0.7), 200, np.random.default_rng(24))
-        assert res.best_joint_v_AtoB <= res.best_v_AtoB
-        assert res.best_joint_v_BtoA <= res.best_v_BtoA
-
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             optimize_bases(werner_state(0.5), 0, np.random.default_rng(0))

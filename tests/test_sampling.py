@@ -107,12 +107,20 @@ def _separable_item(seed: int, k_max: int) -> np.ndarray:
     return m
 
 
-@pytest.mark.parametrize("k_max", [1, 4])
-def test_separable_items_replay_from_seed(k_max):
-    states = separable_sample(200, k_max, np.random.default_rng(63))
-    seeds = _derived_seeds(np.random.default_rng(63), 200)
-    for rho, seed in zip(states, seeds):
-        assert np.array_equal(rho.mat, _separable_item(seed, k_max))
+@pytest.mark.parametrize("n,k_max,seed", [
+    pytest.param(200, 1, 63, id="1"),
+    pytest.param(200, 4, 63, id="4"),
+    pytest.param(3000, 4, 12, id="4-many-terms"),
+])
+def test_separable_items_replay_from_seed(n, k_max, seed):
+    states = separable_sample(n, k_max, np.random.default_rng(seed))
+    seeds = _derived_seeds(np.random.default_rng(seed), n)
+    for rho, item_seed in zip(states, seeds):
+        assert np.array_equal(rho.mat, _separable_item(item_seed, k_max))
+    if n == 3000:
+        # the audit workload's draw: more terms than the expected count, plus slack
+        terms = sum(int(np.random.default_rng(s).integers(1, k_max + 1)) for s in seeds)
+        assert terms > n * (k_max + 1) // 2 + 64
 
 
 @pytest.mark.parametrize("sample", [sample_ensemble, survey_fig1])

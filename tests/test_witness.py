@@ -198,6 +198,11 @@ class TestMubConditional:
         with pytest.raises(ValueError, match="unbiased"):
             mub_conditional(werner_state(0.5), broken, broken)
 
+    def test_rejects_steered_basis_of_another_dimension(self, triple):
+        x, y, _ = triple
+        with pytest.raises(ValueError, match=r"steered-side \(B\) bases must all have dimension 2"):
+            mub_conditional(werner_state(0.5), triple, [x, y, mub_set(3)[0]])
+
     def test_direction_validates_correct_side(self, rng, triple):
         # BtoA steers A, so only the A-side set must be a complete MUB set
         u = random_unitary(2, rng)
