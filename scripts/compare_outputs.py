@@ -91,6 +91,12 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("fig1-stdout", "fig1", "--n", "50", "--seed", "3")
     add("fig1-two-threads", "fig1", "--n", "9000", "--seed", "12", "--threads", "2",
         "--out", "OUT.csv")
+    # fig1 runs block by block (4096 states): one full block, then one state past it
+    add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")
+    add("fig1-block-edge", "fig1", "--n", "4097", "--seed", "13", "--out", "OUT.csv")
+    add("fig1-block-edge-stdout", "fig1", "--n", "4097", "--seed", "13")
+    add("fig1-block-edge-json", "fig1", "--n", "4097", "--seed", "13", "--format", "json",
+        "--out", "OUT.json")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
     for p in ("0.3", "0.7", "0.9"):
@@ -129,6 +135,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     # seed 7 draws more product terms than the expected n * (k_max + 1) / 2
     add("separable-audit-many-terms", "separable-audit", "--n", "10000", "--seed", "7",
         "--out", "OUT.json")
+    add("separable-audit-block-edge", "separable-audit", "--n", "4097", "--k-max", "12",
+        "--seed", "13", "--out", "OUT.json")
     add("version", "--version")
     add("help", "--help")
     for command in COMMANDS:

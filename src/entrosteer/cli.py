@@ -31,20 +31,22 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .cvgauss import entropic_sumdiff_cv, reid_sumdiff_cv, tmsv, walborn_cv
 from .measure import mub_set, pauli_bases
 from .montecarlo import (
+    _BLOCK,
     BracketError,
+    _ensemble_stack,
+    _fig1_kernel,
     _ppt_min_eigenvalue,
-    _sample_separable_stack,
+    _sampled_blocks,
+    _separable_stack,
     _soundness_audit,
-    _survey_fig1_values,
     _worker_count,
     basis_sweep,
     survey_fig2,
     threshold_bisect,
 )
-from .qmat import DensityMatrix, _choice, _count, validate_density_stack, werner_state
+from .qmat import DensityMatrix, _choice, _count, werner_state
 from .witness import (
     WitnessReport,
     mub_conditional,
@@ -60,13 +62,16 @@ AUDIT_TOL = 1e-9
 
 # Peak memory per work item of each command (the constant in its options
 # record's peak_bytes), rounded up from the slope of peak RSS between two run
-# sizes and from tracemalloc peaks (Python 3.11, numpy 2.4): per state for fig1
-# and fig2, per basis-set draw for sweep, per grid point for cv-scan. JSON
-# output adds _JSON_ROW_BYTES per table row. A separable-audit state costs
-# _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per term slot (k_max per state), and
-# each fig2 state in flight holds the working set of one trial chunk plus
-# _TRIAL_BYTES per trial.
+# sizes and from tracemalloc peaks (Python 3.11, numpy 2.4): per state for fig2
+# and per block state for fig1, per basis-set draw for sweep, per grid point for
+# cv-scan. JSON output adds _JSON_ROW_BYTES per row, CSV on standard output
+# _CSV_ROW_BYTES. fig1 and separable-audit hold one _BLOCK of states and
+# _SEED_BYTES per item; an audit block state costs _AUDIT_STATE_BYTES plus
+# _AUDIT_TERM_BYTES per term slot (k_max per state), and each fig2 state in
+# flight holds the working set of one trial chunk plus _TRIAL_BYTES per trial.
 _JSON_ROW_BYTES = 1280
+_CSV_ROW_BYTES = 128
+_SEED_BYTES = 64
 _AUDIT_STATE_BYTES = 2048
 _AUDIT_TERM_BYTES = 512
 _TRIAL_CHUNK_BYTES = 3 * 2**20
@@ -131,8 +136,9 @@ class Fig1Options(_Options):
     n: int = _option(10000, "number of states")
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
 
-    def peak_bytes(self, config):
-        return _table_bytes(config, self.n, 1024)
+    def peak_bytes(self, config):   # a file takes the rows a block at a time
+        text = 0 if config.out_path else _CSV_ROW_BYTES
+        return min(self.n, _BLOCK) * 1280 + _table_bytes(config, self.n, _SEED_BYTES + text)
 
 
 @dataclass(frozen=True)
@@ -210,7 +216,8 @@ class SeparableAuditOptions(_Options):
     k_max: int = _option(4, "max product terms per mixture")
 
     def peak_bytes(self, config):
-        return self.n * _AUDIT_STATE_BYTES + self.n * self.k_max * _AUDIT_TERM_BYTES
+        return (min(self.n, _BLOCK) * (_AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
+                + self.n * _SEED_BYTES)
 
 
 @dataclass
@@ -262,12 +269,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _csv_text(header: list[str], rows: list, row_format: str) -> str:
-    """The CSV text of a table. Every table's column types are fixed by
-    construction (Python ints and floats), so one %-format per table, newline
-    included, is mapped over all rows: "%d" for ints, "%.12g" (`_fmt`) for
-    floats."""
-    return ",".join(header) + "\n" + "".join(map(row_format.__mod__, rows))
+def _csv_text(header: list[str], blocks, row_format: str):
+    """The CSV text of a table, as one chunk for the header line and one per
+    list of rows in `blocks`, each let go once its text is made. Every table's
+    column types are fixed by construction (Python ints and floats), so one
+    %-format per table, newline included, is mapped over all rows: "%d" for
+    ints, "%.12g" (`_fmt`) for floats."""
+    yield ",".join(header) + "\n"
+    yield from map(lambda rows: "".join(map(row_format.__mod__, rows)), blocks)
 
 
 def _json_ready(obj):
@@ -336,7 +345,7 @@ def _write_manifest(config: RunConfig, wall_s: float, blas_threads_defaulted: bo
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     path = _manifest_path(config.out_path)
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     log.info("manifest written to %s", path)
 
 
@@ -344,16 +353,18 @@ def _temporary_name(path: str) -> str:
     return f"{path}.{os.getpid()}.tmp"   # no two live processes share the name
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it over
-    `path`: a write that fails leaves no partial file, and a file already at
-    `path` keeps its old bytes and its permission bits. A symlink keeps
-    pointing at the file it names, and a path that is not a regular file (a
-    pipe or a device such as /dev/stdout) cannot be renamed over, so it is
-    written in place. The new file is a new inode: hard links to the old one
-    keep the old bytes, owner and group are the writer's, and the directory
-    must be writable."""
+def _write_atomic(path: str, chunks) -> None:
+    """Write the text `chunks` (an iterable of strings, read once) to a
+    temporary file beside `path`, then rename it over `path`: a chunk or a
+    write that fails leaves no partial file, and a file already at `path`
+    keeps its old bytes and its permission bits. A symlink keeps pointing at
+    the file it names, and a path that is not a regular file (a pipe or a
+    device such as /dev/stdout) cannot be renamed over, so it gets the whole
+    text in place, once made. The new file is a new inode: hard links to the
+    old one keep the old bytes, owner and group are the writer's, and the
+    directory must be writable."""
     if os.path.exists(path) and not os.path.isfile(path):
+        text = "".join(chunks)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         return
@@ -362,7 +373,7 @@ def _write_atomic(path: str, text: str) -> None:
     fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
@@ -371,17 +382,18 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, chunks) -> None:
+    # standard output gets all the text `chunks` at once: no partial table on failure
     if config.out_path:
-        _write_atomic(config.out_path, text)
+        _write_atomic(config.out_path, chunks)
         log.info("wrote %s", config.out_path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(chunks))
 
 
-def _emit_table(config: RunConfig, header: list[str], rows: list, row_format: str) -> None:
-    _emit(config, _csv_text(header, rows, row_format) if config.format == "csv"
-          else _json_text([dict(zip(header, row)) for row in rows]))
+def _emit_table(config: RunConfig, header: list[str], blocks, row_format: str) -> None:
+    _emit(config, _csv_text(header, blocks, row_format) if config.format == "csv"
+          else [_json_text([dict(zip(header, row)) for rows in blocks for row in rows])])
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +401,15 @@ def _emit_table(config: RunConfig, header: list[str], rows: list, row_format: st
 
 def _cmd_fig1(config: RunConfig, options: Fig1Options) -> int:
     rng = np.random.default_rng(config.seed)
-    vals = _survey_fig1_values(options.n, options.ensemble, rng)
-    v_ab, _, v_sym, purity = vals.T.tolist()
-    rows = list(zip(range(len(v_ab)), v_ab, v_sym, purity))
-    _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"], rows,
-                "%d,%.12g,%.12g,%.12g\n")
+
+    def rows(block):   # a block's rows; its states go when this returns
+        lo, mats, evals = block
+        v_ab, _, v_sym, purity = _fig1_kernel(mats, evals).T.tolist()
+        return list(zip(range(lo, lo + len(v_ab)), v_ab, v_sym, purity))
+
+    blocks = _sampled_blocks(options.n, rng, lambda seeds: _ensemble_stack(options.ensemble, seeds))
+    _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"],
+                map(rows, blocks), "%d,%.12g,%.12g,%.12g\n")
     return 0
 
 
@@ -401,7 +417,7 @@ def _cmd_fig2(config: RunConfig, options: Fig2Options) -> int:
     rng = np.random.default_rng(config.seed)
     pairs = survey_fig2(options.n, options.ensemble, options.trials, rng, threads=config.threads)
     rows = [(res.state_id, res.best_v_AtoB, res.best_v_BtoA, purity) for res, purity in pairs]
-    _emit_table(config, ["state_id", "best_v_AtoB", "best_v_BtoA", "purity"], rows,
+    _emit_table(config, ["state_id", "best_v_AtoB", "best_v_BtoA", "purity"], [rows],
                 "%d,%.12g,%.12g,%.12g\n")
     return 0
 
@@ -418,7 +434,7 @@ def _cmd_sweep(config: RunConfig, options: SweepOptions) -> int:
     rng = np.random.default_rng(config.seed)
     points = basis_sweep(rho, options.n, rng)
     rows = [(i, v_ab, v_ba) for i, (v_ab, v_ba) in enumerate(points)]
-    _emit_table(config, ["trial_id", "v_AtoB", "v_BtoA"], rows, "%d,%.12g,%.12g\n")
+    _emit_table(config, ["trial_id", "v_AtoB", "v_BtoA"], [rows], "%d,%.12g,%.12g\n")
     return 0
 
 
@@ -435,11 +451,12 @@ def _cmd_werner_threshold(config: RunConfig, options: WernerThresholdOptions) ->
     p_star = threshold_bisect(family, options.lo, options.hi, tol=options.tol)
     witness = "pair-conditional" if options.settings == 2 else "mub-conditional"
     # the options are settings, tol, lo and hi
-    _emit(config, _json_text({"p_star": p_star, "witness": witness, **asdict(options)}))
+    _emit(config, [_json_text({"p_star": p_star, "witness": witness, **asdict(options)})])
     return 0
 
 
 def _cmd_cv_scan(config: RunConfig, options: CvScanOptions) -> int:
+    from .cvgauss import entropic_sumdiff_cv, reid_sumdiff_cv, tmsv, walborn_cv
     r_min, r_max, steps = options.r_min, options.r_max, options.steps
     grid = np.linspace(r_min, r_max, steps) if steps > 1 else np.array([r_min])
     rows = []
@@ -447,7 +464,7 @@ def _cmd_cv_scan(config: RunConfig, options: CvScanOptions) -> int:
         g = tmsv(r)
         rows.append((r, walborn_cv(g).violation_bits, reid_sumdiff_cv(g).violation_bits,
                      entropic_sumdiff_cv(g).violation_bits))
-    _emit_table(config, ["r", "v_walborn", "v_reid", "v_entropic_sumdiff"], rows,
+    _emit_table(config, ["r", "v_walborn", "v_reid", "v_entropic_sumdiff"], [rows],
                 "%.12g,%.12g,%.12g,%.12g\n")
     return 0
 
@@ -471,21 +488,21 @@ def _eval_report(rho: DensityMatrix, witness: str, direction: str) -> WitnessRep
 def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
     rho = load_state(options.state_file)
     report = _eval_report(rho, options.witness, options.direction)
-    _emit(config, _json_text(asdict(report)))
+    _emit(config, [_json_text(asdict(report))])
     return 0
 
 
 def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> int:
     rng = np.random.default_rng(config.seed)
-    # one check of the whole sampled stack, instead of one DensityMatrix per state
-    mats = _sample_separable_stack(options.n, options.k_max, rng)
-    validate_density_stack(mats)
-    ppt_min = _ppt_min_eigenvalue(mats)
-    worst = _soundness_audit(mats)
+    # one check per sampled block; each block leaves its PPT minimum and maxima
+    parts = [(_ppt_min_eigenvalue(mats), _soundness_audit(mats)) for _, mats, _ in _sampled_blocks(
+        options.n, rng, lambda seeds: _separable_stack(seeds, options.k_max))]
+    ppt_min = min(ppt for ppt, _ in parts)
+    worst = {name: float(np.max([w[name] for _, w in parts])) for name in parts[0][1]}
     sound = all(v <= AUDIT_TOL for v in worst.values())
-    _emit(config, _json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
-                              "max_violation": worst, "tolerance": AUDIT_TOL,
-                              "sound": sound}))
+    _emit(config, [_json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
+                               "max_violation": worst, "tolerance": AUDIT_TOL,
+                               "sound": sound})])
     if not sound:
         log.error("soundness audit found a violation above %g", AUDIT_TOL)
         return 1

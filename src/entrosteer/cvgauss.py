@@ -58,7 +58,8 @@ class GaussianState:
 
     The matrix must be real, symmetric within 1e-12 and satisfy the physicality
     (uncertainty) condition cov + (i/2) Sigma >= 0, checked spectrally with an
-    eigenvalue floor of -1e-10 times the largest entry (at least -1e-10).
+    eigenvalue floor of -1e-10 times the largest entry (at least -1e-10), and
+    for each mode as det >= 1/4 within 1e-10 times its variances' product.
     """
 
     cov: np.ndarray
@@ -81,7 +82,9 @@ class GaussianState:
         # with it: a pure state's zero eigenvalue at r = 8 (entries ~4e6)
         # comes out near -1e-9
         floor = -STRUCT_TOL * max(1.0, float(np.abs(c).max()))
-        if np.linalg.eigvalsh(check).min() < floor:
+        modes = [(m[0, 0] * m[1, 1], m[0, 1] * m[1, 0]) for m in (c[:2, :2], c[2:, 2:])]
+        if np.linalg.eigvalsh(check).min() < floor or any(
+                vv - cross < 0.25 - STRUCT_TOL * vv for vv, cross in modes):
             raise ValueError("covariance violates the uncertainty condition")
         c.setflags(write=False)
         object.__setattr__(self, "cov", c)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,24 +112,31 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
     return mats
 
 
-def _sample_stack(n: int, ensemble: str, rng: np.random.Generator):
-    seeds = _derived_seeds(rng, _count(n, "n"))
-    return _ensemble_stack(ensemble, seeds), seeds
-
-
 def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
     """Sample n two-qubit states; returns (states, per-state integer seeds)."""
-    mats, seeds = _sample_stack(n, ensemble, rng)
-    return [DensityMatrix((2, 2), m) for m in mats], seeds
+    seeds = _derived_seeds(rng, _count(n, "n"))
+    return [DensityMatrix((2, 2), m) for m in _ensemble_stack(ensemble, seeds)], seeds
+
+
+def _blocks(n: int) -> list[slice]:
+    # fixed partition: bounds the working set; no item's arithmetic depends on how n splits
+    return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+
+def _sampled_blocks(n: int, rng: np.random.Generator, sample):
+    """The sampled surveys' pipeline: n item seeds, derived up front from
+    `rng`, then per `_BLOCK` of them, in turn and holding no other block, its
+    offset, its states ``sample(seeds)`` and their eigenvalues from
+    `validate_density_stack` (whose errors name indices in the whole stack)."""
+    seeds = _derived_seeds(rng, _count(n, "n"))
+    for block in _blocks(n):
+        mats = sample(seeds[block])
+        yield block.start, mats, validate_density_stack(mats, block.start)
+        del mats   # not held while the next block is sampled
 
 
 # ---------------------------------------------------------------------------
 # scatter survey (conditional vs symmetric violations, fixed Pauli triples)
-
-def _blocks(n: int) -> list[np.ndarray]:
-    # fixed partition: bounds the working set; no item's arithmetic depends on how n splits
-    return [np.arange(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-
 
 def _mub_matrices(d: int) -> np.ndarray:
     # (d+1, d, d): the unitaries whose columns are the kets of each MUB
@@ -145,21 +151,16 @@ def _purity_scaled(evals: np.ndarray) -> np.ndarray:
 
 def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """``(n, 4)`` columns v_conditional_AtoB, v_conditional_BtoA, v_symmetric
-    and purity_scaled for validated ``(n, 4, 4)`` states with ascending
-    eigenvalues ``evals``: the `mub_conditional` and `mub_mi` witnesses with
-    Pauli triples on both sides."""
+    and purity_scaled for one block (`_blocks`) of validated ``(n, 4, 4)``
+    states with ascending eigenvalues ``evals``: the `mub_conditional` and
+    `mub_mi` witnesses with Pauli triples on both sides."""
     trip = _mub_matrices(2)
     bound_c = sanchez_ruiz_bound(2)
-    bound_m = _mub_mi_bound(2, bound_c)
-
-    def block(idx):
-        h_joint, h_a, h_b = _joint_entropies(_product_joints(mats[idx], trip, trip))
-        v_ab = bound_c - _conditional_sum(h_joint, h_a)
-        v_ba = bound_c - _conditional_sum(h_joint, h_b)
-        v_sym = _mi_sum(h_joint, h_a, h_b) - bound_m
-        return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals[idx])], axis=1)
-
-    return np.concatenate([block(idx) for idx in _blocks(len(mats))], axis=0)
+    h_joint, h_a, h_b = _joint_entropies(_product_joints(mats, trip, trip))
+    v_ab = bound_c - _conditional_sum(h_joint, h_a)
+    v_ba = bound_c - _conditional_sum(h_joint, h_b)
+    v_sym = _mi_sum(h_joint, h_a, h_b) - _mub_mi_bound(2, bound_c)
+    return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals)], axis=1)
 
 
 def _records(vals: np.ndarray) -> list[SurveyRecord]:
@@ -185,22 +186,18 @@ def survey_fig1_states(states) -> list[SurveyRecord]:
     """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
     triples on both sides, for a list of two-qubit states, on one thread."""
     mats = _two_qubit_stack(states, "scatter survey")
-    return _records(_fig1_kernel(mats, np.linalg.eigvalsh(mats)))
+    evals = np.linalg.eigvalsh(mats)
+    return _records(np.concatenate([_fig1_kernel(mats[b], evals[b]) for b in _blocks(len(mats))]))
 
 
 def survey_fig1(n: int, ensemble: str, rng: np.random.Generator) -> list[SurveyRecord]:
     """Scatter survey over n sampled states (ensemble "pure" or "mixed").
 
-    The sampled stack is validated once, and the validation eigenvalues give
-    the purity column; no DensityMatrix is built per state. Runs on one thread.
+    Each sampled block is validated once, and its eigenvalues give the purity
+    column; no DensityMatrix is built per state. Runs on one thread.
     """
-    return _records(_survey_fig1_values(n, ensemble, rng))
-
-
-def _survey_fig1_values(n: int, ensemble: str, rng: np.random.Generator) -> np.ndarray:
-    # the value columns of survey_fig1, without building a record per state
-    mats, _ = _sample_stack(n, ensemble, rng)
-    return _fig1_kernel(mats, validate_density_stack(mats))
+    blocks = _sampled_blocks(n, rng, lambda seeds: _ensemble_stack(ensemble, seeds))
+    return _records(np.concatenate([_fig1_kernel(mats, evals) for _, mats, evals in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +287,7 @@ def survey_fig2(
 
     workers = _worker_count(threads, n, os.cpu_count())
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor   # not loaded for the serial commands
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, range(n)))
     return [work(i) for i in range(n)]
@@ -353,11 +351,8 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
     """n separable two-qubit states: convex mixtures of at most k_max product
     states with Dirichlet-uniform weights and random single-qubit factors
     (rank 1 or 2, so pure-product boundary cases are included)."""
-    return [DensityMatrix((2, 2), m) for m in _sample_separable_stack(n, k_max, rng)]
-
-
-def _sample_separable_stack(n: int, k_max: int, rng: np.random.Generator) -> np.ndarray:
-    return _separable_stack(_derived_seeds(rng, _count(n, "n")), _count(k_max, "k_max"))
+    mats = _separable_stack(_derived_seeds(rng, _count(n, "n")), _count(k_max, "k_max"))
+    return [DensityMatrix((2, 2), m) for m in mats]
 
 
 def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
@@ -432,11 +427,14 @@ def soundness_audit(states) -> dict[str, float]:
     bound. On separable inputs every returned value should be <= 0 up to
     1e-9. Runs on one thread.
     """
-    return _soundness_audit(_two_qubit_stack(states, "soundness audit"))
+    mats = _two_qubit_stack(states, "soundness audit")
+    parts = [_soundness_audit(mats[b]) for b in _blocks(len(mats))]
+    return {name: float(np.max([part[name] for part in parts])) for name in parts[0]}
 
 
 def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
-    # mats: validated (n, 4, 4) two-qubit states
+    # each witness's largest value over one block (`_blocks`) of validated
+    # (n, 4, 4) two-qubit states
     trip = _mub_matrices(2)
     x_basis, _, z_basis = pauli_bases()
     bound_xz = math.log2(_pair_omega(x_basis, z_basis))   # the X/Z pair bounds
@@ -446,29 +444,22 @@ def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     povm_z = _smeared_povm(z_basis)
     bound_povm = math.log2(_pair_omega(povm_x, povm_z))
 
-    def block(idx):
-        p = _product_joints(mats[idx], trip, trip)       # (s, 3, 2, 2): X, Y, Z
-        h_joint, h_a, h_b = _joint_entropies(p)
-        hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
-        h_mod = _modular_entropies(p[:, ::2], [(2, 2)] * 2, ("plus", "minus"))
-        hv_joint, hv_a, hv_b = _joint_entropies(np.stack(
-            [_povm_joints(mats[idx], povm.stacked, povm.stacked) for povm in (povm_x, povm_z)],
-            axis=1,
-        ))
-        return {
-            "pair_conditional_AtoB": bound_xz - _conditional_sum(hp_joint, hp_a),
-            "pair_conditional_BtoA": bound_xz - _conditional_sum(hp_joint, hp_b),
-            "pair_symmetric_mi": _mi_sum(hp_joint, hp_a, hp_b) - bound_xz,
-            "mub_conditional_AtoB": bound_c3 - _conditional_sum(h_joint, h_a),
-            "mub_conditional_BtoA": bound_c3 - _conditional_sum(h_joint, h_b),
-            "mub_mi": _mi_sum(h_joint, h_a, h_b) - bound_m3,
-            "sumdiff_discrete": bound_xz - _left_sum(h_mod),
-            "povm_pair_conditional_AtoB": bound_povm - _conditional_sum(hv_joint, hv_a),
-            "povm_pair_conditional_BtoA": bound_povm - _conditional_sum(hv_joint, hv_b),
-        }
-
-    parts = [block(idx) for idx in _blocks(len(mats))]
-    return {
-        name: float(np.concatenate([part[name] for part in parts]).max())
-        for name in parts[0]
+    p = _product_joints(mats, trip, trip)       # (s, 3, 2, 2): X, Y, Z
+    h_joint, h_a, h_b = _joint_entropies(p)
+    hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
+    h_mod = _modular_entropies(p[:, ::2], [(2, 2)] * 2, ("plus", "minus"))
+    hv_joint, hv_a, hv_b = _joint_entropies(np.stack(
+        [_povm_joints(mats, povm.stacked, povm.stacked) for povm in (povm_x, povm_z)], axis=1,
+    ))
+    values = {
+        "pair_conditional_AtoB": bound_xz - _conditional_sum(hp_joint, hp_a),
+        "pair_conditional_BtoA": bound_xz - _conditional_sum(hp_joint, hp_b),
+        "pair_symmetric_mi": _mi_sum(hp_joint, hp_a, hp_b) - bound_xz,
+        "mub_conditional_AtoB": bound_c3 - _conditional_sum(h_joint, h_a),
+        "mub_conditional_BtoA": bound_c3 - _conditional_sum(h_joint, h_b),
+        "mub_mi": _mi_sum(h_joint, h_a, h_b) - bound_m3,
+        "sumdiff_discrete": bound_xz - _left_sum(h_mod),
+        "povm_pair_conditional_AtoB": bound_povm - _conditional_sum(hv_joint, hv_a),
+        "povm_pair_conditional_BtoA": bound_povm - _conditional_sum(hv_joint, hv_b),
     }
+    return {name: float(v.max()) for name, v in values.items()}

@@ -18,16 +18,16 @@ import numpy as np
 STRUCT_TOL = 1e-10
 
 
-# each check below reduces the whole stack first and looks for the index only
-# on failure, which keeps a stack of one as cheap as a single matrix
-def _raise_at(bad: np.ndarray, message: str) -> None:
+# each check below reduces the whole stack first and looks for the index (plus
+# a block's `offset`) only on failure: a stack of one costs what a matrix does
+def _raise_at(bad: np.ndarray, message: str, offset: int = 0) -> None:
     i = int(np.argmax(bad))
-    if bad.size > 1:
-        message += f" (stack index {i})"
+    if bad.size > 1 or offset:
+        message += f" (stack index {offset + i})"
     raise ValueError(message)
 
 
-def _check_entries(a: np.ndarray, what: str) -> None:
+def _check_entries(a: np.ndarray, what: str, offset: int = 0) -> None:
     """Raise unless the ``(n, ...)`` stack `a` has entries, each finite and at
     most 2 in size (valid ones are at most 1), before any sum can overflow."""
     if not a.size:
@@ -36,27 +36,28 @@ def _check_entries(a: np.ndarray, what: str) -> None:
     if not size.max() <= 2.0:
         finite = np.isfinite(size).all(axis=1)
         if finite.all():
-            _raise_at(size.max(axis=1) > 2.0, f"{what} has an entry of size above 2")
-        _raise_at(~finite, f"{what} contains non-finite entries")
+            _raise_at(size.max(axis=1) > 2.0, f"{what} has an entry of size above 2", offset)
+        _raise_at(~finite, f"{what} contains non-finite entries", offset)
 
 
-def _hermitian_stack(mats: np.ndarray, what: str) -> None:
+def _hermitian_stack(mats: np.ndarray, what: str, offset: int = 0) -> None:
     """`_check_entries`, then Hermiticity within 1e-10, of an ``(n, D, D)`` stack."""
-    _check_entries(mats, what)
+    _check_entries(mats, what, offset)
     asym = np.abs(mats - mats.conj().swapaxes(-1, -2))
     if not asym.max() <= STRUCT_TOL:
-        _raise_at(~(asym.max(axis=(-2, -1)) <= STRUCT_TOL), f"{what} is not Hermitian within 1e-10")
+        _raise_at(~(asym.max(axis=(-2, -1)) <= STRUCT_TOL),
+                  f"{what} is not Hermitian within 1e-10", offset)
 
 
-def _floored_eigenvalues(mats: np.ndarray, what: str) -> np.ndarray:
+def _floored_eigenvalues(mats: np.ndarray, what: str, offset: int = 0) -> np.ndarray:
     """One batched ``eigvalsh`` of a Hermitian stack, checked to be >= -1e-10."""
     evals = np.linalg.eigvalsh(mats)
     if not evals[:, 0].min() >= -STRUCT_TOL:
-        _raise_at(~(evals[:, 0] >= -STRUCT_TOL), f"{what} has an eigenvalue below -1e-10")
+        _raise_at(~(evals[:, 0] >= -STRUCT_TOL), f"{what} has an eigenvalue below -1e-10", offset)
     return evals
 
 
-def validate_density_stack(mats: np.ndarray) -> np.ndarray:
+def validate_density_stack(mats: np.ndarray, offset: int = 0) -> np.ndarray:
     """Check a stack of density matrices at once; return their eigenvalues.
 
     Parameters
@@ -75,15 +76,17 @@ def validate_density_stack(mats: np.ndarray) -> np.ndarray:
         The checks run over the whole stack in this order: finite entries at
         most 2 in size, Hermitian and unit trace within 1e-10, no eigenvalue
         below -1e-10. The first check that fails names its lowest failing
-        index (a stack of one gets the bare message, as ``DensityMatrix``).
+        index, counted from `offset` when `mats` is a block of a larger stack
+        (a whole stack of one gets the bare message, as ``DensityMatrix``).
     """
-    _hermitian_stack(mats, "density matrix")
+    _hermitian_stack(mats, "density matrix", offset)
     tr = np.trace(mats, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if off.max() > STRUCT_TOL:   # finite: the entries are bounded
         i = int(np.argmax(off > STRUCT_TOL))
-        _raise_at(off > STRUCT_TOL, f"density matrix trace {tr[i]} differs from 1 beyond 1e-10")
-    return _floored_eigenvalues(mats, "density matrix")
+        _raise_at(off > STRUCT_TOL, f"density matrix trace {tr[i]} differs from 1 beyond 1e-10",
+                  offset)
+    return _floored_eigenvalues(mats, "density matrix", offset)
 
 
 def _count(value, name: str, low: int = 1, high: float = float("inf")) -> int:

@@ -5,6 +5,8 @@ the vectorized implementations are checked against something dumber than
 themselves.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,16 @@ def loop_violation(witness, rho, *meas, direction="AtoB", signs=("plus", "minus"
         lhs = loop_modular_entropy(p_r, signs[0]) + loop_modular_entropy(p_s, signs[1])
         return np.log2(omega) - lhs
     raise ValueError(f"no loop oracle for {witness}")
+
+
+def tmsv_violations(r):
+    """Closed-form violations of the CV witnesses on the two-mode squeezed
+    vacuum tmsv(r), by witness name. walborn_cv, in either direction, is
+    log2(cosh 2r), from the conditional variances 1 / (2 cosh 2r);
+    reid_sumdiff_cv is 1/4 - e^{-4r} and entropic_sumdiff_cv 2r log2(e) - 1,
+    from the sum/difference variances e^{-2r}."""
+    return {
+        "walborn_cv": math.log2(math.cosh(2.0 * r)),
+        "reid_sumdiff_cv": 0.25 - math.exp(-4.0 * r),
+        "entropic_sumdiff_cv": 2.0 * r / math.log(2.0) - 1.0,
+    }

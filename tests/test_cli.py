@@ -55,9 +55,10 @@ class TestCsvText:
         tables = []
         csv_text = cli._csv_text
 
-        def spy(header, rows, row_format):
+        def spy(header, blocks, row_format):
+            rows = [row for block in blocks for row in block]
             tables.append((header, rows))
-            return csv_text(header, rows, row_format)
+            return csv_text(header, [rows], row_format)
 
         monkeypatch.setattr(cli, "_csv_text", spy)
         for argv in (["fig1", "--n", "30", "--ensemble", "pure"], ["fig1", "--n", "30"],
@@ -84,7 +85,7 @@ class TestCsvText:
             ",".join(cli._fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
             for row in rows
         )
-        assert cli._csv_text(header, rows, "%d,%.12g,%.12g,%.12g\n") == expected
+        assert "".join(cli._csv_text(header, [rows], "%d,%.12g,%.12g,%.12g\n")) == expected
 
 
 def _state_doc(dims, n):
@@ -620,6 +621,94 @@ class TestSeparableAuditCommand:
         assert json.loads(out.read_text())["sound"] is False
 
 
+class TestBlockPipeline:
+    """fig1 and separable-audit sample, check and evaluate one block of states
+    (`montecarlo._BLOCK`, 4096) at a time, from seeds all derived up front."""
+
+    @staticmethod
+    def spy_sampler(monkeypatch, sampler, bad=-1):
+        # records each block's size; the state at global index `bad` gets trace 1.1
+        sample, sizes = getattr(cli, sampler), []
+
+        def spied(*args):
+            mats = sample(*args)
+            lo = sum(sizes)
+            sizes.append(len(mats))
+            if lo <= bad < lo + len(mats):
+                mats[bad - lo] *= 1.1
+            return mats
+
+        monkeypatch.setattr(cli, sampler, spied)
+        return sizes
+
+    @pytest.mark.parametrize("argv,sampler,bad,sizes", [
+        (["fig1", "--n", "5000", "--out", "OUT"], "_ensemble_stack", 4100, [4096, 904]),
+        (["fig1", "--n", "5000", "--out", "OLD"], "_ensemble_stack", 4100, [4096, 904]),
+        (["fig1", "--n", "5000"], "_ensemble_stack", 4100, [4096, 904]),
+        (["separable-audit", "--n", "4097", "--out", "OUT"], "_separable_stack", 4096,
+         [4096, 1]),
+    ], ids=["fig1-file", "fig1-old-file", "fig1-stdout", "separable-audit"])
+    def test_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys, caplog, argv,
+                                      sampler, bad, sizes):
+        # the error names the index in the whole stack, even in a block of one;
+        # the first block's rows are neither left in a file nor shown
+        old = tmp_path / "OLD"
+        old.write_bytes(b"old bytes\n")
+        argv = [str(tmp_path / a) if a in ("OUT", "OLD") else a for a in argv]
+        seen = self.spy_sampler(monkeypatch, sampler, bad)
+        assert main(argv) == 1
+        assert seen == sizes
+        assert re.search(rf"differs from 1 beyond 1e-10 \(stack index {bad}\)$", caplog.text)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["OLD"]
+        assert old.read_bytes() == b"old bytes\n"
+        assert capsys.readouterr().out == ""
+
+    def test_blocks_are_the_fixed_partition(self, monkeypatch, capsys):
+        sizes = self.spy_sampler(monkeypatch, "_ensemble_stack")
+        assert main(["fig1", "--n", "9000"]) == 0
+        assert sizes == [4096, 4096, 808]
+        assert len(capsys.readouterr().out.splitlines()) == 9001
+
+    def test_first_block_rows_do_not_depend_on_n(self, tmp_path):
+        _, a = run(tmp_path, "fig1", "--n", "4096", "--seed", "6")
+        rows = a.read_text().splitlines()
+        _, b = run(tmp_path, "fig1", "--n", "4097", "--seed", "6")
+        longer = b.read_text().splitlines()
+        assert len(longer) == 4098 and longer[:4097] == rows
+
+    def test_audit_folds_to_the_library_audit(self, tmp_path):
+        # the PPT minimum and the per-witness maxima over three blocks equal
+        # the library's over the same states, to the 12 digits the file keeps
+        from entrosteer import ppt_min_eigenvalue, separable_sample, soundness_audit
+
+        code, out = run(tmp_path, "separable-audit", "--n", "8200", "--k-max", "2",
+                        "--seed", "4")
+        assert code == 0
+        data = json.loads(out.read_text())
+        states = separable_sample(8200, 2, np.random.default_rng(4))
+        assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min_eigenvalue(states)))
+        assert data["max_violation"] == {k: float(cli._fmt(v))
+                                         for k, v in soundness_audit(states).items()}
+
+    @pytest.mark.parametrize("argv,n", [(["fig1"], "20000"),
+                                        (["separable-audit", "--k-max", "4"], "12289")],
+                             ids=["fig1", "separable-audit"])
+    def test_peak_memory_is_one_block(self, tmp_path, argv, n):
+        # traced peaks: four or five blocks' worth of states need little more
+        # than one (the audit's per-item draws are slow under tracemalloc)
+        out = ["--out", str(tmp_path / "out.dat")]
+        assert main([*argv, "--n", "20", *out]) == 0   # one-time allocations first
+        peaks = []
+        for size in ("4096", n):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--n", size, *out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0]
+
+
 class TestSeedResolution:
     def test_env_seed_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENTROSTEER_SEED", "11")
@@ -696,6 +785,7 @@ class TestWorkBudget:
         "argv",
         [
             ["fig1", "--n", "6000"],
+            ["fig1", "--n", "20000"],
             ["sweep", "--n", "6000", "--format", "json"],
             ["separable-audit", "--n", "500", "--k-max", "12"],
             ["separable-audit", "--n", "2000", "--k-max", "1"],
@@ -703,7 +793,7 @@ class TestWorkBudget:
             ["fig2", "--n", "2", "--trials", "30000", "--threads", "2"],
             ["cv-scan", "--steps", "1500", "--format", "json"],
         ],
-        ids=["fig1", "sweep-json", "separable-audit", "separable-audit-k1",
+        ids=["fig1", "fig1-20000", "sweep-json", "separable-audit", "separable-audit-k1",
              "separable-audit-k4", "fig2", "cv-scan-json"],
     )
     def test_estimate_covers_the_traced_peak(self, tmp_path, argv):

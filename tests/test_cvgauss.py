@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from conftest import tmsv_violations
 
 from entrosteer import (
     GaussianState,
@@ -74,6 +76,19 @@ class TestGaussianState:
         cov = c * np.eye(4) + s * np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState(cov)
+
+    def test_small_mode_beside_a_large_entry_is_refused(self):
+        # var(x_A) var(k_A) = 0 < 1/4, but the spectral floor, scaled by the
+        # 1e6 entry, let it through, and walborn_cv then failed on it
+        with pytest.raises(ValueError, match="^covariance violates the uncertainty condition$"):
+            GaussianState(np.diag([0.0, 1e6, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="uncertainty"):
+            GaussianState(np.diag([0.5, 0.5, 1e6, 1e-7]))
+
+    def test_tmsv_constructs_over_its_whole_range(self):
+        r_max = math.log(4.0 * 2.0**511) / 2.0   # cosh(2r) / 2 reaches 2**511
+        for r in [*np.linspace(0.0, r_max, 400).tolist(), 7.17, 8.0, r_max]:
+            assert tmsv(r).cov[0, 0] == math.cosh(2.0 * r) / 2.0
 
     def test_cov_read_only(self):
         state = tmsv(0.5)
@@ -202,6 +217,23 @@ class TestEntropicSumdiffCv:
             state = GaussianState(random_two_mode_cov(rng))
             if reid_sumdiff_cv(state).violation_bits > 1e-9:
                 assert entropic_sumdiff_cv(state).violation_bits > 0
+
+
+class TestTmsvOracle:
+    """Each CV witness against its closed form (`conftest.tmsv_violations`)
+    on tmsv(r) over the whole usable range. The error grows with the
+    cancellation TestCancellation describes, as e^{4r} rounding units: it is
+    8.9e-6 at r = 6.2."""
+
+    @pytest.mark.parametrize("witness,args", [
+        (walborn_cv, ("AtoB",)), (walborn_cv, ("BtoA",)), (reid_sumdiff_cv, ()),
+        (entropic_sumdiff_cv, ()),
+    ], ids=["walborn_cv-AtoB", "walborn_cv-BtoA", "reid_sumdiff_cv", "entropic_sumdiff_cv"])
+    def test_matches_the_closed_form(self, witness, args):
+        for r in [*np.linspace(0.0, TMSV_R_MAX, 311).tolist(), TMSV_R_MAX]:
+            got = witness(tmsv(r), *args).violation_bits
+            want = tmsv_violations(r)[witness.__name__]
+            assert abs(got - want) <= 1e-12 + 4e-16 * math.exp(4.0 * r), r
 
 
 class TestCancellation:

@@ -45,6 +45,17 @@ class TestLazyNamespace:
         ).stdout
         assert out.strip() == "False []"
 
+    def test_fig1_loads_neither_cvgauss_nor_a_thread_pool(self):
+        # each command imports what only it needs (cv-scan, fig2) when it runs
+        out = _python(
+            "import contextlib, io, sys\n"
+            "from entrosteer.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['fig1', '--n', '5']) == 0\n"
+            "print([m for m in ('entrosteer.cvgauss', 'concurrent.futures') if m in sys.modules])"
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_first_lookup_binds_every_export(self):
         out = _python(
             "import entrosteer; entrosteer.tmsv; "

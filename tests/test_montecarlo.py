@@ -31,8 +31,8 @@ from entrosteer import (
 )
 from entrosteer.montecarlo import (
     _fig1_kernel,
+    _sampled_blocks,
     _soundness_audit,
-    _survey_fig1_values,
     _worker_count,
 )
 
@@ -439,7 +439,7 @@ class TestThreadCounts:
         return self._CALLS[entry](rng, threads)
 
     @pytest.mark.parametrize("entry", [survey_fig1, survey_fig1_states, soundness_audit,
-                                       _survey_fig1_values, _fig1_kernel, _soundness_audit],
+                                       _sampled_blocks, _fig1_kernel, _soundness_audit],
                              ids=lambda entry: entry.__name__)
     def test_serial_surveys_take_no_thread_count(self, entry):
         assert "threads" not in inspect.signature(entry).parameters

@@ -21,7 +21,7 @@ from entrosteer import (
     separable_sample,
     survey_fig1,
 )
-from entrosteer import cli, montecarlo, qmat, streams
+from entrosteer import montecarlo, qmat, streams
 from entrosteer.cli import main, save_state
 from entrosteer.streams import _derived_seeds
 
@@ -129,9 +129,14 @@ def test_unknown_ensemble_is_rejected(sample):
         sample(3, "bell", np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("ensemble", ["pure", "mixed"])
-def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble):
-    # counts every DensityMatrix built and every eigvalsh call during a survey
+@pytest.mark.parametrize("ensemble,n,stacks", [
+    pytest.param("pure", 50, [(50, 4, 4)], id="pure"),
+    pytest.param("mixed", 50, [(50, 4, 4)], id="mixed"),
+    pytest.param("mixed", 5000, [(4096, 4, 4), (904, 4, 4)], id="mixed-two-blocks"),
+])
+def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble, n, stacks):
+    # counts every DensityMatrix built and every eigvalsh call during a
+    # survey: one validation, and one eigvalsh, per block of states
     calls = {"objects": 0, "eigvalsh": [], "stacks": []}
     post_init = qmat.DensityMatrix.__post_init__
     eigvalsh = np.linalg.eigvalsh
@@ -145,16 +150,16 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble):
         calls["eigvalsh"].append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
-    def counted_validate(mats):
+    def counted_validate(mats, offset=0):
         calls["stacks"].append(mats.shape)
-        return validate(mats)
+        return validate(mats, offset)
 
     monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(montecarlo, "validate_density_stack", counted_validate)
-    records = survey_fig1(50, ensemble, np.random.default_rng(64))
-    assert len(records) == 50
-    assert calls == {"objects": 0, "eigvalsh": [(50, 4, 4)], "stacks": [(50, 4, 4)]}
+    records = survey_fig1(n, ensemble, np.random.default_rng(64))
+    assert len(records) == n
+    assert calls == {"objects": 0, "eigvalsh": stacks, "stacks": stacks}
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +363,18 @@ def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wro
 def test_separable_audit_validates_its_stack_once(monkeypatch, tmp_path):
     calls = {"objects": 0, "stacks": []}
     post_init = qmat.DensityMatrix.__post_init__
-    validate = cli.validate_density_stack
+    validate = montecarlo.validate_density_stack
 
     def counted_post_init(self):
         calls["objects"] += 1
         post_init(self)
 
-    def counted_validate(mats):
+    def counted_validate(mats, offset=0):
         calls["stacks"].append(mats.shape)
-        return validate(mats)
+        return validate(mats, offset)
 
     monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counted_post_init)
-    monkeypatch.setattr(cli, "validate_density_stack", counted_validate)
+    monkeypatch.setattr(montecarlo, "validate_density_stack", counted_validate)
     argv = ["separable-audit", "--n", "40", "--seed", "3", "--out", str(tmp_path / "a.json")]
     assert main(argv) == 0
     assert calls == {"objects": 0, "stacks": [(40, 4, 4)]}
