@@ -97,6 +97,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("fig1-block-edge-stdout", "fig1", "--n", "4097", "--seed", "13")
     add("fig1-block-edge-json", "fig1", "--n", "4097", "--seed", "13", "--format", "json",
         "--out", "OUT.json")
+    add("fig1-pure-block-edge", "fig1", "--ensemble", "pure", "--n", "4097", "--seed", "13",
+        "--out", "OUT.csv")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
     for p in ("0.3", "0.7", "0.9"):

@@ -35,6 +35,7 @@ from .measure import mub_set, pauli_bases
 from .montecarlo import (
     _BLOCK,
     BracketError,
+    _audit_maxima,
     _ensemble_stack,
     _fig1_kernel,
     _ppt_min_eigenvalue,
@@ -494,11 +495,10 @@ def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
 
 def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> int:
     rng = np.random.default_rng(config.seed)
+    blocks = _sampled_blocks(options.n, rng, lambda seeds: _separable_stack(seeds, options.k_max))
     # one check per sampled block; each block leaves its PPT minimum and maxima
-    parts = [(_ppt_min_eigenvalue(mats), _soundness_audit(mats)) for _, mats, _ in _sampled_blocks(
-        options.n, rng, lambda seeds: _separable_stack(seeds, options.k_max))]
-    ppt_min = min(ppt for ppt, _ in parts)
-    worst = {name: float(np.max([w[name] for _, w in parts])) for name in parts[0][1]}
+    ppts, parts = zip(*[(_ppt_min_eigenvalue(m), _soundness_audit(m)) for _, m, _ in blocks])
+    ppt_min, worst = min(ppts), _audit_maxima(parts)
     sound = all(v <= AUDIT_TOL for v in worst.values())
     _emit(config, [_json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
                                "max_violation": worst, "tolerance": AUDIT_TOL,
@@ -617,7 +617,3 @@ def main(argv: list[str] | None = None, *, blas_threads_defaulted: bool = False)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return dispatch(config, blas_threads_defaulted)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -60,6 +60,8 @@ class GaussianState:
     (uncertainty) condition cov + (i/2) Sigma >= 0, checked spectrally with an
     eigenvalue floor of -1e-10 times the largest entry (at least -1e-10), and
     for each mode as det >= 1/4 within 1e-10 times its variances' product.
+    Physical thus means up to rounding: the smaller symplectic eigenvalue is
+    at least 1/2 - O(eps ||cov||^2), and `tmsv(r)`'s is below 1/2 from r ~ 5.
     """
 
     cov: np.ndarray
@@ -91,7 +93,7 @@ class GaussianState:
 
 
 def symplectic_eigenvalues(g: GaussianState) -> np.ndarray:
-    """The two symplectic eigenvalues, ascending; physical states have >= 1/2."""
+    """The two symplectic eigenvalues, ascending; for a physical state >= 1/2 - O(eps ||cov||^2)."""
     cov = _state(g, "symplectic_eigenvalues", GaussianState).cov
     ev = np.abs(np.linalg.eigvals(1j * _SYMPLECTIC @ cov))
     return np.sort(ev)[::2]
@@ -101,7 +103,9 @@ def tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
     All four quadrature variances are cosh(2r)/2; positions are correlated and
-    momenta anticorrelated with magnitude sinh(2r)/2. r = 0 is two vacua.
+    momenta anticorrelated with magnitude sinh(2r)/2. r = 0 is two vacua. The
+    matrix is physical up to rounding (`GaussianState`): cosh and sinh round
+    apart. The witnesses are usable for r <= TMSV_R_MAX = 6.2.
     """
     if not r >= 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")

@@ -428,7 +428,10 @@ def soundness_audit(states) -> dict[str, float]:
     1e-9. Runs on one thread.
     """
     mats = _two_qubit_stack(states, "soundness audit")
-    parts = [_soundness_audit(mats[b]) for b in _blocks(len(mats))]
+    return _audit_maxima([_soundness_audit(mats[b]) for b in _blocks(len(mats))])
+
+
+def _audit_maxima(parts) -> dict[str, float]:
     return {name: float(np.max([part[name] for part in parts])) for name in parts[0]}
 
 

@@ -9,11 +9,11 @@ numpy itself.
 
 from __future__ import annotations
 
-from itertools import repeat
+import ctypes
 
 import numpy as np
 
-_BLOCK = 4096   # items per guard check and per block of Python ints
+_BLOCK = 4096   # items per guard check and per block of ordered state words
 
 
 def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
@@ -131,72 +131,68 @@ def _pcg64_states(words: np.ndarray, ranked: bool = False):
     return seeded, (hi, lo, out >> 32, (1 + ((out & _MASK32) >> 30)).astype(np.intp))
 
 
-def _state_dict(state_hi, state_lo, inc_hi, inc_lo, uinteger=None) -> dict:
-    # a `PCG64.state` from uint64 halves, with a buffered half word if given
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": int(state_hi) << 64 | int(state_lo),
-                  "inc": int(inc_hi) << 64 | int(inc_lo)},
-        "has_uint32": int(uinteger is not None),
-        "uinteger": int(uinteger or 0),
-    }
-
-
 def _item_streams(seeds, streams: list | None = None, ranks: np.ndarray | None = None):
     """An iterator that yields, for each seed in turn, a Generator in the
-    state of `np.random.default_rng(seed)`, so every draw matches that
-    generator's.
+    state of `np.random.default_rng(seed)`: one Generator, loaded with each
+    item's state (derived in one vectorised pass by `_seed_words` and
+    `_pcg64_states`) by writing it into its state memory. Draw each item
+    before asking for the next.
 
-    Every item's state comes from one vectorised pass (`_seed_words`, then
-    `_pcg64_states`), and one Generator is loaded with each state in turn
-    through one reused dict: draw each item before asking for the next. When
-    a `ranks` array is passed, it is filled at once with each item's
-    `integers(1, 5)`, worked out from the stream's first output, and each
-    Generator is in its state after that draw. When a `streams` list is
-    passed, each item's `bit_generator.state` after its draws is appended to
-    it, so the item's stream can be resumed elsewhere.
+    A `ranks` array is filled at once with each item's `integers(1, 5)`,
+    worked out from the stream's first output, and each Generator is then in
+    its state after that draw. A `streams` list gets each item's
+    `bit_generator.state` after its draws, so its stream can be resumed.
 
-    On every call, the first item of every `_BLOCK` is checked against a
-    real `default_rng`: its seeded state and, with `ranks`, its rank and its
-    state after that draw. A numpy that seeds or draws differently raises
-    RuntimeError instead of changing the samples.
+    The first item of every `_BLOCK` is checked, once loaded, against a real
+    `default_rng`: its whole `bit_generator.state` and its rank. A numpy that
+    seeds, draws or lays out its state differently raises RuntimeError.
     """
     seeded, drawn = _pcg64_states(_seed_words(seeds), ranks is not None)
-    for k in range(0, len(seeds), _BLOCK):
-        g = np.random.default_rng(seeds[k])
-        same = g.bit_generator.state == _state_dict(*(a[k] for a in seeded))
-        if drawn is not None:
-            state_hi, state_lo, uinteger, rank = (a[k] for a in drawn)
-            same = same and g.integers(1, 5) == rank and g.bit_generator.state == (
-                _state_dict(state_hi, state_lo, seeded[2][k], seeded[3][k], uinteger)
-            )
-        if not same:
-            raise RuntimeError(
-                "this numpy seeds default_rng differently from the vectorised "
-                f"SeedSequence and PCG64 derivation (numpy {np.__version__}); "
-                "the per-item streams cannot be reproduced"
-            )
-    if drawn is None:
-        return _loaded(*seeded, None, streams)
-    state_hi, state_lo, uinteger, ranks[:] = drawn
-    return _loaded(state_hi, state_lo, *seeded[2:], uinteger, streams)
+    flags = np.zeros((len(seeds), 2), np.uint32)   # has_uint32, uinteger
+    if drawn is not None:
+        seeded = (*drawn[:2], *seeded[2:])
+        flags[:, 0], flags[:, 1] = 1, drawn[2]
+        ranks[:] = drawn[3]
+    return _loaded(seeds, seeded, flags, ranks, streams)
 
 
-def _loaded(state_hi, state_lo, inc_hi, inc_lo, uinteger, streams):
-    # the iterator of `_item_streams`; the Python ints are made block by block
+def _state_memory(bit_gen):
+    """Writable views, through numpy's `ctypes.state_address`, of a PCG64's
+    `pcg64_state` {pointer to {state, inc}, has_uint32, uinteger}: the four
+    uint64 words pointed to and the two uint32 words after the pointer; and
+    which of (state_hi, state_lo, inc_hi, inc_lo) each word holds, read back
+    from numpy's own setter (low word first for a native `__uint128_t`)."""
+    pointer = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address)
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(pointer.value), np.uint64)
+    flags = np.frombuffer((ctypes.c_uint32 * 2).from_address(
+        ctypes.addressof(pointer) + ctypes.sizeof(pointer)), np.uint32)
+    marks = [0x1111111111111111 * j for j in range(1, 5)]
+    state, inc = marks[0] << 64 | marks[1], marks[2] << 64 | marks[3]
+    bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                     "has_uint32": 1, "uinteger": 0x5EED}
+    if sorted(words.tolist()) != marks or flags.tolist() != [1, 0x5EED]:
+        raise RuntimeError(f"numpy {np.__version__} does not lay out the PCG64 state as a "
+                           "pointer to {state, inc}, then has_uint32 and uinteger")
+    return words, flags, [marks.index(w) for w in words.tolist()]
+
+
+def _loaded(seeds, halves, flags, ranks, streams):
+    # the iterator of `_item_streams`; the state words are put in memory order block by block
     g = np.random.default_rng(0)
-    bit_gen = g.bit_generator
-    loaded = _state_dict(0, 0, 0, 0, None if uinteger is None else 0)
-    inner = loaded["state"]
-    for lo in range(0, len(state_hi), _BLOCK):
+    words, flag_words, order = _state_memory(g.bit_generator)
+    for lo in range(0, len(seeds), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        halves = [a[block].tolist() for a in (state_hi, state_lo, inc_hi, inc_lo)]
-        buffered = repeat(0) if uinteger is None else uinteger[block].tolist()
-        for s_hi, s_lo, i_hi, i_lo, u in zip(*halves, buffered):
-            inner["state"] = s_hi << 64 | s_lo
-            inner["inc"] = i_hi << 64 | i_lo
-            loaded["uinteger"] = u
-            bit_gen.state = loaded
+        block_words, block_flags = np.stack([halves[j][block] for j in order], axis=1), flags[block]
+        words[:], flag_words[:] = block_words[0], block_flags[0]
+        reference = np.random.default_rng(seeds[lo])
+        same = ranks is None or reference.integers(1, 5) == ranks[lo]
+        if not (same and g.bit_generator.state == reference.bit_generator.state):
+            raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
+                               "vectorised SeedSequence and PCG64 derivation, or lays out its "
+                               "state otherwise; the per-item streams cannot be reproduced")
+        for w, f in zip(block_words, block_flags):
+            words[:] = w
+            flag_words[:] = f
             yield g
             if streams is not None:
-                streams.append(bit_gen.state)
+                streams.append(g.bit_generator.state)

@@ -7,7 +7,9 @@ digests also pin the basis-search trial kernel. The replay tests rebuild
 single items from their recorded seeds with the scalar constructors.
 """
 
+import ctypes
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,6 +193,17 @@ class _FixedWords(np.random.bit_generator.ISeedSequence):
         return self.words.copy()
 
 
+def _state_dict(state_hi, state_lo, inc_hi, inc_lo, uinteger=None) -> dict:
+    # a `PCG64.state` from uint64 halves, with a buffered half word if given
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": int(state_hi) << 64 | int(state_lo),
+                  "inc": int(inc_hi) << 64 | int(inc_lo)},
+        "has_uint32": int(uinteger is not None),
+        "uinteger": int(uinteger or 0),
+    }
+
+
 def _derived_states(words):
     """The streams `_pcg64_states` derives from (n, 4) seed words, as
     `PCG64.state` dicts: seeded, and after the first `integers(1, 5)`, with
@@ -200,9 +213,9 @@ def _derived_states(words):
     )
     inc = seeded[2:]
     return [
-        (streams._state_dict(*(a[k] for a in seeded)),
+        (_state_dict(*(a[k] for a in seeded)),
          int(ranks[k]),
-         streams._state_dict(hi[k], lo[k], inc[0][k], inc[1][k], uinteger[k]))
+         _state_dict(hi[k], lo[k], inc[0][k], inc[1][k], uinteger[k]))
         for k in range(len(words))
     ]
 
@@ -250,33 +263,61 @@ def test_states_match_numpy_on_any_words(words):
     assert _derived_states(words) == expected
 
 
+def _draws(g):
+    # an odd count of 32-bit draws leaves a buffered half word in the generator
+    return (
+        g.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
+        g.standard_normal(5).tolist(),
+        g.dirichlet(np.ones(3)).tolist(),
+        int(g.integers(1, 5)),
+    )
+
+
 def test_item_streams_draw_as_default_rng(monkeypatch):
-    # an odd count of 32-bit draws leaves a buffered half word in the
-    # generator; the next item must not see it. A small block makes several
-    # blocks, each loaded and checked on its own
+    # the buffered half word `_draws` leaves must not reach the next item. A
+    # small block makes several blocks, each loaded and checked on its own
     monkeypatch.setattr(streams, "_BLOCK", 4)
     seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(65), 20)
-
-    def draws(g):
-        return (
-            g.integers(0, 2**32, size=3, dtype=np.uint32).tolist(),
-            g.standard_normal(5).tolist(),
-            g.dirichlet(np.ones(3)).tolist(),
-            int(g.integers(1, 5)),
-        )
-
-    got = [draws(g) for g in streams._item_streams(seeds)]
-    assert got == [draws(np.random.default_rng(s)) for s in seeds]
+    got = [_draws(g) for g in streams._item_streams(seeds)]
+    assert got == [_draws(np.random.default_rng(s)) for s in seeds]
     ranks = np.full(len(seeds), -1, dtype=np.intp)
-    got = [draws(g) for g in streams._item_streams(seeds, ranks=ranks)]
+    got = [_draws(g) for g in streams._item_streams(seeds, ranks=ranks)]
     expected = [_numpy_states(np.random.default_rng(s)) for s in seeds]
     assert ranks.tolist() == [rank for _, rank, _ in expected]
     ranked = []
     for s in seeds:
         g = np.random.default_rng(s)
         g.integers(1, 5)
-        ranked.append(draws(g))
+        ranked.append(_draws(g))
     assert got == ranked
+
+
+def test_live_item_streams_load_only_their_own_generator(monkeypatch):
+    # two loaders stepped in turn, one ranked: each writes its state words
+    # into its own generator's memory only, and records its own states
+    monkeypatch.setattr(streams, "_BLOCK", 3)
+    seeds = {False: _derived_seeds(np.random.default_rng(72), 8),
+             True: EDGE_SEEDS[:4] + _derived_seeds(np.random.default_rng(73), 4)}
+    ranks = np.full(8, -1, dtype=np.intp)
+    recorded = {False: [], True: []}
+    items = {False: streams._item_streams(seeds[False], recorded[False]),
+             True: streams._item_streams(seeds[True], recorded[True], ranks)}
+    got = {False: [], True: []}
+    for _ in range(8):
+        for ranked in (False, True):
+            got[ranked].append(_draws(next(items[ranked])))
+    assert next(items[False], None) is None and next(items[True], None) is None
+    for ranked in (False, True):
+        expected, states = [], []
+        for s in seeds[ranked]:
+            g = np.random.default_rng(s)
+            if ranked:
+                g.integers(1, 5)
+            expected.append(_draws(g))
+            states.append(g.bit_generator.state)
+        assert got[ranked] == expected
+        assert recorded[ranked] == states
+    assert ranks.tolist() == [int(np.random.default_rng(s).integers(1, 5)) for s in seeds[True]]
 
 
 @pytest.mark.parametrize("ensemble,shape", [("mixed", None), ("pure", (2, 4))])
@@ -300,6 +341,13 @@ def _wrong_words(seeds, seed_words=streams._seed_words):
     return words
 
 
+def _halves_swapped(bit_gen, state_memory=streams._state_memory):
+    # the derivation stays right; each state word is written where the other
+    # half of its 128-bit value goes
+    words, flags, order = state_memory(bit_gen)
+    return words, flags, [j ^ 1 for j in order]
+
+
 def _carry_dropped(cols):
     # `_carried` with every carry lost: each column keeps its low 32 bits
     low = [c & 0xFFFFFFFF for c in cols]
@@ -309,8 +357,8 @@ def _carry_dropped(cols):
 @pytest.mark.parametrize(
     "attr,wrong",
     [("_seed_words", _wrong_words), ("_PCG_MULT", streams._PCG_MULT + 2),
-     ("_carried", _carry_dropped)],
-    ids=["words", "multiplier", "carry"],
+     ("_carried", _carry_dropped), ("_state_memory", _halves_swapped)],
+    ids=["words", "multiplier", "carry", "word-order"],
 )
 @pytest.mark.parametrize(
     "sample",
@@ -323,8 +371,23 @@ def _carry_dropped(cols):
 )
 def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
     monkeypatch.setattr(streams, attr, wrong)
+    monkeypatch.setattr(streams, "_BLOCK", 3)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         sample(np.random.default_rng(66))
+
+
+class _UnwrittenState:
+    # a bit generator whose state address leads to words its setter never writes
+    def __init__(self):
+        self.words = (ctypes.c_uint64 * 4)()
+        self.head = (ctypes.c_void_p * 3)(ctypes.addressof(self.words))
+        self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self.head))
+        self.state = None
+
+
+def test_state_memory_refuses_an_unknown_layout():
+    with pytest.raises(RuntimeError, match="does not lay out the PCG64 state"):
+        streams._state_memory(_UnwrittenState())
 
 
 def _later_words_wrong(seeds, seed_words=streams._seed_words):
