@@ -7,7 +7,8 @@ Run from the root of a checkout. The base ref is checked out in a temporary
 git worktree. One fixed list of `python -m entrosteer` runs (the surveys in
 both formats, sweeps over Werner and seeded d = 2, 3, 5 state files, `eval` of
 every witness in both directions, and of the MUB and modular witnesses on
-seeded d = 5 and 7 states, the thresholds, `cv-scan`, the audit, every
+seeded d = 5 and 7 states, the thresholds (also bisected to 1e-15, which
+takes a scalar witness call per step), `cv-scan`, the audit, every
 `--help` text and the configuration errors) then runs on both sides, one run
 at a time, each in its own empty directory. A case differs when its stdout,
 its stderr, its exit code or its `--out` data file differs; the run manifests
@@ -123,6 +124,9 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     for settings in ("2", "3"):
         add(f"werner-threshold-{settings}", "werner-threshold", "--settings", settings,
             "--out", "OUT.json")
+        # about 50 bisection steps, each a scalar witness call on a new state
+        add(f"werner-threshold-{settings}-fine", "werner-threshold", "--settings", settings,
+            "--tol", "1e-15", "--out", "OUT.json")
     add("werner-threshold-coarse", "werner-threshold", "--tol", "1e-3", "--lo", "0.4")
     add("werner-threshold-no-bracket", "werner-threshold", "--lo", "0.9", "--hi", "0.95")
     add("cv-scan", "cv-scan", "--out", "OUT.csv")

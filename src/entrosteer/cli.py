@@ -297,7 +297,8 @@ def _json_text(obj) -> str:
 def load_state(path: str) -> DensityMatrix:
     """Read a density matrix from a JSON state file: {"dims": [d_A, d_B],
     "matrix": row-major nested lists of [re, im] pairs}. `dims` must be a
-    list of exactly two integers >= 1; nothing is coerced."""
+    list of exactly two integers >= 1, and each entry one of two numbers (not
+    booleans); nothing is coerced."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -305,8 +306,12 @@ def load_state(path: str) -> DensityMatrix:
         if not (type(dims) is list and len(dims) == 2
                 and all(type(d) is int and d >= 1 for d in dims)):
             raise ValueError('"dims" must be a list of two integers >= 1')
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in data["matrix"]],
-                       dtype=complex)
+        for i, row in enumerate(data["matrix"]):
+            for j, e in enumerate(row):
+                if not (type(e) is list and len(e) == 2
+                        and all(type(x) in (int, float) for x in e)):
+                    raise ValueError(f"matrix entry at row {i}, column {j} is not [re, im]")
+        mat = np.array([[complex(*e) for e in row] for row in data["matrix"]], dtype=complex)
         return DensityMatrix(tuple(dims), mat)
     # RecursionError: JSON nested deeper than the parser's recursion limit
     except (OSError, KeyError, TypeError, IndexError, ValueError, OverflowError,
@@ -489,7 +494,7 @@ def _eval_report(rho: DensityMatrix, witness: str, direction: str) -> WitnessRep
 def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
     rho = load_state(options.state_file)
     report = _eval_report(rho, options.witness, options.direction)
-    _emit(config, [_json_text(asdict(report))])
+    _emit(config, [_json_text(report._asdict())])
     return 0
 
 

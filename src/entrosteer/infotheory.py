@@ -21,23 +21,26 @@ def _checked_probs(p, axis=None) -> np.ndarray:
     an imaginary part of at most 1e-8. No entry may lie below -1e-12; entries
     in [-1e-12, 0) are clamped to zero. Each total over ``axis`` (all entries
     by default) must be 1 within 1e-10.
+
+    Here and in the entropies the ufuncs' ``reduce`` is called directly: the
+    arithmetic of ``p.min()`` and ``p.sum()`` without their Python wrappers.
     """
     p = np.asarray(p)
     if p.dtype.kind == "c":
-        if np.abs(p.imag).max() > IMAG_TOL:
+        if not np.maximum.reduce(np.abs(p.imag), axis=None) <= IMAG_TOL:   # NaN too
             raise ValueError("joint probabilities acquired a non-negligible imaginary part")
         p = p.real
     p = np.array(p, dtype=float)
-    low = p.min()
+    low = np.minimum.reduce(p, axis=None)
     if not low >= -NEG_TOL:   # also catches NaN
         raise ValueError(
             f"negative probability {low:.3e} exceeds the clamping tolerance 1e-12"
         )
     if low < 0.0:
         p[p < 0.0] = 0.0
-    s = p.sum(axis=axis)
+    s = np.add.reduce(p, axis=axis)
     bad = np.abs(s - 1.0) > STRUCT_TOL   # NaN entries failed the minimum
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         total = np.ravel(s)[np.ravel(bad)][0]
         raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-10")
     p.setflags(write=False)
@@ -75,7 +78,7 @@ def _terms(p: np.ndarray) -> np.ndarray:
 def _entropies(p: np.ndarray) -> np.ndarray:
     """Shannon entropy of each distribution along the last axis of p: the one
     Shannon sum, which every entropy of the package takes."""
-    return _terms(p).sum(axis=-1)
+    return np.add.reduce(_terms(p), -1)
 
 
 def _spectrum_entropies(evals: np.ndarray) -> np.ndarray:
@@ -94,13 +97,13 @@ def _joint_entropies(p: np.ndarray):
     *lead, n_a, n_b = p.shape
     cells = n_a * n_b
     parts = np.concatenate(
-        [p.reshape(*lead, cells), p.sum(axis=-1), p.sum(axis=-2)], axis=-1
+        [p.reshape(*lead, cells), np.add.reduce(p, -1), np.add.reduce(p, -2)], axis=-1
     )
     terms = _terms(parts)
     return (
-        terms[..., :cells].sum(axis=-1),
-        terms[..., cells:cells + n_a].sum(axis=-1),
-        terms[..., cells + n_a:].sum(axis=-1),
+        np.add.reduce(terms[..., :cells], -1),
+        np.add.reduce(terms[..., cells:cells + n_a], -1),
+        np.add.reduce(terms[..., cells + n_a:], -1),
     )
 
 

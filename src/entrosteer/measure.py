@@ -217,7 +217,7 @@ def _element_stack(povms, n: int) -> np.ndarray:
 def _measurement_pairs(pairs) -> tuple:
     """``pairs`` as a tuple, each measurement checked to be a projective basis
     or a POVM first, so that any other value raises `as_povm`'s TypeError and
-    never reaches the hash lookup of `_pair_stacks`."""
+    never reaches the hash lookup of `_set_record`."""
     pairs = tuple(pairs)
     for pair in pairs:
         for meas in pair:
@@ -226,29 +226,42 @@ def _measurement_pairs(pairs) -> tuple:
     return pairs
 
 
+@dataclass(eq=False, slots=True)
+class _SetRecord:
+    """What the witness path derives once per set of m (Alice, Bob) measurement
+    `pairs`: their distinct (d_A, d_B) in order of first use, the padded
+    element stacks (None when the dims differ), each pair's outcome counts, the
+    last state's `_set_statistics`, and per side (0: Alice, 1: Bob) the overlap
+    constant and MUB floor that `witness` works out on first use."""
+
+    pairs: tuple
+    dims: tuple
+    f_stack: np.ndarray | None
+    g_stack: np.ndarray | None
+    shapes: tuple
+    last: tuple | None = None
+    omega: list = field(default_factory=lambda: [None, None])
+    floor: list = field(default_factory=lambda: [None, None])
+
+
 @lru_cache(maxsize=SET_CACHE_SIZE)
-def _pair_stacks(pairs: tuple) -> tuple:
-    """``(dims, f_stack, g_stack, last, shapes)`` of m measurement pairs: the
-    distinct ``(d_A, d_B)`` of the pairs in order of first use, Alice's and
-    Bob's padded element stacks (``None`` when the pairs differ in dims), the
-    one-item list that holds the statistics of the last state seen with the
-    set (`_set_statistics`), and each pair's outcome counts ``(n_A, n_B)``."""
+def _set_record(pairs: tuple) -> _SetRecord:
+    """The `_SetRecord` of `_measurement_pairs`, built on first use."""
     fs, gs = zip(*[(as_povm(a), as_povm(b)) for a, b in pairs])
     dims = tuple(dict.fromkeys((f.dim, g.dim) for f, g in zip(fs, gs)))
     shapes = tuple((len(f.elements), len(g.elements)) for f, g in zip(fs, gs))
     if len(dims) > 1:
-        return dims, None, None, [None], shapes
+        return _SetRecord(pairs, dims, None, None, shapes)
     n_a, n_b = map(max, zip(*shapes))
-    return dims, _element_stack(fs, n_a), _element_stack(gs, n_b), [None], shapes
+    return _SetRecord(pairs, dims, _element_stack(fs, n_a), _element_stack(gs, n_b), shapes)
 
 
-def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
-    """Checked joint distributions of m measurement pairs, ``(m, n_a, n_b)``.
+def _joint_stack(rho: DensityMatrix, rec: _SetRecord) -> np.ndarray:
+    """Checked joint distributions of a set's m measurement pairs, ``(m, n_a, n_b)``.
 
-    ``dims``, ``f_stack`` and ``g_stack`` are the `_pair_stacks` entry of the
-    pairs, whose measurements may be projective bases or POVMs. ``n_a`` and
-    ``n_b`` are the largest outcome counts: a joint with fewer outcomes fills
-    the top-left block of its slice and the padding is exactly zero, so every
+    The measurements may be projective bases or POVMs. ``n_a`` and ``n_b``
+    are the largest outcome counts: a joint with fewer outcomes fills the
+    top-left block of its slice and the padding is exactly zero, so every
     pair takes part in the same two contraction steps.
 
     A stacked matmul forms ``T[m, b, (i, k)] = Tr_B[(1 (x) E_b) rho][k, i]``
@@ -258,7 +271,7 @@ def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
     depending on its column, so relabelling Bob's outcomes would not permute
     P exactly. The probability checks run once over the whole stack.
     """
-    for f_dim, g_dim in dims:
+    for f_dim, g_dim in rec.dims:
         if (f_dim, g_dim) != rho.dims:
             raise ValueError(
                 f"measurement dims ({f_dim}, {g_dim}) do not match state dims {rho.dims}"
@@ -266,30 +279,28 @@ def _joint_stack(rho: DensityMatrix, dims, f_stack, g_stack) -> np.ndarray:
     d_a, d_b = rho.dims
     # rr[j, l, i, k] = rho[(k, l), (i, j)]
     rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)
-    t = g_stack @ rr.reshape(d_b * d_b, d_a * d_a)
-    p = np.einsum("max,mbx->mab", f_stack, t)
+    t = rec.g_stack @ rr.reshape(d_b * d_b, d_a * d_a)
+    p = np.einsum("max,mbx->mab", rec.f_stack, t)
     return _checked_probs(p, axis=(1, 2))
 
 
-def _set_statistics(rho: DensityMatrix, pairs) -> tuple:
-    """``(p, (H(A,B), H(A), H(B)))`` of a checked state and m measurement
-    pairs: the `_joint_stack` joints and their `_joint_entropies`.
+def _set_statistics(rho: DensityMatrix, rec: _SetRecord) -> tuple:
+    """``(p, (H(A,B), H(A), H(B)))`` of a checked state and a set's m
+    measurement pairs: the `_joint_stack` joints and their `_joint_entropies`.
 
-    Each set keeps these for the last state it saw, held by weakref, in its
-    `_pair_stacks` entry, so witnesses called one after another on the same
-    state and set contract once. States and measurements are immutable and
-    compared by identity, so a kept result is exactly what a recomputation
-    would give; callers share the arrays and only read them. The slot is read
-    once and written with one assignment, which keeps threads that share a set
-    consistent.
+    Each record keeps these for the last state it saw, held by weakref, so
+    witnesses called one after another on the same state and set contract
+    once. States and measurements are immutable and compared by identity, so
+    a kept result is exactly what a recomputation would give; callers share
+    the arrays and only read them. The slot is read once and written with one
+    assignment, which keeps threads that share a set consistent.
     """
-    dims, f_stack, g_stack, last, _ = _pair_stacks(_measurement_pairs(pairs))
-    seen = last[0]
+    seen = rec.last
     if seen is not None and seen[0]() is rho:
         return seen[1], seen[2]
-    p = _joint_stack(rho, dims, f_stack, g_stack)
+    p = _joint_stack(rho, rec)
     h = _joint_entropies(p)
-    last[0] = (weakref.ref(rho), p, h)
+    rec.last = (weakref.ref(rho), p, h)
     return p, h
 
 
@@ -301,8 +312,7 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     one-pair case of the stacked kernel the witnesses use.
     """
     _state(rho, "joint_distribution")
-    dims, f_stack, g_stack, _, _ = _pair_stacks(_measurement_pairs([(meas_a, meas_b)]))
-    p = _joint_stack(rho, dims, f_stack, g_stack)[0]
+    p = _joint_stack(rho, _set_record(_measurement_pairs([(meas_a, meas_b)])))[0]
     return JointDistribution(*p.shape, p)
 
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .infotheory import _joint_entropies, _modular_entropies, _spectrum_entropies
-from .measure import Povm, _povm_joints, _product_joints, mub_set, pauli_bases
+from .measure import Povm, _povm_joints, _product_joints, mub_set, overlap_omega, pauli_bases
+from .measure import povm_omega
 from .qmat import DensityMatrix, _choice, _count, _equal_dims, _haar_unitaries, _state
 from .qmat import ginibre_density, validate_density_stack
 from .streams import _derived_seeds, _item_streams
@@ -31,7 +33,6 @@ from .witness import (
     _left_sum,
     _mi_sum,
     _mub_mi_bound,
-    _pair_omega,
     sanchez_ruiz_bound,
 )
 
@@ -435,24 +436,30 @@ def _audit_maxima(parts) -> dict[str, float]:
     return {name: float(np.max([part[name] for part in parts])) for name in parts[0]}
 
 
+@cache
+def _audit_constants() -> tuple:
+    # the audit's unitaries, smeared X and Z element stacks and bounds, built
+    # once per process and kept out of the witnesses' set cache; all read-only
+    trip = _mub_matrices(2)
+    trip.setflags(write=False)
+    x_basis, _, z_basis = pauli_bases()
+    povm_x, povm_z = _smeared_povm(x_basis), _smeared_povm(z_basis)
+    bound_c3 = sanchez_ruiz_bound(2)
+    return (trip, (povm_x.stacked, povm_z.stacked),
+            math.log2(overlap_omega(x_basis, z_basis)), bound_c3, _mub_mi_bound(2, bound_c3),
+            math.log2(povm_omega(povm_x, povm_z)))
+
+
 def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     # each witness's largest value over one block (`_blocks`) of validated
     # (n, 4, 4) two-qubit states
-    trip = _mub_matrices(2)
-    x_basis, _, z_basis = pauli_bases()
-    bound_xz = math.log2(_pair_omega(x_basis, z_basis))   # the X/Z pair bounds
-    bound_c3 = sanchez_ruiz_bound(2)
-    bound_m3 = _mub_mi_bound(2, bound_c3)
-    povm_x = _smeared_povm(x_basis)
-    povm_z = _smeared_povm(z_basis)
-    bound_povm = math.log2(_pair_omega(povm_x, povm_z))
-
+    trip, smeared, bound_xz, bound_c3, bound_m3, bound_povm = _audit_constants()
     p = _product_joints(mats, trip, trip)       # (s, 3, 2, 2): X, Y, Z
     h_joint, h_a, h_b = _joint_entropies(p)
     hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
     h_mod = _modular_entropies(p[:, ::2], [(2, 2)] * 2, ("plus", "minus"))
     hv_joint, hv_a, hv_b = _joint_entropies(np.stack(
-        [_povm_joints(mats, povm.stacked, povm.stacked) for povm in (povm_x, povm_z)], axis=1,
+        [_povm_joints(mats, els, els) for els in smeared], axis=1,
     ))
     values = {
         "pair_conditional_AtoB": bound_xz - _conditional_sum(hp_joint, hp_a),

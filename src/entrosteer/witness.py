@@ -15,16 +15,15 @@ validated and the other side's is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .infotheory import _modular_entropies, shannon_entropy
 from .measure import (
-    SET_CACHE_SIZE,
     ProjectiveBasis,
-    _pair_stacks,
+    _measurement_pairs,
+    _set_record,
     _set_statistics,
     as_povm,
     is_mub_set,
@@ -35,8 +34,7 @@ from .measure import (
 from .qmat import DensityMatrix, _choice, _count, _equal_dims, _state, partial_trace
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     name: str
     direction: str   # "AtoB" | "BtoA" | "symmetric"
     lhs_bits: float
@@ -66,13 +64,14 @@ def _mub_mi_bound(n: int, floor: float) -> float:
     return (n + 1) * math.log2(n) - floor
 
 
-@lru_cache(maxsize=SET_CACHE_SIZE)
-def _pair_omega(meas_r, meas_s) -> float:
-    """Overlap constant of one party's measurement pair, POVM-general, computed
-    once per pair of measurement objects."""
-    if isinstance(meas_r, ProjectiveBasis) and isinstance(meas_s, ProjectiveBasis):
-        return overlap_omega(meas_r, meas_s)
-    return povm_omega(as_povm(meas_r), as_povm(meas_s))
+def _omega(rec, side: int) -> float:
+    """Overlap constant of one party's pair (side 0: Alice, 1: Bob) of a
+    two-pair set record, POVM-general, worked out on first use."""
+    if rec.omega[side] is None:
+        r, s = rec.pairs[0][side], rec.pairs[1][side]
+        projective = isinstance(r, ProjectiveBasis) and isinstance(s, ProjectiveBasis)
+        rec.omega[side] = overlap_omega(r, s) if projective else povm_omega(as_povm(r), as_povm(s))
+    return rec.omega[side]
 
 
 def _by_direction(direction: str, a_to_b, b_to_a):
@@ -93,16 +92,29 @@ def _left_sum(terms: np.ndarray):
     return total
 
 
+# One state's terms are taken, clamped and added on Python floats, the clamp as
+# np.maximum(x, 0.0) makes it (-0.0 gives 0.0, NaN stays): the same IEEE steps.
+
 def _conditional_sum(h_joint: np.ndarray, h_given: np.ndarray):
     """`_left_sum` of H(joint) - H(given) over the pairs, each term clamped
     at 0; the entropy arrays have shape ``(m,)`` or ``(s, m)``."""
-    return _left_sum(np.maximum(h_joint - h_given, 0.0))
+    if h_joint.ndim > 1:
+        return _left_sum(np.maximum(h_joint - h_given, 0.0))
+    total = 0.0
+    for j, g in zip(h_joint.tolist(), h_given.tolist()):
+        total = total + (0.0 if (t := j - g) <= 0.0 else t)
+    return total
 
 
 def _mi_sum(h_joint: np.ndarray, h_a: np.ndarray, h_b: np.ndarray):
     """`_left_sum` of I(A:B) = H(A) + H(B) - H(A,B) over the pairs, each term
     clamped at 0; the entropy arrays have shape ``(m,)`` or ``(s, m)``."""
-    return _left_sum(np.maximum(h_a + h_b - h_joint, 0.0))
+    if h_joint.ndim > 1:
+        return _left_sum(np.maximum(h_a + h_b - h_joint, 0.0))
+    total = 0.0
+    for j, a, b in zip(h_joint.tolist(), h_a.tolist(), h_b.tolist()):
+        total = total + (0.0 if (t := a + b - j) <= 0.0 else t)
+    return total
 
 
 def pair_conditional(
@@ -117,10 +129,11 @@ def pair_conditional(
     uses the steered party's pair (operator-norm form for POVMs).
     """
     _state(rho, "pair_conditional")
-    steered = _by_direction(direction, (r_b, s_b), (r_a, s_a))
-    _, (h_joint, h_a, h_b) = _set_statistics(rho, ((r_a, r_b), (s_a, s_b)))
-    lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
-    bound = math.log2(_pair_omega(*steered))
+    side = _by_direction(direction, 1, 0)   # the steered party
+    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
+    _, (h_joint, h_a, h_b) = _set_statistics(rho, rec)
+    lhs = _conditional_sum(h_joint, h_a if side else h_b)
+    bound = math.log2(_omega(rec, side))
     return WitnessReport("pair_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -134,9 +147,9 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     _state(rho, "pair_symmetric_mi")
     _projective((r_a, s_a, r_b, s_b), "the symmetric witness")
     n = _equal_dims(rho, "symmetric witness")
-    lhs = float(_mi_sum(*_set_statistics(rho, ((r_a, r_b), (s_a, s_b)))[1]))
-    omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
-    bound = math.log2(n * n / omega)
+    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
+    lhs = _mi_sum(*_set_statistics(rho, rec)[1])
+    bound = math.log2(n * n / min(_omega(rec, 0), _omega(rec, 1)))
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
 
 
@@ -149,24 +162,28 @@ def _projective(meas, what: str) -> tuple:
     return meas
 
 
-@lru_cache(maxsize=SET_CACHE_SIZE)
-def _check_mub_side(bases: tuple, counts: tuple, dim: int, label: str) -> float:
-    """Raise unless both parties hold as many bases (`counts`) and the steered
-    `bases` are a complete MUB set in `dim`; cached per set, returns its floor
-    ``sanchez_ruiz_bound(dim)``."""
-    if counts[0] != counts[1]:
-        raise ValueError(
-            f"both parties need the same number of bases, got {counts[0]} and {counts[1]}"
-        )
-    if len(bases) != dim + 1:
-        raise ValueError(
-            f"{label} needs a complete set of {dim + 1} bases, got {len(bases)}"
-        )
-    if any(b.dim != dim for b in bases):
-        raise ValueError(f"{label} bases must all have dimension {dim}")
-    if not is_mub_set(bases):
-        raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
-    return sanchez_ruiz_bound(dim)
+def _mub_record(n: int, bases_a, bases_b, side: int) -> tuple:
+    """The record of the set ``zip(bases_a, bases_b)`` and its steered `side`'s
+    MUB floor, kept once that side's bases are a complete MUB set in n."""
+    label = ("steered-side (A)", "steered-side (B)")[side]
+    steered = _projective((bases_a, bases_b)[side], label)
+    if len(bases_a) != len(bases_b):
+        raise ValueError(f"both parties need the same number of bases, got {len(bases_a)} "
+                         f"and {len(bases_b)}")
+    try:
+        rec = _set_record(_measurement_pairs(zip(bases_a, bases_b)))
+    except (TypeError, ValueError):
+        rec = None   # raised again below, after the steered side's own checks
+    if rec is None or rec.floor[side] is None or rec.dims[0][side] != n:
+        if len(steered) != n + 1:
+            raise ValueError(f"{label} needs a complete set of {n + 1} bases, got {len(steered)}")
+        if any(b.dim != n for b in steered):
+            raise ValueError(f"{label} bases must all have dimension {n}")
+        if not is_mub_set(steered):
+            raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
+        rec = rec or _set_record(_measurement_pairs(zip(bases_a, bases_b)))
+        rec.floor[side] = sanchez_ruiz_bound(n)
+    return rec, rec.floor[side]
 
 
 def mub_conditional(
@@ -178,13 +195,11 @@ def mub_conditional(
     floored by :func:`sanchez_ruiz_bound`; the other party's bases are
     unconstrained (they only condition).
     """
-    d_a, d_b = _state(rho, "mub_conditional").dims
-    n, steered, label = _by_direction(
-        direction, (d_b, bases_b, "steered-side (B)"), (d_a, bases_a, "steered-side (A)")
-    )
-    bound = _check_mub_side(_projective(steered, label), (len(bases_a), len(bases_b)), n, label)
-    _, (h_joint, h_a, h_b) = _set_statistics(rho, zip(bases_a, bases_b))
-    lhs = float(_conditional_sum(h_joint, h_a if direction == "AtoB" else h_b))
+    _state(rho, "mub_conditional")
+    side = _by_direction(direction, 1, 0)   # the steered party
+    rec, bound = _mub_record(rho.dims[side], bases_a, bases_b, side)
+    _, (h_joint, h_a, h_b) = _set_statistics(rho, rec)
+    lhs = _conditional_sum(h_joint, h_a if side else h_b)
     return WitnessReport("mub_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -196,9 +211,8 @@ def mub_mi(rho: DensityMatrix, bases_a, bases_b) -> WitnessReport:
     :func:`mub_conditional` (B side checked; by MI symmetry either would do).
     """
     n = _equal_dims(_state(rho, "mub_mi"), "symmetric witness")
-    label = "steered-side (B)"
-    floor = _check_mub_side(_projective(bases_b, label), (len(bases_a), len(bases_b)), n, label)
-    lhs = float(_mi_sum(*_set_statistics(rho, zip(bases_a, bases_b))[1]))
+    rec, floor = _mub_record(n, bases_a, bases_b, 1)
+    lhs = _mi_sum(*_set_statistics(rho, rec)[1])
     bound = _mub_mi_bound(n, floor)
     return WitnessReport("mub_mi", "symmetric", lhs, bound, lhs - bound)
 
@@ -216,11 +230,10 @@ def sumdiff_discrete(
     _state(rho, "sumdiff_discrete")
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
-    pairs = ((r_a, r_b), (s_a, s_b))
-    p, _ = _set_statistics(rho, pairs)   # checks the measurements first
-    lhs = float(_left_sum(_modular_entropies(p, _pair_stacks(pairs)[4], signs)))
-    omega = min(_pair_omega(r_a, s_a), _pair_omega(r_b, s_b))
-    bound = math.log2(omega)
+    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
+    p, _ = _set_statistics(rho, rec)
+    lhs = _left_sum(_modular_entropies(p, rec.shapes, signs))
+    bound = math.log2(min(_omega(rec, 0), _omega(rec, 1)))
     return WitnessReport("sumdiff_discrete", "symmetric", lhs, bound, bound - lhs)
 
 

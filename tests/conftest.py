@@ -6,7 +6,9 @@ themselves.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -185,3 +187,27 @@ def tmsv_violations(r):
         "reid_sumdiff_cv": 0.25 - math.exp(-4.0 * r),
         "entropic_sumdiff_cv": 2.0 * r / math.log(2.0) - 1.0,
     }
+
+
+def exact_min_symplectic_eigenvalue(cov, digits=80):
+    """The smaller symplectic eigenvalue nu_- of the float64 matrix `cov`
+    itself, as an mpmath number good to about `digits` digits. The invariants
+    Delta = det A + det B + 2 det C (the 2x2 blocks of cov) and det(cov) are
+    exact rationals of the entries; then nu_-^2 = 2 det / (Delta +
+    sqrt(Delta^2 - 4 det)), which loses nothing to cancellation."""
+    m = [[Fraction(x) for x in row] for row in np.asarray(cov, dtype=float).tolist()]
+
+    def det(rows):   # Laplace expansion along the first row
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    def block(i, j):
+        return m[i][j] * m[i + 1][j + 1] - m[i][j + 1] * m[i + 1][j]
+
+    delta, d = block(0, 0) + block(2, 2) + 2 * block(0, 2), det(m)
+    with mpmath.workdps(digits):
+        def mp(f):
+            return mpmath.mpf(f.numerator) / f.denominator
+        return +mpmath.sqrt(2 * mp(d) / (mp(delta) + mpmath.sqrt(mp(delta * delta - 4 * d))))

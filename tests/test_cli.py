@@ -167,6 +167,34 @@ class TestStateFiles:
         with pytest.raises(cli.ConfigError, match='"dims" must be a list of two integers'):
             load_state(str(path))
 
+    @pytest.mark.parametrize(
+        "entry", [[1.0, 0.0, 5.0], [True, False], [1.0], [1.0, True], [1.0, "0"], [], 0.5,
+                  {"re": 1.0, "im": 0.0}],
+        ids=["three-numbers", "booleans", "one-number", "one-boolean", "string", "empty",
+             "bare-number", "object"])
+    def test_each_entry_must_be_two_real_numbers(self, tmp_path, entry):
+        # the entry at row 1, column 0 of the maximally mixed qubit pair; every
+        # other entry is valid
+        doc = _state_doc([2, 2], 4)
+        doc["matrix"][1][0] = entry
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(cli.ConfigError, match="matrix entry at row 1, column 0 is not"):
+            load_state(str(path))
+        code = main(["eval", "--state-file", str(path), "--witness", "mub-mi"])
+        assert code == 2
+
+    def test_a_one_by_one_boolean_state_is_refused(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"dims": [1, 1], "matrix": [[[true, false]]]}')
+        with pytest.raises(cli.ConfigError, match="row 0, column 0"):
+            load_state(str(path))
+
+    def test_integer_entries_load(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"dims": [1, 1], "matrix": [[[1, 0]]]}')
+        assert load_state(str(path)).mat.tolist() == [[1 + 0j]]
+
     def test_deep_nesting_exits_2_with_one_error_line(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import tmsv_violations
+from conftest import exact_min_symplectic_eigenvalue, tmsv_violations
 
 from entrosteer import (
     GaussianState,
@@ -114,6 +114,37 @@ class TestSymplecticEigenvalues:
         for _ in range(50):
             nu = symplectic_eigenvalues(GaussianState(random_two_mode_cov(rng)))
             assert np.all(nu >= 0.5 - 1e-10)
+
+
+class TestSymplecticOracle:
+    """`symplectic_eigenvalues` against the exact nu_- of the same float64
+    matrix (`conftest.exact_min_symplectic_eigenvalue`): within
+    16 eps max(1, ||cov||_2)^2, the error to expect of a backward-stable
+    eigenvalue routine. On tmsv(r) the matrix's own nu_- leaves 1/2 from
+    r ~ 5, so only the oracle, not 1/2, can pin the routine there."""
+
+    @staticmethod
+    def _check(g):
+        got = symplectic_eigenvalues(g)[0]
+        norm = max(1.0, float(np.linalg.norm(g.cov, 2)))
+        exact = exact_min_symplectic_eigenvalue(g.cov)
+        assert abs(got - float(exact)) <= 16 * np.finfo(float).eps * norm**2, (got, exact)
+        return exact
+
+    def test_tmsv_over_r_0_to_8(self):
+        exact = [self._check(tmsv(r)) for r in np.linspace(0.0, 8.0, 161).tolist()]
+        assert exact[0] == 0.5
+        assert exact[-1] < 0.4983   # r = 8: the stored matrix is below 1/2
+
+    def test_oracle_on_a_product_of_thermal_modes(self):
+        exact = exact_min_symplectic_eigenvalue(np.diag([1.5, 1.5, 0.8, 0.8]))
+        assert abs(exact - 0.8) < 1e-70   # 0.8 as a float, not as a decimal
+
+    def test_random_physical_covariances(self):
+        rng = np.random.default_rng(71)
+        for scale in np.logspace(-1, 2, 200).tolist():
+            a = rng.normal(size=(4, 4)) * scale
+            self._check(GaussianState(a @ a.T + 0.5 * np.eye(4)))
 
 
 class TestWalbornCv:

@@ -267,3 +267,98 @@ class TestEntanglementOfFormation:
     def test_monotone_in_werner_weight(self):
         vals = [entanglement_of_formation(werner_state(p)) for p in np.linspace(0.4, 1.0, 13)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+
+def _outcome(fn, *args):
+    """What a call gives: the array's bits, dtype, shape and flags, or the
+    exception's type and message."""
+    try:
+        p = fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return p.tobytes(), p.dtype, p.shape, p.flags.writeable
+
+
+def _method_checked_probs(p, axis=None):
+    # the probability checks written with the array methods, as they were
+    # before `_checked_probs` called the ufunc reductions directly
+    p = np.asarray(p)
+    if p.dtype.kind == "c":
+        if not np.abs(p.imag).max() <= 1e-8:
+            raise ValueError("joint probabilities acquired a non-negligible imaginary part")
+        p = p.real
+    p = np.array(p, dtype=float)
+    low = p.min()
+    if not low >= -1e-12:
+        raise ValueError(f"negative probability {low:.3e} exceeds the clamping tolerance 1e-12")
+    if low < 0.0:
+        p[p < 0.0] = 0.0
+    s = p.sum(axis=axis)
+    bad = np.abs(s - 1.0) > 1e-10
+    if bad.any():
+        total = np.ravel(s)[np.ravel(bad)][0]
+        raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-10")
+    p.setflags(write=False)
+    return p
+
+
+_SPOILERS = ["none", "dust", "below-dust", "total-in", "total-out", "imag-in", "imag-out",
+             "nan", "inf", "-inf", "nan-imag", "zeros"]
+
+
+def _spoiled_probs(seed: int, shape, axis, spoiler: str, where: int):
+    # valid probabilities (each total 1 over `axis`), then one entry spoiled
+    rng = np.random.default_rng(seed)
+    p = rng.random(shape) * (rng.random(shape) < 0.8)
+    p[(..., 0, 0) if axis else 0] += 0.1   # no total is 0
+    p = p / p.sum(axis=axis, keepdims=axis is not None)
+    flat = p.reshape(-1)
+    k = where % flat.size
+    if spoiler == "dust":
+        flat[k] = -0.9e-12
+    elif spoiler == "below-dust":
+        flat[k] = -1.1e-12
+    elif spoiler in ("total-in", "total-out"):
+        flat[k] += 0.99e-10 if spoiler == "total-in" else 1.01e-10
+    elif spoiler in ("nan", "inf", "-inf"):
+        flat[k] = float(spoiler)
+    elif spoiler == "zeros":
+        flat[:] = 0.0
+    if spoiler.startswith(("imag", "nan-imag")):
+        p = p + 0j
+        p.reshape(-1)[k] += {"imag-in": 0.99e-8j, "imag-out": 1.01e-8j, "nan-imag": np.nan * 1j}[
+            spoiler]
+    return p
+
+
+class TestProbabilityChecks:
+    """`_checked_probs` gives, on any input, the array bits or the exception
+    type and message of the same checks written with the array methods; a
+    single state's joints and a survey's stacks alike."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from([((1,), None), ((5,), None), ((39,), None), ((40,), None),
+                                   ((6, 7), None), ((2, 2, 2), (1, 2)), ((3, 2, 2), (1, 2)),
+                                   ((4, 3, 3), (1, 2)), ((5, 3, 3), (1, 2)), ((1, 6, 6), (1, 2)),
+                                   ((2, 3, 2, 2), (-2, -1)), ((300, 3, 2, 2), (-2, -1))]),
+           spoiler=st.sampled_from(_SPOILERS), where=st.integers(0, 5000),
+           complex_input=st.booleans())
+    def test_matches_the_array_method_checks(self, seed, layout, spoiler, where, complex_input):
+        from entrosteer.infotheory import _checked_probs
+
+        shape, axis = layout
+        p = _spoiled_probs(seed, shape, axis, spoiler, where)
+        if complex_input:
+            p = p + 0j
+        with np.errstate(invalid="ignore"):   # NaN and inf totals
+            assert _outcome(_checked_probs, p, axis) == _outcome(_method_checked_probs, p, axis)
+
+    def test_a_nan_imaginary_part_is_refused(self):
+        # NaN compares false with the 1e-8 limit; it must not hide a larger part
+        from entrosteer.infotheory import _checked_probs
+
+        for p in ([complex(0.5, np.nan), 0.5], [complex(0.5, np.nan), complex(0.5, 0.3)]):
+            with pytest.raises(ValueError, match="non-negligible imaginary part"):
+                _checked_probs(np.array(p))

@@ -92,7 +92,7 @@ rhos, bases = _interleaving_inputs()
 out = []
 for rho in rhos:
     for k in range(len(_MENU)):
-        measure._pair_stacks.cache_clear()
+        measure._set_record.cache_clear()
         rep = _menu_call(k, rho, bases)
         out.append([rep.lhs_bits.hex(), rep.bound_bits.hex(), rep.violation_bits.hex()])
 print(json.dumps(out))
@@ -538,10 +538,10 @@ class TestOneTimeWork:
                 with pytest.raises(ValueError, match=message):
                     call()
             assert counts["kernel"] == 3 * k
-            assert measure._pair_stacks(((x, x), (z, z)))[3] == [None]
+            assert measure._set_record(((x, x), (z, z))).last is None
         # the set still serves a state that fits
         pair_conditional(werner_state(0.8), x, z, x, z)
-        assert measure._pair_stacks(((x, x), (z, z)))[3] != [None]
+        assert measure._set_record(((x, x), (z, z))).last is not None
 
     def test_threads_alternating_two_states_on_one_set_agree_with_serial(self):
         rng = np.random.default_rng(12)
@@ -623,8 +623,7 @@ class TestOneTimeWork:
             u = random_unitary(2, rng)
             r, s = rotate_basis(x, u), rotate_basis(z, u)
             pair_conditional(rho, r, s, r, s)
-        for cached in (measure._pair_stacks, witness._pair_omega):
-            assert cached.cache_info().currsize == measure.SET_CACHE_SIZE
+        assert measure._set_record.cache_info().currsize == measure.SET_CACHE_SIZE
         gc.collect()
         assert released() is None
 
@@ -666,8 +665,8 @@ class TestOneTimeWork:
         with pytest.raises(ValueError):
             x.vectors[0, 0] = 0.0
         # the cached element stacks are shared by every later call on the set
-        _, f_stack, g_stack, _, _ = measure._pair_stacks(((x, smeared),))
-        assert not f_stack.flags.writeable and not g_stack.flags.writeable
+        rec = measure._set_record(((x, smeared),))
+        assert not rec.f_stack.flags.writeable and not rec.g_stack.flags.writeable
 
 
 class TestMeasurementDistribution:

@@ -367,6 +367,36 @@ class TestSoundnessAudit:
         with pytest.raises(ValueError):
             soundness_audit([random_density(rng, 3, 3)])
 
+    def test_an_audit_of_three_blocks_keeps_the_callers_cached_sets(self, monkeypatch, tmp_path):
+        # the audit builds its measurements and bounds once and adds nothing
+        # to the witnesses' set cache, so a caller's full cache survives it
+        from entrosteer import measure, montecarlo, random_unitary, rotate_basis
+        from entrosteer.cli import main
+
+        monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+        rng = np.random.default_rng(7)
+        x, _, z = pauli_bases()
+        sets = []
+        for _ in range(measure.SET_CACHE_SIZE):
+            u = random_unitary(2, rng)
+            r, s = rotate_basis(x, u), rotate_basis(z, u)
+            pair_conditional(werner_state(0.7), r, s, r, s)
+            sets.append(((r, r), (s, s)))
+        montecarlo._audit_constants.cache_clear()
+        omegas = []
+        monkeypatch.setattr(montecarlo, "povm_omega",
+                            lambda *a: omegas.append(a) or measure.povm_omega(*a))
+        before = measure._set_record.cache_info()
+        states = separable_sample(12, 2, np.random.default_rng(3))
+        assert len(montecarlo._blocks(len(states))) == 3
+        soundness_audit(states)
+        assert main(["separable-audit", "--n", "10", "--out", str(tmp_path / "a.json")]) == 0
+        assert len(omegas) == 1
+        assert measure._set_record.cache_info() == before
+        for pairs in sets:
+            measure._set_record(pairs)
+        assert measure._set_record.cache_info().misses == before.misses
+
 
 _SINGLET = singlet_state().to_density().mat
 

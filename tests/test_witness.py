@@ -4,6 +4,7 @@ from conftest import random_basis, random_density
 
 from entrosteer import (
     DensityMatrix,
+    WitnessReport,
     as_povm,
     basis_sweep,
     entanglement_of_formation,
@@ -49,6 +50,29 @@ def xz():
 @pytest.fixture
 def triple():
     return pauli_bases()
+
+
+class TestWitnessReport:
+    """A report is an immutable record of five named fields, compared and
+    hashed by value; `eval` writes its `_asdict()`."""
+
+    def test_fields_repr_equality_hashing_and_immutability(self):
+        x, _, z = pauli_bases()
+        rep = pair_conditional(werner_state(0.9), x, z, x, z)
+        assert WitnessReport._fields == (
+            "name", "direction", "lhs_bits", "bound_bits", "violation_bits")
+        assert repr(rep) == (
+            f"WitnessReport(name='pair_conditional', direction='AtoB', "
+            f"lhs_bits={rep.lhs_bits!r}, bound_bits=1.0, violation_bits={rep.violation_bits!r})")
+        again = pair_conditional(werner_state(0.9), x, z, x, z)
+        assert again == rep and hash(again) == hash(rep) and len({rep, again}) == 1
+        assert rep != pair_conditional(werner_state(0.9), x, z, x, z, direction="BtoA")
+        with pytest.raises(AttributeError):
+            rep.lhs_bits = 0.0
+        assert rep._asdict() == {"name": "pair_conditional", "direction": "AtoB",
+                                 "lhs_bits": rep.lhs_bits, "bound_bits": 1.0,
+                                 "violation_bits": rep.violation_bits}
+        assert all(type(v) is float for v in rep[2:])
 
 
 class TestSanchezRuizBound:
@@ -202,6 +226,26 @@ class TestMubConditional:
         x, y, _ = triple
         with pytest.raises(ValueError, match=r"steered-side \(B\) bases must all have dimension 2"):
             mub_conditional(werner_state(0.5), triple, [x, y, mub_set(3)[0]])
+
+    @pytest.mark.parametrize("witness", [mub_conditional, mub_mi])
+    def test_steered_checks_come_first_whatever_the_set_record_holds(self, rng, triple, witness):
+        # the set record keeps a side's MUB floor once its check passes; the
+        # steered side's errors still come before the other side's, and a
+        # kept floor does not serve a state of another dimension
+        x, y, z = triple
+        broken = [x, y, rotate_basis(z, random_unitary(2, rng))]
+        with pytest.raises(ValueError, match=r"^steered-side \(B\) needs a complete set of 3"):
+            witness(werner_state(0.5), [], [])
+        for other in ([x, y, np.eye(2)], [x, y, "junk"]):
+            with pytest.raises(ValueError, match="not mutually unbiased"):
+                witness(werner_state(0.5), other, broken)
+            with pytest.raises(TypeError, match="expected ProjectiveBasis or Povm"):
+                witness(werner_state(0.5), other, triple)
+        witness(werner_state(0.5), triple, triple)
+        qutrits = DensityMatrix((3, 3), np.eye(9) / 9)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"needs a complete set of 4 bases, got 3"):
+                witness(qutrits, triple, triple)
 
     def test_direction_validates_correct_side(self, rng, triple):
         # BtoA steers A, so only the A-side set must be a complete MUB set
@@ -373,11 +417,11 @@ class TestStateTypes:
     )
     def test_wrong_state_type_raises(self, name, state, expected):
         entry = _DISCRETE_ENTRIES.get(name) or _CV_ENTRIES[name]
-        lookups = measure._pair_stacks.cache_info()
+        lookups = measure._set_record.cache_info()
         with pytest.raises(TypeError, match=f"^{name} takes a {expected}, "
                                             f"got {type(state).__name__}$"):
             entry(state)
-        info = measure._pair_stacks.cache_info()
+        info = measure._set_record.cache_info()
         assert (info.hits, info.misses) == (lookups.hits, lookups.misses)
 
 

@@ -153,13 +153,13 @@ def test_maximally_mixed_b_marginal_gives_zero_gap(seed, d):
 def test_unequal_outcome_counts_share_one_stack():
     # a qubit trine on Alice, a two-outcome POVM on Bob: the padded 3 x 3
     # slice holds the 3 x 2 joint and a zero column
-    from entrosteer.measure import _set_statistics
+    from entrosteer.measure import _set_record, _set_statistics
 
     rng = np.random.default_rng(5)
     rho = random_density(rng, 2, 2)
     three, two = trine(rng, 2), random_povm(rng, 2, 2)
     x = random_basis(rng, 2)
-    p, _ = _set_statistics(rho, [(three, two), (x, three)])
+    p, _ = _set_statistics(rho, _set_record(((three, two), (x, three))))
     assert p.shape == (2, 3, 3)
     assert np.all(p[0, :, 2] == 0.0) and np.all(p[1, 2, :] == 0.0)
     assert not p.flags.writeable
@@ -200,3 +200,30 @@ def test_full_mub_conditional_on_a_qudit_7_state_matches_the_loop_oracle():
         got = entrosteer.mub_conditional(rho, mub, mub, direction=direction).violation_bits
         want = loop_violation("mub_conditional", rho, mub, mub, direction=direction)
         assert abs(got - want) < 1e-12
+
+
+def _bits(x) -> bytes:
+    # a float's bits; every NaN alike, since only the value is the contract
+    return b"nan" if x != x else np.float64(x).tobytes()
+
+
+_ENTROPY = st.one_of(st.floats(0.0, 8.0), st.sampled_from([0.0, -0.0, 1e-300, 5e-324]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_ENTROPY, _ENTROPY, _ENTROPY), min_size=1, max_size=9))
+def test_one_state_sums_give_row_zero_of_the_stack_bit_for_bit(terms):
+    # one state's entropies go through Python floats, a survey's through
+    # numpy: the same subtractions, clamps and left fold, so the same bits
+    from entrosteer.witness import _conditional_sum, _mi_sum
+
+    h_joint, h_a, h_b = (np.array(column) for column in zip(*terms))
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf in the stack path
+        for one, stack in [
+            (_conditional_sum(h_joint, h_a), _conditional_sum(h_joint[None], h_a[None])),
+            (_conditional_sum(h_joint, h_b), _conditional_sum(h_joint[None], h_b[None])),
+            (_mi_sum(h_joint, h_a, h_b), _mi_sum(h_joint[None], h_a[None], h_b[None])),
+        ]:
+            assert type(one) is float and stack.shape == (1,)
+            assert _bits(one) == _bits(stack[0])
