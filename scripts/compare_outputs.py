@@ -4,14 +4,16 @@ the working tree.
     python3 scripts/compare_outputs.py [--base HEAD]
 
 Run from the root of a checkout. The base ref is checked out in a temporary
-git worktree. One fixed list of `python -m entrosteer` runs (the surveys in
-both formats, sweeps over Werner and seeded d = 2, 3, 5 state files, `eval` of
-every witness in both directions, and of the MUB and modular witnesses on
-seeded d = 5 and 7 states, the thresholds (also bisected to 1e-15, which
-takes a scalar witness call per step), `cv-scan`, the audit, every
-`--help` text and the configuration errors) then runs on both sides, one run
-at a time, each in its own empty directory. A case differs when its stdout,
-its stderr, its exit code or its `--out` data file differs; the run manifests
+git worktree. One fixed list of runs then runs on both sides, one run at a
+time, each in its own empty directory. Most are `python -m entrosteer` runs:
+the surveys in both formats, sweeps over Werner and seeded d = 2, 3, 5 state
+files, `eval` of every witness in both directions, and of the MUB and modular
+witnesses on seeded d = 5 and 7 states, the thresholds (also bisected to
+1e-15, which takes a scalar witness call per step), `cv-scan`, the audit,
+every `--help` text and the configuration errors. One `python -c` run prints
+every `eval` report on four of those state files in hex, so the scalar
+witnesses are compared bit for bit. A case differs when its stdout, its
+stderr, its exit code or its `--out` data file differs; the run manifests
 hold timestamps and are not compared. Each side's directory name in its
 output is replaced by `<dir>` first. Every differing case is printed. Exit
 status 1 on any difference.
@@ -32,6 +34,18 @@ import numpy as np
 
 WITNESSES = ["pair-conditional", "pair-symmetric-mi", "mub-conditional", "mub-mi",
              "sumdiff-discrete"]
+# run as `python -c REPORT_BITS STATE_FILE...`: the scalar witness path bit for bit
+REPORT_BITS = f"""
+import os, sys
+from entrosteer.cli import _eval_report, load_state
+for path in sys.argv[1:]:
+    rho = load_state(path)
+    for witness in {WITNESSES!r}:
+        for direction in ("AtoB", "BtoA"):
+            r = _eval_report(rho, witness, direction)
+            print(os.path.basename(path), witness, direction, float.hex(r.lhs_bits),
+                  float.hex(r.bound_bits), float.hex(r.violation_bits))
+"""
 COMMANDS = ["fig1", "fig2", "sweep", "werner-threshold", "cv-scan", "eval", "separable-audit"]
 
 
@@ -102,6 +116,11 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         "--out", "OUT.csv")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
+    # fig2's states are drawn block by block (4096) too: one state past the first block
+    add("fig2-block-edge", "fig2", "--ensemble", "mixed", "--n", "4097", "--trials", "2",
+        "--seed", "13", "--threads", "2", "--out", "OUT.csv")
+    add("fig2-pure-block-edge", "fig2", "--ensemble", "pure", "--n", "4097", "--trials", "2",
+        "--seed", "13", "--threads", "2", "--out", "OUT.csv")
     for p in ("0.3", "0.7", "0.9"):
         add(f"sweep-werner-{p}", "sweep", "--werner", p, "--n", "1500", "--seed", "5",
             "--out", "OUT.csv")
@@ -121,6 +140,9 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         for direction in ("AtoB", "BtoA"):
             add(f"eval-{name}-{witness}-{direction}", "eval", "--state-file", states[name],
                 "--witness", witness, "--direction", direction)
+    # every report `eval` can give, in hex: `eval` prints 12 significant digits
+    add("eval-report-bits", "-c", REPORT_BITS,
+        *(states[name] for name in ("werner", "q2", "q3", "q5")))
     for settings in ("2", "3"):
         add(f"werner-threshold-{settings}", "werner-threshold", "--settings", settings,
             "--out", "OUT.json")
@@ -191,7 +213,8 @@ def run_case(checkout: str, workdir: str, name: str, argv: list[str], env: dict)
     environ = {k: v for k, v in os.environ.items()
                if k not in ("ENTROSTEER_SEED", "OPENBLAS_NUM_THREADS")}
     environ.update(env, PYTHONPATH=os.path.join(checkout, "src"))
-    argv = [sys.executable, "-m", "entrosteer", *(a.replace("OUT.", name + ".") for a in argv)]
+    program = [] if argv[0] == "-c" else ["-m", "entrosteer"]   # a `-c` case runs its own script
+    argv = [sys.executable, *program, *(a.replace("OUT.", name + ".") for a in argv)]
     done = subprocess.run(argv, cwd=rundir, env=environ, capture_output=True, text=True,
                           timeout=600)
     data = {}

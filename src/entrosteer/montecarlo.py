@@ -72,7 +72,7 @@ def _worker_count(threads: int, items: int, cpus: int | None) -> int:
     return max(1, min(threads, items, cpus or threads))
 
 
-def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None) -> np.ndarray:
+def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
     """The two-qubit states of an ensemble, one per seed, as one unvalidated
     (n, 4, 4) stack: Haar-random pure states ("pure"), or ("mixed")
     Ginibre-induced states whose rank is drawn uniformly from {1..4}, so the
@@ -86,13 +86,12 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
     item fills the next row of a contiguous ``(n_r, 2, 4, r)`` buffer for its
     rank r. The matrix arithmetic then runs once per stack with the
     per-element operations of those constructors, so every item is
-    bit-identical to its replay from the recorded seed. `streams` is passed
-    on to `_item_streams`.
+    bit-identical to its replay from the recorded seed.
     """
     n = len(seeds)
     if _choice(ensemble, ("pure", "mixed"), "ensemble") == "pure":
         draws = np.empty((n, 2, 4))
-        for g, row in zip(_item_streams(seeds, streams), draws):
+        for g, row in zip(_item_streams(seeds), draws):
             g.standard_normal(out=row)
         v = draws[:, 0] + 1j * draws[:, 1]
         # per-row dots on the strided real and imaginary views: the BLAS calls
@@ -102,7 +101,7 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
         v = v / np.sqrt(sq[:, 0])
         return v[:, :, None] * v.conj()[:, None, :]
     ranks = np.empty(n, dtype=np.intp)
-    items = _item_streams(seeds, streams, ranks)
+    items = _item_streams(seeds, ranks)
     bufs = [np.empty((np.count_nonzero(ranks == r), 2, 4, r)) for r in range(1, 5)]
     rows = [iter(buf) for buf in bufs]   # each rank's items arrive in seed order
     for g, r in zip(items, ranks.tolist()):
@@ -115,6 +114,7 @@ def _ensemble_stack(ensemble: str, seeds: list[int], streams: list | None = None
 
 def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
     """Sample n two-qubit states; returns (states, per-state integer seeds)."""
+    _choice(ensemble, ("pure", "mixed"), "ensemble")
     seeds = _derived_seeds(rng, _count(n, "n"))
     return [DensityMatrix((2, 2), m) for m in _ensemble_stack(ensemble, seeds)], seeds
 
@@ -197,6 +197,7 @@ def survey_fig1(n: int, ensemble: str, rng: np.random.Generator) -> list[SurveyR
     Each sampled block is validated once, and its eigenvalues give the purity
     column; no DensityMatrix is built per state. Runs on one thread.
     """
+    _choice(ensemble, ("pure", "mixed"), "ensemble")
     blocks = _sampled_blocks(n, rng, lambda seeds: _ensemble_stack(ensemble, seeds))
     return _records(np.concatenate([_fig1_kernel(mats, evals) for _, mats, evals in blocks]))
 
@@ -269,21 +270,20 @@ def survey_fig2(
 
     Each work item draws its state and then its trial stream from one derived
     seed, so items are independent of scheduling and individually replayable.
-    The states are drawn as one stack on the calling thread, which records
-    each item's stream state after its state draws, and are validated once;
-    each pool thread (`threads` >= 1) then resumes its item's stream.
+    The states are drawn as one stack on the calling thread and validated
+    once; each pool thread (`threads` >= 1) then draws its item's trials from
+    `default_rng(seed)`, past the state's draws in `_ensemble_stack`'s order.
     """
     _count(trials, "trials")
     _count(threads, "threads")
+    _choice(ensemble, ("pure", "mixed"), "ensemble")
     seeds = _derived_seeds(rng, _count(n, "n"))
-    streams = []
-    mats = _ensemble_stack(ensemble, seeds, streams)
+    mats = _ensemble_stack(ensemble, seeds)
     purity = _purity_scaled(validate_density_stack(mats)).tolist()
 
     def work(i):
-        bit_gen = np.random.PCG64()
-        bit_gen.state = streams[i]
-        g = np.random.Generator(bit_gen)
+        g = np.random.default_rng(seeds[i])
+        g.standard_normal((2, 4) if ensemble == "pure" else (2, 4, int(g.integers(1, 5))))
         return _optimize(mats[i], trials, g, i, seeds[i]), purity[i]
 
     workers = _worker_count(threads, n, os.cpu_count())
@@ -352,7 +352,8 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
     """n separable two-qubit states: convex mixtures of at most k_max product
     states with Dirichlet-uniform weights and random single-qubit factors
     (rank 1 or 2, so pure-product boundary cases are included)."""
-    mats = _separable_stack(_derived_seeds(rng, _count(n, "n")), _count(k_max, "k_max"))
+    k_max = _count(k_max, "k_max")
+    mats = _separable_stack(_derived_seeds(rng, _count(n, "n")), k_max)
     return [DensityMatrix((2, 2), m) for m in mats]
 
 

@@ -131,17 +131,15 @@ def _pcg64_states(words: np.ndarray, ranked: bool = False):
     return seeded, (hi, lo, out >> 32, (1 + ((out & _MASK32) >> 30)).astype(np.intp))
 
 
-def _item_streams(seeds, streams: list | None = None, ranks: np.ndarray | None = None):
+def _item_streams(seeds, ranks: np.ndarray | None = None):
     """An iterator that yields, for each seed in turn, a Generator in the
     state of `np.random.default_rng(seed)`: one Generator, loaded with each
     item's state (derived in one vectorised pass by `_seed_words` and
     `_pcg64_states`) by writing it into its state memory. Draw each item
     before asking for the next.
 
-    A `ranks` array is filled at once with each item's `integers(1, 5)`,
-    worked out from the stream's first output, and each Generator is then in
-    its state after that draw. A `streams` list gets each item's
-    `bit_generator.state` after its draws, so its stream can be resumed.
+    A `ranks` array is filled at once with each item's `integers(1, 5)`, worked
+    out from its stream's first output, and each Generator is past that draw.
 
     The first item of every `_BLOCK` is checked, once loaded, against a real
     `default_rng`: its whole `bit_generator.state` and its rank. A numpy that
@@ -153,7 +151,7 @@ def _item_streams(seeds, streams: list | None = None, ranks: np.ndarray | None =
         seeded = (*drawn[:2], *seeded[2:])
         flags[:, 0], flags[:, 1] = 1, drawn[2]
         ranks[:] = drawn[3]
-    return _loaded(seeds, seeded, flags, ranks, streams)
+    return _loaded(seeds, seeded, flags, ranks)
 
 
 def _state_memory(bit_gen):
@@ -176,7 +174,7 @@ def _state_memory(bit_gen):
     return words, flags, [marks.index(w) for w in words.tolist()]
 
 
-def _loaded(seeds, halves, flags, ranks, streams):
+def _loaded(seeds, halves, flags, ranks):
     # the iterator of `_item_streams`; the state words are put in memory order block by block
     g = np.random.default_rng(0)
     words, flag_words, order = _state_memory(g.bit_generator)
@@ -194,5 +192,3 @@ def _loaded(seeds, halves, flags, ranks, streams):
             words[:] = w
             flag_words[:] = f
             yield g
-            if streams is not None:
-                streams.append(g.bit_generator.state)

@@ -17,6 +17,7 @@ from entrosteer import (
     partial_trace,
     pauli_bases,
     ppt_min_eigenvalue,
+    random_mixed_state,
     random_pure_state,
     sample_ensemble,
     separable_sample,
@@ -197,11 +198,18 @@ class TestSurveyFig2:
         b = survey_fig2(8, "pure", 40, np.random.default_rng(42), threads=2)
         assert a == b
 
-    def test_items_replayable_from_recorded_seed(self):
-        out = survey_fig2(4, "pure", 50, np.random.default_rng(43))
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ensemble", ["pure", "mixed"])
+    def test_items_replayable_from_recorded_seed(self, ensemble, threads):
+        # each row again from its seed alone: the scalar constructor's draws,
+        # then the trials, on the same stream
+        out = survey_fig2(8, ensemble, 50, np.random.default_rng(43), threads=threads)
         for res, _ in out:
             g = np.random.default_rng(res.seed)
-            rho = random_pure_state(2, 2, g).to_density()
+            if ensemble == "pure":
+                rho = random_pure_state(2, 2, g).to_density()
+            else:
+                rho = random_mixed_state(2, 2, int(g.integers(1, 5)), g)
             again = optimize_bases(rho, 50, g)
             assert again.best_v_AtoB == res.best_v_AtoB
             assert again.best_v_BtoA == res.best_v_BtoA
@@ -493,3 +501,27 @@ class TestThreadCounts:
     def test_numpy_integer_threads_run(self, entry):
         a = self._call(entry, np.random.default_rng(5), np.int64(2))
         assert a == self._call(entry, np.random.default_rng(5), 1)
+
+
+class TestSamplerArguments:
+    """Every sampler checks all of its arguments before it draws the item
+    seeds from the caller's generator, so a refused call leaves it as it was."""
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda rng: survey_fig1(3, "thermal", rng), ValueError,
+         "ensemble must be 'pure' or 'mixed', got 'thermal'"),
+        (lambda rng: survey_fig2(3, "thermal", 2, rng), ValueError,
+         "ensemble must be 'pure' or 'mixed', got 'thermal'"),
+        (lambda rng: sample_ensemble(3, "thermal", rng), ValueError,
+         "ensemble must be 'pure' or 'mixed', got 'thermal'"),
+        (lambda rng: separable_sample(3, 0, rng), ValueError, "k_max must be >= 1, got 0"),
+        (lambda rng: separable_sample(3, 2.0, rng), TypeError,
+         "k_max must be an integer, got float"),
+    ], ids=["survey_fig1-ensemble", "survey_fig2-ensemble", "sample_ensemble-ensemble",
+            "separable_sample-zero-k_max", "separable_sample-float-k_max"])
+    def test_refused_before_sampling(self, call, error, message):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(error, match=f"^{message}$"):
+            call(rng)
+        assert rng.bit_generator.state == before

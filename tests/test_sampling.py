@@ -294,45 +294,27 @@ def test_item_streams_draw_as_default_rng(monkeypatch):
 
 def test_live_item_streams_load_only_their_own_generator(monkeypatch):
     # two loaders stepped in turn, one ranked: each writes its state words
-    # into its own generator's memory only, and records its own states
+    # into its own generator's memory only
     monkeypatch.setattr(streams, "_BLOCK", 3)
     seeds = {False: _derived_seeds(np.random.default_rng(72), 8),
              True: EDGE_SEEDS[:4] + _derived_seeds(np.random.default_rng(73), 4)}
     ranks = np.full(8, -1, dtype=np.intp)
-    recorded = {False: [], True: []}
-    items = {False: streams._item_streams(seeds[False], recorded[False]),
-             True: streams._item_streams(seeds[True], recorded[True], ranks)}
+    items = {False: streams._item_streams(seeds[False]),
+             True: streams._item_streams(seeds[True], ranks)}
     got = {False: [], True: []}
     for _ in range(8):
         for ranked in (False, True):
             got[ranked].append(_draws(next(items[ranked])))
     assert next(items[False], None) is None and next(items[True], None) is None
     for ranked in (False, True):
-        expected, states = [], []
+        expected = []
         for s in seeds[ranked]:
             g = np.random.default_rng(s)
             if ranked:
                 g.integers(1, 5)
             expected.append(_draws(g))
-            states.append(g.bit_generator.state)
         assert got[ranked] == expected
-        assert recorded[ranked] == states
     assert ranks.tolist() == [int(np.random.default_rng(s).integers(1, 5)) for s in seeds[True]]
-
-
-@pytest.mark.parametrize("ensemble,shape", [("mixed", None), ("pure", (2, 4))])
-def test_recorded_streams_match_default_rng(monkeypatch, ensemble, shape):
-    # the fig2 streams: each item's state after its state draws
-    monkeypatch.setattr(streams, "_BLOCK", 7)
-    seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(67), 40)
-    recorded = []
-    montecarlo._ensemble_stack(ensemble, seeds, recorded)
-    expected = []
-    for s in seeds:
-        g = np.random.default_rng(s)
-        g.standard_normal(shape or (2, 4, int(g.integers(1, 5))))
-        expected.append(g.bit_generator.state)
-    assert recorded == expected
 
 
 def _wrong_words(seeds, seed_words=streams._seed_words):
