@@ -106,7 +106,16 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("fig1-stdout", "fig1", "--n", "50", "--seed", "3")
     add("fig1-two-threads", "fig1", "--n", "9000", "--seed", "12", "--threads", "2",
         "--out", "OUT.csv")
-    # fig1 runs block by block (4096 states): one full block, then one state past it
+    # fig1 and the audit run block by block (1024 states): one state past the
+    # first block, in each ensemble and format, and a JSON file of nine blocks
+    add("fig1-block-1025", "fig1", "--n", "1025", "--seed", "13", "--out", "OUT.csv")
+    add("fig1-pure-block-1025", "fig1", "--ensemble", "pure", "--n", "1025", "--seed", "13",
+        "--out", "OUT.csv")
+    add("fig1-block-1025-json", "fig1", "--n", "1025", "--seed", "13", "--format", "json",
+        "--out", "OUT.json")
+    add("fig1-nine-blocks-json", "fig1", "--n", "9000", "--seed", "14", "--format", "json",
+        "--out", "OUT.json")
+    # the block edge of the stream loader's guard (`streams._BLOCK`, 4096 items)
     add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge", "fig1", "--n", "4097", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge-stdout", "fig1", "--n", "4097", "--seed", "13")
@@ -116,7 +125,7 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         "--out", "OUT.csv")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
-    # fig2's states are drawn block by block (4096) too: one state past the first block
+    # fig2's states are loaded in guard blocks too: one state past the first
     add("fig2-block-edge", "fig2", "--ensemble", "mixed", "--n", "4097", "--trials", "2",
         "--seed", "13", "--threads", "2", "--out", "OUT.csv")
     add("fig2-pure-block-edge", "fig2", "--ensemble", "pure", "--n", "4097", "--trials", "2",
@@ -164,6 +173,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("separable-audit-many-terms", "separable-audit", "--n", "10000", "--seed", "7",
         "--out", "OUT.json")
     add("separable-audit-block-edge", "separable-audit", "--n", "4097", "--k-max", "12",
+        "--seed", "13", "--out", "OUT.json")
+    add("separable-audit-block-1025", "separable-audit", "--n", "1025", "--k-max", "12",
         "--seed", "13", "--out", "OUT.json")
     add("version", "--version")
     add("help", "--help")

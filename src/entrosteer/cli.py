@@ -65,14 +65,18 @@ AUDIT_TOL = 1e-9
 # record's peak_bytes), rounded up from the slope of peak RSS between two run
 # sizes and from tracemalloc peaks (Python 3.11, numpy 2.4): per state for fig2
 # and per block state for fig1, per basis-set draw for sweep, per grid point for
-# cv-scan. JSON output adds _JSON_ROW_BYTES per row, CSV on standard output
-# _CSV_ROW_BYTES. fig1 and separable-audit hold one _BLOCK of states and
-# _SEED_BYTES per item; an audit block state costs _AUDIT_STATE_BYTES plus
+# cv-scan. A table held whole (fig2, sweep and cv-scan make theirs in one block,
+# and standard output gets all the text at once) adds _JSON_ROW_BYTES per row as
+# JSON; fig1's CSV on standard output adds _CSV_ROW_BYTES per row. fig1 and
+# separable-audit hold one _BLOCK of states, whatever --n, plus the list of
+# blocks, _PARTITION_BYTES each; a fig1 --out file takes its text a block at a
+# time, and fig1's constant also covers a first run's import of numpy.random
+# (0.9 MiB traced). An audit block state costs _AUDIT_STATE_BYTES plus
 # _AUDIT_TERM_BYTES per term slot (k_max per state), and each fig2 state in
 # flight holds the working set of one trial chunk plus _TRIAL_BYTES per trial.
-_JSON_ROW_BYTES = 1280
+_JSON_ROW_BYTES = 256
 _CSV_ROW_BYTES = 128
-_SEED_BYTES = 64
+_PARTITION_BYTES = 160
 _AUDIT_STATE_BYTES = 2048
 _AUDIT_TERM_BYTES = 512
 _TRIAL_CHUNK_BYTES = 3 * 2**20
@@ -102,6 +106,11 @@ def _flags(record, *names: str, options: tuple = ()) -> None:
 
 def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
     return rows * (item_bytes + (_JSON_ROW_BYTES if config.format == "json" else 0))
+
+
+def _blocks_bytes(n: int, state_bytes: int) -> int:
+    # one block of states and the list of n states' blocks (`montecarlo._blocks`)
+    return min(n, _BLOCK) * state_bytes + -(-n // _BLOCK) * _PARTITION_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +146,9 @@ class Fig1Options(_Options):
     n: int = _option(10000, "number of states")
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
 
-    def peak_bytes(self, config):   # a file takes the rows a block at a time
-        text = 0 if config.out_path else _CSV_ROW_BYTES
-        return min(self.n, _BLOCK) * 1280 + _table_bytes(config, self.n, _SEED_BYTES + text)
+    def peak_bytes(self, config):
+        blocks = _blocks_bytes(self.n, 1920)
+        return blocks if config.out_path else blocks + _table_bytes(config, self.n, _CSV_ROW_BYTES)
 
 
 @dataclass(frozen=True)
@@ -217,8 +226,7 @@ class SeparableAuditOptions(_Options):
     k_max: int = _option(4, "max product terms per mixture")
 
     def peak_bytes(self, config):
-        return (min(self.n, _BLOCK) * (_AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
-                + self.n * _SEED_BYTES)
+        return _blocks_bytes(self.n, _AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
 
 
 @dataclass
@@ -285,13 +293,36 @@ def _json_ready(obj):
         return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
     return obj
 
 
 def _json_text(obj) -> str:
     return json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n"
+
+
+def _json_number(x) -> str:
+    # a cell as `_json_text` writes it: a float rounded by `_fmt`, read back
+    # and spelled by float.__repr__, or as `json` spells a non-finite float
+    if not isinstance(x, float):
+        return repr(x)
+    text = repr(float(_fmt(x)))
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+def _json_table_text(header: list[str], blocks):
+    """The JSON text of a table, a list of row objects keyed by `header`, as
+    `_json_text` writes an object (floats rounded by `_fmt`, sorted keys,
+    two-space indent): one chunk per non-empty list of rows in `blocks`, each
+    let go once its text is made, and a closing chunk."""
+    members = ",\n".join(f"    {json.dumps(header[j])}: {{{j}}}"
+                         for j in sorted(range(len(header)), key=header.__getitem__))
+    row_format = "  {{\n" + members + "\n  }}"
+    lead = "[\n"
+    for rows in blocks:
+        if rows:
+            yield lead + ",\n".join(row_format.format(*map(_json_number, row)) for row in rows)
+            lead = ",\n"
+    yield "[]\n" if lead == "[\n" else "\n]\n"
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -399,7 +430,7 @@ def _emit(config: RunConfig, chunks) -> None:
 
 def _emit_table(config: RunConfig, header: list[str], blocks, row_format: str) -> None:
     _emit(config, _csv_text(header, blocks, row_format) if config.format == "csv"
-          else [_json_text([dict(zip(header, row)) for rows in blocks for row in rows])])
+          else _json_table_text(header, blocks))
 
 
 # ---------------------------------------------------------------------------

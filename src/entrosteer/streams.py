@@ -1,10 +1,10 @@
 """Per-item random streams of the seeded surveys.
 
-Each work item gets one integer seed, drawn up front from the caller's
-generator (`_derived_seeds`), and owns a fresh stream in the state of
-`np.random.default_rng(seed)`. `_item_streams` derives all those streams in one
-vectorised pass of numpy's SeedSequence and PCG64 seeding, checked against
-numpy itself.
+Each work item gets one integer seed, drawn from the caller's generator
+(`_derived_seeds`, all at once or a block at a time: the draw is prefix-stable),
+and owns a fresh stream in the state of `np.random.default_rng(seed)`.
+`_item_streams` derives the streams of a list of seeds in one vectorised pass
+of numpy's SeedSequence and PCG64 seeding, checked against numpy itself.
 """
 
 from __future__ import annotations

@@ -88,6 +88,35 @@ class TestCsvText:
         assert "".join(cli._csv_text(header, [rows], "%d,%.12g,%.12g,%.12g\n")) == expected
 
 
+class TestJsonText:
+    # a table's JSON text, made a block at a time, against `json.dumps` of
+    # the whole list of row objects with each float rounded by `_fmt`
+    _FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+    _ROWS = st.lists(st.tuples(st.integers(-5, 10**6), _FLOAT, _FLOAT), max_size=12)
+
+    @staticmethod
+    def expected(header, rows):
+        objects = [{k: float(cli._fmt(v)) if isinstance(v, float) else v
+                    for k, v in zip(header, row)} for row in rows]
+        return json.dumps(objects, indent=2, sort_keys=True) + "\n"
+
+    @given(rows=_ROWS, cuts=st.lists(st.integers(0, 12), max_size=3))
+    @example(rows=[], cuts=[])
+    @example(rows=[(0, 1e11, -0.0)], cuts=[])
+    @example(rows=[(3, float("nan"), float("-inf"))], cuts=[0, 0, 1])
+    def test_blocks_join_to_the_whole_table(self, rows, cuts):
+        # the header is out of key order, and empty blocks are allowed
+        header = ["state_id", "v_b", "purity"]
+        edges = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+        blocks = [rows[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        assert "".join(cli._json_table_text(header, blocks)) == self.expected(header, rows)
+
+    def test_each_block_is_one_chunk(self):
+        rows = [(i, i / 7, -i / 3) for i in range(5)]
+        chunks = list(cli._json_table_text(["a", "c", "b"], [rows[:2], [], rows[2:]]))
+        assert len(chunks) == 3 and chunks[-1] == "\n]\n"
+
+
 def _state_doc(dims, n):
     # the maximally mixed n x n state under the given "dims" value
     return {"dims": dims, "matrix": [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)]
@@ -651,7 +680,8 @@ class TestSeparableAuditCommand:
 
 class TestBlockPipeline:
     """fig1 and separable-audit sample, check and evaluate one block of states
-    (`montecarlo._BLOCK`, 4096) at a time, from seeds all derived up front."""
+    (`montecarlo._BLOCK`, 1024) at a time, each from seeds drawn when its
+    block is reached."""
 
     @staticmethod
     def spy_sampler(monkeypatch, sampler, bad=-1):
@@ -670,12 +700,15 @@ class TestBlockPipeline:
         return sizes
 
     @pytest.mark.parametrize("argv,sampler,bad,sizes", [
-        (["fig1", "--n", "5000", "--out", "OUT"], "_ensemble_stack", 4100, [4096, 904]),
-        (["fig1", "--n", "5000", "--out", "OLD"], "_ensemble_stack", 4100, [4096, 904]),
-        (["fig1", "--n", "5000"], "_ensemble_stack", 4100, [4096, 904]),
-        (["separable-audit", "--n", "4097", "--out", "OUT"], "_separable_stack", 4096,
-         [4096, 1]),
-    ], ids=["fig1-file", "fig1-old-file", "fig1-stdout", "separable-audit"])
+        (["fig1", "--n", "2000", "--out", "OUT"], "_ensemble_stack", 1030, [1024, 976]),
+        (["fig1", "--n", "2000", "--out", "OLD"], "_ensemble_stack", 1030, [1024, 976]),
+        (["fig1", "--n", "2000", "--format", "json", "--out", "OLD"], "_ensemble_stack", 1030,
+         [1024, 976]),
+        (["fig1", "--n", "2000"], "_ensemble_stack", 1030, [1024, 976]),
+        (["separable-audit", "--n", "1025", "--out", "OUT"], "_separable_stack", 1024,
+         [1024, 1]),
+    ], ids=["fig1-file", "fig1-old-file", "fig1-json-old-file", "fig1-stdout",
+            "separable-audit"])
     def test_failure_in_a_later_block(self, tmp_path, monkeypatch, capsys, caplog, argv,
                                       sampler, bad, sizes):
         # the error names the index in the whole stack, even in a block of one;
@@ -694,15 +727,15 @@ class TestBlockPipeline:
     def test_blocks_are_the_fixed_partition(self, monkeypatch, capsys):
         sizes = self.spy_sampler(monkeypatch, "_ensemble_stack")
         assert main(["fig1", "--n", "9000"]) == 0
-        assert sizes == [4096, 4096, 808]
+        assert sizes == [1024] * 8 + [808]
         assert len(capsys.readouterr().out.splitlines()) == 9001
 
     def test_first_block_rows_do_not_depend_on_n(self, tmp_path):
-        _, a = run(tmp_path, "fig1", "--n", "4096", "--seed", "6")
+        _, a = run(tmp_path, "fig1", "--n", "1024", "--seed", "6")
         rows = a.read_text().splitlines()
-        _, b = run(tmp_path, "fig1", "--n", "4097", "--seed", "6")
+        _, b = run(tmp_path, "fig1", "--n", "1025", "--seed", "6")
         longer = b.read_text().splitlines()
-        assert len(longer) == 4098 and longer[:4097] == rows
+        assert len(longer) == 1026 and longer[:1025] == rows
 
     def test_audit_folds_to_the_library_audit(self, tmp_path):
         # the PPT minimum and the per-witness maxima over three blocks equal
@@ -718,23 +751,23 @@ class TestBlockPipeline:
         assert data["max_violation"] == {k: float(cli._fmt(v))
                                          for k, v in soundness_audit(states).items()}
 
-    @pytest.mark.parametrize("argv,n", [(["fig1"], "20000"),
-                                        (["separable-audit", "--k-max", "4"], "12289")],
-                             ids=["fig1", "separable-audit"])
-    def test_peak_memory_is_one_block(self, tmp_path, argv, n):
-        # traced peaks: four or five blocks' worth of states need little more
-        # than one (the audit's per-item draws are slow under tracemalloc)
+    @pytest.mark.parametrize("argv", [["fig1"], ["fig1", "--format", "json"],
+                                      ["separable-audit", "--k-max", "12"]],
+                             ids=["fig1", "fig1-json", "separable-audit"])
+    def test_peak_memory_is_one_block(self, tmp_path, argv):
+        # traced peaks of a file run do not grow with n: ten times the states
+        # (three blocks against thirty) peak within 10%
         out = ["--out", str(tmp_path / "out.dat")]
         assert main([*argv, "--n", "20", *out]) == 0   # one-time allocations first
         peaks = []
-        for size in ("4096", n):
+        for size in ("3000", "30000"):
             tracemalloc.start()
             try:
                 assert main([*argv, "--n", size, *out]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.3 * peaks[0]
+        assert max(peaks) <= 1.1 * min(peaks)
 
 
 class TestSeedResolution:
@@ -814,6 +847,7 @@ class TestWorkBudget:
         [
             ["fig1", "--n", "6000"],
             ["fig1", "--n", "20000"],
+            ["fig1", "--n", "20000", "--format", "json"],
             ["sweep", "--n", "6000", "--format", "json"],
             ["separable-audit", "--n", "500", "--k-max", "12"],
             ["separable-audit", "--n", "2000", "--k-max", "1"],
@@ -821,8 +855,8 @@ class TestWorkBudget:
             ["fig2", "--n", "2", "--trials", "30000", "--threads", "2"],
             ["cv-scan", "--steps", "1500", "--format", "json"],
         ],
-        ids=["fig1", "fig1-20000", "sweep-json", "separable-audit", "separable-audit-k1",
-             "separable-audit-k4", "fig2", "cv-scan-json"],
+        ids=["fig1", "fig1-20000", "fig1-20000-json", "sweep-json", "separable-audit",
+             "separable-audit-k1", "separable-audit-k4", "fig2", "cv-scan-json"],
     )
     def test_estimate_covers_the_traced_peak(self, tmp_path, argv):
         # every array and Python object of the run is traced; the estimate
@@ -838,9 +872,16 @@ class TestWorkBudget:
         assert peak <= estimate <= 2 * peak
 
     def test_estimate_scales_with_every_count(self):
-        base = self.estimate(["fig1", "--n", "1000"])
-        assert self.estimate(["fig1", "--n", "2000"]) == 2 * base
-        assert self.estimate(["fig1", "--n", "1000", "--format", "json"]) > base
+        # fig1 holds one block for a file, whose estimate grows only by the
+        # partition into blocks, and the whole text for standard output
+        for fmt in ("csv", "json"):
+            file = ["--format", fmt, "--out", "f"]
+            block = self.estimate(["fig1", "--n", "2000", *file])
+            assert block == self.estimate(["fig1", "--n", "2048", *file])
+            assert block < self.estimate(["fig1", "--n", "1000000", *file]) < 1.2 * block
+        base = self.estimate(["fig1", "--n", "3000"])
+        assert self.estimate(["fig1", "--n", "6000"]) > base
+        assert self.estimate(["fig1", "--n", "3000", "--format", "json"]) > base
         assert (self.estimate(["separable-audit", "--n", "10", "--k-max", "9"])
                 > self.estimate(["separable-audit", "--n", "10", "--k-max", "3"]))
         fig2 = self.estimate(["fig2", "--n", "4", "--trials", "1000"])

@@ -134,7 +134,7 @@ def test_unknown_ensemble_is_rejected(sample):
 @pytest.mark.parametrize("ensemble,n,stacks", [
     pytest.param("pure", 50, [(50, 4, 4)], id="pure"),
     pytest.param("mixed", 50, [(50, 4, 4)], id="mixed"),
-    pytest.param("mixed", 5000, [(4096, 4, 4), (904, 4, 4)], id="mixed-two-blocks"),
+    pytest.param("mixed", 1500, [(1024, 4, 4), (476, 4, 4)], id="mixed-two-blocks"),
 ])
 def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble, n, stacks):
     # counts every DensityMatrix built and every eigvalsh call during a
@@ -162,6 +162,23 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble, n, stacks):
     records = survey_fig1(n, ensemble, np.random.default_rng(64))
     assert len(records) == n
     assert calls == {"objects": 0, "eigvalsh": stacks, "stacks": stacks}
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
+def test_sampled_blocks_draw_the_seeds_of_one_up_front_draw(n):
+    # each block draws its seeds when it is reached: the same seeds, in the
+    # same order, and the same final generator state as one draw of all n
+    seen = []
+
+    def sample(seeds):
+        seen.extend(seeds)
+        return np.tile(np.eye(4) / 4, (len(seeds), 1, 1))
+
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    offsets = [lo for lo, _, _ in montecarlo._sampled_blocks(n, rng, sample)]
+    assert offsets == list(range(0, n, montecarlo._BLOCK))
+    assert seen == _derived_seeds(reference, n)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
