@@ -115,6 +115,12 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         "--out", "OUT.json")
     add("fig1-nine-blocks-json", "fig1", "--n", "9000", "--seed", "14", "--format", "json",
         "--out", "OUT.json")
+    # last blocks of 2, 11, 12 and 13 states: the joints' einsum path changes at
+    # 2 and at 12 states, so a path or constant kept across block sizes shows here
+    for n in ("1026", "1035", "1036", "1037"):
+        add(f"fig1-block-{n}", "fig1", "--n", n, "--seed", "15", "--out", "OUT.csv")
+    add("separable-audit-block-1035", "separable-audit", "--n", "1035", "--k-max", "12",
+        "--seed", "15", "--out", "OUT.json")
     # the block edge of the stream loader's guard (`streams._BLOCK`, 4096 items)
     add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge", "fig1", "--n", "4097", "--seed", "13", "--out", "OUT.csv")

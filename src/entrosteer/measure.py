@@ -316,21 +316,32 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     return JointDistribution(*p.shape, p)
 
 
-def _product_joints(mats: np.ndarray, a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+def _product_columns(a_mats: np.ndarray, b_mats: np.ndarray) -> np.ndarray:
+    # (m, D, D): the product kets a (x) b of m basis pairs (``ProjectiveBasis.matrix`` each)
+    m, d_a, d_b = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
+    return np.einsum("mia,mjb->mijab", a_mats, b_mats).reshape(m, d_a * d_b, d_a * d_b)
+
+
+@lru_cache(maxsize=256)   # a run meets a few shapes: fig1 2, the audit 4, a trial kernel 2
+def _einsum_path(subscripts: str, *shapes) -> list:
+    # einsum's greedy path (which sets the rounding), searched once per shapes
+    return np.einsum_path(subscripts, *(np.broadcast_to(0j, s) for s in shapes), optimize=True)[0]
+
+
+def _product_joints(mats: np.ndarray, cols: np.ndarray, dims: tuple) -> np.ndarray:
     """Checked joints of m projective basis pairs on s states, ``(s, m, d_a, d_b)``.
 
-    ``mats`` is an ``(s, D, D)`` stack of states; ``a_mats[i]`` and
-    ``b_mats[i]`` are the unitaries whose columns are the kets of pair i
-    (``ProjectiveBasis.matrix``). Each probability is ``<k|rho|k>`` for the
-    product column ``k = a (x) b``, from one three-operand einsum over the
-    state and column stacks. The surveys' value bytes depend on this
-    arithmetic, so it is kept apart from `_joint_stack`, whose matmul and
-    two-operand einsum round differently.
+    ``mats`` is an ``(s, D, D)`` stack of states and ``cols`` the pairs'
+    `_product_columns`, with ``dims`` = (d_a, d_b). Each probability is
+    ``<k|rho|k>`` for the product column ``k``, from one three-operand einsum
+    (whose path changes at s = 2 and 12). The surveys' value bytes depend on
+    this arithmetic, so it is kept apart from `_joint_stack`, whose matmul
+    and two-operand einsum round differently.
     """
-    m, d_a, d_b = len(a_mats), a_mats.shape[-1], b_mats.shape[-1]
-    k = np.einsum("mia,mjb->mijab", a_mats, b_mats).reshape(m, d_a * d_b, d_a * d_b)
-    p = np.einsum("mjx,sjk,mkx->smx", k.conj(), mats, k, optimize=True)
-    return _checked_probs(p.reshape(-1, m, d_a, d_b), axis=(-2, -1))
+    subscripts = "mjx,sjk,mkx->smx"
+    path = _einsum_path(subscripts, cols.shape, mats.shape, cols.shape)
+    p = np.einsum(subscripts, cols.conj(), mats, cols, optimize=path)
+    return _checked_probs(p.reshape(-1, len(cols), *dims), axis=(-2, -1))
 
 
 def _povm_joints(mats: np.ndarray, els_a: np.ndarray, els_b: np.ndarray) -> np.ndarray:
@@ -341,8 +352,9 @@ def _povm_joints(mats: np.ndarray, els_a: np.ndarray, els_b: np.ndarray) -> np.n
     """
     d_a, d_b = els_a.shape[-1], els_b.shape[-1]
     rr = mats.reshape(-1, d_a, d_b, d_a, d_b)
-    p = np.einsum("aik,bjl,sklij->sab", els_a, els_b, rr, optimize=True)
-    return _checked_probs(p, axis=(-2, -1))
+    subscripts = "aik,bjl,sklij->sab"
+    path = _einsum_path(subscripts, els_a.shape, els_b.shape, rr.shape)
+    return _checked_probs(np.einsum(subscripts, els_a, els_b, rr, optimize=path), axis=(-2, -1))
 
 
 def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:

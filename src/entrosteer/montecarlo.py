@@ -1,9 +1,9 @@
 """Monte Carlo surveys over random states and measurement bases.
 
 Work items (states) each own a random stream derived from one integer seed
-(`streams`), and the batch evaluators chunk over a fixed block size, so survey
-output is a pure function of (seed, n, parameters), independent of thread
-count, and any single item is reproducible in isolation.
+(`streams`): a state replays bit for bit from its seed. Evaluators chunk n into
+fixed blocks, so output is a pure function of (seed, n, parameters); an item's
+values move in the last bits with its block's size (einsum path, BLAS rounding).
 
 The surveys hold no witness math of their own. Each layer has one owner, which
 the scalar witness API shares: `measure` contracts states with measurements
@@ -23,8 +23,8 @@ from functools import cache
 import numpy as np
 
 from .infotheory import _joint_entropies, _modular_entropies, _spectrum_entropies
-from .measure import Povm, _povm_joints, _product_joints, mub_set, overlap_omega, pauli_bases
-from .measure import povm_omega
+from .measure import Povm, _povm_joints, _product_columns, _product_joints, mub_set, overlap_omega
+from .measure import pauli_bases, povm_omega
 from .qmat import DensityMatrix, _choice, _count, _equal_dims, _haar_unitaries, _state
 from .qmat import ginibre_density, validate_density_stack
 from .streams import _derived_seeds, _item_streams
@@ -108,7 +108,8 @@ def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
         g.standard_normal(out=next(rows[r - 1]))
     mats = np.empty((n, 4, 4), dtype=complex)
     for r, buf in enumerate(bufs, 1):
-        mats[ranks == r] = ginibre_density(buf[:, 0] + 1j * buf[:, 1])
+        if len(buf):   # a small block may lack a rank
+            mats[ranks == r] = ginibre_density(buf[:, 0] + 1j * buf[:, 1])
     return mats
 
 
@@ -120,7 +121,7 @@ def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
 
 
 def _blocks(n: int) -> list[slice]:
-    # fixed partition: bounds the working set; no item's arithmetic depends on how n splits
+    # fixed partition, bounding the working set; a block's size moves its values' last bits
     return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
@@ -149,6 +150,14 @@ def _mub_matrices(d: int) -> np.ndarray:
     return mats
 
 
+@cache
+def _pauli_columns() -> np.ndarray:
+    # (3, 4, 4): the Pauli triple's product kets, built once per process and read-only
+    cols = _product_columns(_mub_matrices(2), _mub_matrices(2))
+    cols.setflags(write=False)
+    return cols
+
+
 def _purity_scaled(evals: np.ndarray) -> np.ndarray:
     """1 - S(rho) / 2 from the ascending two-qubit eigenvalues ``(..., 4)``:
     1 for a pure state, 0 for the maximally mixed one."""
@@ -160,9 +169,8 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     and purity_scaled for one block (`_blocks`) of validated ``(n, 4, 4)``
     states with ascending eigenvalues ``evals``: the `mub_conditional` and
     `mub_mi` witnesses with Pauli triples on both sides."""
-    trip = _mub_matrices(2)
     bound_c = sanchez_ruiz_bound(2)
-    h_joint, h_a, h_b = _joint_entropies(_product_joints(mats, trip, trip))
+    h_joint, h_a, h_b = _joint_entropies(_product_joints(mats, _pauli_columns(), (2, 2)))
     v_ab = bound_c - _conditional_sum(h_joint, h_a)
     v_ba = bound_c - _conditional_sum(h_joint, h_b)
     v_sym = _mi_sum(h_joint, h_a, h_b) - _mub_mi_bound(2, bound_c)
@@ -233,7 +241,7 @@ def _directional_trial_values(mat: np.ndarray, trials: int, rng: np.random.Gener
         u = _haar_unitaries(raw[..., 0] + 1j * raw[..., 1])
         a = np.einsum("tjk,mkl->tmjl", u[:, 0], ref).reshape(-1, d, d)
         b = np.einsum("tjk,mkl->tmjl", u[:, 1], ref).reshape(-1, d, d)
-        p = _product_joints(mat[None], a, b).reshape(t, n_bases, d, d)
+        p = _product_joints(mat[None], _product_columns(a, b), (d, d)).reshape(t, n_bases, d, d)
         h_joint, h_a, h_b = _joint_entropies(p)
         v_ab[done : done + t] = bound - _conditional_sum(h_joint, h_a)
         v_ba[done : done + t] = bound - _conditional_sum(h_joint, h_b)
@@ -365,9 +373,10 @@ def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[Densi
 def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     """The unvalidated (n, 4, 4) stack of `separable_sample` states.
 
-    Per item, in draw order: the term count k, the k Dirichlet weights, then
-    for each term the rank and Gaussian block of Alice's factor and then of
-    Bob's (the draws of `random_mixed_state(2, 1, rank, g)`). Factor
+    Per item, in draw order: the term count k, the k Dirichlet weights (as
+    `dirichlet(np.ones(k))` makes them: k standard exponentials over their
+    sum), then for each term the rank and Gaussian block of Alice's factor and
+    then of Bob's (the draws of `random_mixed_state(2, 1, rank, g)`). Factor
     normalisation, Kronecker products and the weighted sums then run over
     stacks, each item summing its terms in order from a zero matrix, which is
     the per-element arithmetic of building items one at a time.
@@ -381,7 +390,9 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     for i, g in enumerate(_item_streams(seeds)):
         k = int(g.integers(1, k_max + 1))
         counts[i] = k
-        weights[t : t + k] = g.dirichlet(np.ones(k))
+        w = weights[t : t + k]
+        g.standard_exponential(out=w)
+        w *= 1.0 / np.add.accumulate(w)[-1]   # the left-to-right sum: .sum() adds pairwise
         for f in range(2 * t, 2 * (t + k)):
             r = int(g.integers(1, 3))
             ranks[f] = r
@@ -444,13 +455,12 @@ def _audit_maxima(parts) -> dict[str, float]:
 
 @cache
 def _audit_constants() -> tuple:
-    # the audit's unitaries, smeared X and Z element stacks and bounds, built
-    # once per process and kept out of the witnesses' set cache; all read-only
-    trip = _mub_matrices(2)
+    # the audit's product kets, smeared X and Z element stacks and bounds,
+    # built once per process and kept out of the witnesses' set cache; all read-only
     x_basis, _, z_basis = pauli_bases()
     povm_x, povm_z = _smeared_povm(x_basis), _smeared_povm(z_basis)
     bound_c3 = sanchez_ruiz_bound(2)
-    return (trip, (povm_x.stacked, povm_z.stacked),
+    return (_pauli_columns(), (povm_x.stacked, povm_z.stacked),
             math.log2(overlap_omega(x_basis, z_basis)), bound_c3, _mub_mi_bound(2, bound_c3),
             math.log2(povm_omega(povm_x, povm_z)))
 
@@ -458,8 +468,8 @@ def _audit_constants() -> tuple:
 def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     # each witness's largest value over one block (`_blocks`) of validated
     # (n, 4, 4) two-qubit states
-    trip, smeared, bound_xz, bound_c3, bound_m3, bound_povm = _audit_constants()
-    p = _product_joints(mats, trip, trip)       # (s, 3, 2, 2): X, Y, Z
+    cols, smeared, bound_xz, bound_c3, bound_m3, bound_povm = _audit_constants()
+    p = _product_joints(mats, cols, (2, 2))       # (s, 3, 2, 2): X, Y, Z
     h_joint, h_a, h_b = _joint_entropies(p)
     hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
     h_mod = _modular_entropies(p[:, ::2], [(2, 2)] * 2, ("plus", "minus"))

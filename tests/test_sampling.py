@@ -113,6 +113,8 @@ def _separable_item(seed: int, k_max: int) -> np.ndarray:
     pytest.param(200, 1, 63, id="1"),
     pytest.param(200, 4, 63, id="4"),
     pytest.param(3000, 4, 12, id="4-many-terms"),
+    # from 8 terms on, .sum() adds pairwise: the weights must still be dirichlet's
+    pytest.param(600, 12, 74, id="12"),
 ])
 def test_separable_items_replay_from_seed(n, k_max, seed):
     states = separable_sample(n, k_max, np.random.default_rng(seed))
@@ -343,20 +345,19 @@ def _wrong_words(seeds, seed_words=streams._seed_words):
 def _halves_swapped(bit_gen, state_memory=streams._state_memory):
     # the derivation stays right; each state word is written where the other
     # half of its 128-bit value goes
-    words, flags, order = state_memory(bit_gen)
-    return words, flags, [j ^ 1 for j in order]
+    memory, order = state_memory(bit_gen)
+    return memory, [j ^ 1 for j in order]
 
 
-def _carry_dropped(cols):
-    # `_carried` with every carry lost: each column keeps its low 32 bits
-    low = [c & 0xFFFFFFFF for c in cols]
-    return low[3] << 32 | low[2], low[1] << 32 | low[0]
+def _carry_dropped(hi, lo, add_hi, add_lo):
+    # `_add128` with the low half's carry lost
+    return hi + add_hi, lo + add_lo
 
 
 @pytest.mark.parametrize(
     "attr,wrong",
     [("_seed_words", _wrong_words), ("_PCG_MULT", streams._PCG_MULT + 2),
-     ("_carried", _carry_dropped), ("_state_memory", _halves_swapped)],
+     ("_add128", _carry_dropped), ("_state_memory", _halves_swapped)],
     ids=["words", "multiplier", "carry", "word-order"],
 )
 @pytest.mark.parametrize(
@@ -376,17 +377,25 @@ def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
 
 
 class _UnwrittenState:
-    # a bit generator whose state address leads to words its setter never writes
-    def __init__(self):
-        self.words = (ctypes.c_uint64 * 4)()
-        self.head = (ctypes.c_void_p * 3)(ctypes.addressof(self.words))
+    # a bit generator whose setter never writes the words its state address
+    # leads to: an array of their own, or `offset` bytes past the head
+    def __init__(self, offset=None):
+        self.head, self.words = (ctypes.c_uint64 * 8)(), (ctypes.c_uint64 * 4)()
+        self.head[0] = ctypes.addressof(self.words if offset is None else self.head) + (offset or 0)
         self.ctypes = SimpleNamespace(state_address=ctypes.addressof(self.head))
         self.state = None
 
 
 def test_state_memory_refuses_an_unknown_layout():
-    with pytest.raises(RuntimeError, match="does not lay out the PCG64 state"):
-        streams._state_memory(_UnwrittenState())
+    # state words more than 8 bytes of padding past uinteger, or over it, are
+    # refused before the setter runs; within the padding, its marks are missing
+    for offset in (None, 8, 16, 24, 32):
+        bit_gen = _UnwrittenState(offset)
+        before = bytes(bit_gen.head) + bytes(bit_gen.words)
+        with pytest.raises(RuntimeError, match="does not lay out the PCG64 state"):
+            streams._state_memory(bit_gen)
+        assert (bit_gen.state is None) == (offset not in (16, 24))
+        assert bytes(bit_gen.head) + bytes(bit_gen.words) == before
 
 
 def _later_words_wrong(seeds, seed_words=streams._seed_words):
