@@ -104,6 +104,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
                 "--trials", "150", "--seed", "11", "--threads", "2", "--format", fmt,
                 "--out", f"OUT.{ext}")
     add("fig1-stdout", "fig1", "--n", "50", "--seed", "3")
+    add("fig1-pure-json-stdout", "fig1", "--ensemble", "pure", "--n", "1100", "--seed", "3",
+        "--format", "json")
     add("fig1-two-threads", "fig1", "--n", "9000", "--seed", "12", "--threads", "2",
         "--out", "OUT.csv")
     # fig1 and the audit run block by block (1024 states): one state past the
@@ -121,6 +123,7 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         add(f"fig1-block-{n}", "fig1", "--n", n, "--seed", "15", "--out", "OUT.csv")
     add("separable-audit-block-1035", "separable-audit", "--n", "1035", "--k-max", "12",
         "--seed", "15", "--out", "OUT.json")
+    add("separable-audit-stdout", "separable-audit", "--n", "1100", "--seed", "16")
     # the block edge of the stream loader's guard (`streams._BLOCK`, 4096 items)
     add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge", "fig1", "--n", "4097", "--seed", "13", "--out", "OUT.csv")

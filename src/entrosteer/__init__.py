@@ -52,11 +52,11 @@ _EXPORTS = {
     "montecarlo": (
         "BracketError",
         "OptimizationResult",
-        "SurveyRecord",
         "basis_sweep",
         "optimize_bases",
         "ppt_min_eigenvalue",
         "sample_ensemble",
+        "separable_audit",
         "separable_sample",
         "soundness_audit",
         "survey_fig1",

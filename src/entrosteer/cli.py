@@ -35,15 +35,10 @@ from .measure import mub_set, pauli_bases
 from .montecarlo import (
     _BLOCK,
     BracketError,
-    _audit_maxima,
-    _ensemble_stack,
-    _fig1_kernel,
-    _ppt_min_eigenvalue,
-    _sampled_blocks,
-    _separable_stack,
-    _soundness_audit,
     _worker_count,
     basis_sweep,
+    separable_audit,
+    survey_fig1,
     survey_fig2,
     threshold_bisect,
 )
@@ -191,6 +186,8 @@ class WernerThresholdOptions(_Options):
         super().__post_init__()
         if not self.tol > 0:
             raise ConfigError("tolerance must be positive")
+        if self.tol == math.inf:   # would stop at the bracket's midpoint, and JSON has no inf
+            raise ConfigError("tolerance must be finite")
         if not 0.0 <= self.lo < self.hi <= 1.0:
             raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={self.lo}, hi={self.hi}")
 
@@ -437,14 +434,12 @@ def _emit_table(config: RunConfig, header: list[str], blocks, row_format: str) -
 # command handlers
 
 def _cmd_fig1(config: RunConfig, options: Fig1Options) -> int:
-    rng = np.random.default_rng(config.seed)
-
-    def rows(block):   # a block's rows; its states go when this returns
-        lo, mats, evals = block
-        v_ab, _, v_sym, purity = _fig1_kernel(mats, evals).T.tolist()
+    def rows(block):   # a block's rows; its columns go when this returns
+        lo, columns = block
+        v_ab, _, v_sym, purity = columns.T.tolist()
         return list(zip(range(lo, lo + len(v_ab)), v_ab, v_sym, purity))
 
-    blocks = _sampled_blocks(options.n, rng, lambda seeds: _ensemble_stack(options.ensemble, seeds))
+    blocks = survey_fig1(options.n, options.ensemble, np.random.default_rng(config.seed))
     _emit_table(config, ["state_id", "v_conditional_AtoB", "v_symmetric", "purity"],
                 map(rows, blocks), "%d,%.12g,%.12g,%.12g\n")
     return 0
@@ -530,11 +525,7 @@ def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
 
 
 def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> int:
-    rng = np.random.default_rng(config.seed)
-    blocks = _sampled_blocks(options.n, rng, lambda seeds: _separable_stack(seeds, options.k_max))
-    # one check per sampled block; each block leaves its PPT minimum and maxima
-    ppts, parts = zip(*[(_ppt_min_eigenvalue(m), _soundness_audit(m)) for _, m, _ in blocks])
-    ppt_min, worst = min(ppts), _audit_maxima(parts)
+    ppt_min, worst = separable_audit(options.n, options.k_max, np.random.default_rng(config.seed))
     sound = all(v <= AUDIT_TOL for v in worst.values())
     _emit(config, [_json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
                                "max_violation": worst, "tolerance": AUDIT_TOL,

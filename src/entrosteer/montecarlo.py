@@ -45,15 +45,6 @@ class BracketError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SurveyRecord:
-    state_id: int
-    v_conditional_AtoB: float
-    v_conditional_BtoA: float
-    v_symmetric: float
-    purity_scaled: float
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     state_id: int
     best_v_AtoB: float
@@ -125,16 +116,18 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
 
 
-def _sampled_blocks(n: int, rng: np.random.Generator, sample):
+def _sampled_blocks(n: int, rng: np.random.Generator, sample, kernel):
     """The sampled surveys' pipeline over n items: per `_BLOCK` of them, in
-    turn and holding no other block, its offset, its states ``sample(seeds)``
-    and their eigenvalues from `validate_density_stack` (whose errors name
-    indices in the whole stack). Each block's item seeds are drawn from `rng`
-    only when the block is reached; `_derived_seeds` is prefix-stable, so they
-    are the seeds of one draw of all n, and `rng` ends in the same state."""
-    for block in _blocks(_count(n, "n")):
+    turn and holding no other block, its offset and ``kernel(mats, evals)`` of
+    its states ``mats = sample(seeds)`` and their eigenvalues from
+    `validate_density_stack` (whose errors name indices in the whole stack).
+    Each block's item seeds are drawn from `rng` only when the block is
+    reached; `_derived_seeds` is prefix-stable, so they are the seeds of one
+    draw of all n, and `rng` ends in the same state."""
+    for block in _blocks(n):
         mats = sample(_derived_seeds(rng, block.stop - block.start))
-        yield block.start, mats, validate_density_stack(mats, block.start)
+        # yielded unbound, so the generator keeps no result past its block
+        yield block.start, kernel(mats, validate_density_stack(mats, block.start))
         del mats   # not held while the next block is sampled
 
 
@@ -177,12 +170,6 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals)], axis=1)
 
 
-def _records(vals: np.ndarray) -> list[SurveyRecord]:
-    # column lists, not one list per row: the floats are made in one pass
-    # and no n short-lived row lists raise the peak memory
-    return [SurveyRecord(i, *row) for i, row in enumerate(zip(*vals.T.tolist()))]
-
-
 def _two_qubit_stack(states, what: str) -> np.ndarray:
     # the (n, 4, 4) stack of a non-empty list of two-qubit DensityMatrix states
     states = list(states)
@@ -196,23 +183,27 @@ def _two_qubit_stack(states, what: str) -> np.ndarray:
     return np.stack([s.mat for s in states])
 
 
-def survey_fig1_states(states) -> list[SurveyRecord]:
+def survey_fig1_states(states) -> np.ndarray:
     """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
-    triples on both sides, for a list of two-qubit states, on one thread."""
+    triples on both sides, for a list of two-qubit states, on one thread: an
+    ``(n, 4)`` array whose row i holds state i's v_conditional_AtoB,
+    v_conditional_BtoA, v_symmetric and purity_scaled."""
     mats = _two_qubit_stack(states, "scatter survey")
     evals = np.linalg.eigvalsh(mats)
-    return _records(np.concatenate([_fig1_kernel(mats[b], evals[b]) for b in _blocks(len(mats))]))
+    return np.concatenate([_fig1_kernel(mats[b], evals[b]) for b in _blocks(len(mats))])
 
 
-def survey_fig1(n: int, ensemble: str, rng: np.random.Generator) -> list[SurveyRecord]:
-    """Scatter survey over n sampled states (ensemble "pure" or "mixed").
-
-    Each sampled block is validated once, and its eigenvalues give the purity
-    column; no DensityMatrix is built per state. Runs on one thread.
+def survey_fig1(n: int, ensemble: str, rng: np.random.Generator):
+    """Scatter survey over n sampled states (ensemble "pure" or "mixed"), as a
+    stream of ``(offset, columns)``, one per block of at most `_BLOCK` states:
+    `columns` is the block's ``(m, 4)`` array of `survey_fig1_states` for
+    states offset .. offset + m - 1. The arguments are checked when called;
+    each block is sampled, validated once and evaluated when it is reached,
+    so no more than one block is held. Runs on one thread.
     """
     _choice(ensemble, ("pure", "mixed"), "ensemble")
-    blocks = _sampled_blocks(n, rng, lambda seeds: _ensemble_stack(ensemble, seeds))
-    return _records(np.concatenate([_fig1_kernel(mats, evals) for _, mats, evals in blocks]))
+    return _sampled_blocks(_count(n, "n"), rng, lambda seeds: _ensemble_stack(ensemble, seeds),
+                           _fig1_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +442,20 @@ def soundness_audit(states) -> dict[str, float]:
 
 def _audit_maxima(parts) -> dict[str, float]:
     return {name: float(np.max([part[name] for part in parts])) for name in parts[0]}
+
+
+def separable_audit(n: int, k_max: int, rng: np.random.Generator) -> tuple[float, dict[str, float]]:
+    """The soundness audit over n sampled separable states (`separable_sample`
+    with at most k_max terms): ``(ppt_min_eigenvalue, maxima)``, the smallest
+    partial-transpose eigenvalue and each witness's `soundness_audit` maximum.
+    The arguments are checked before anything is drawn; the states are
+    sampled, validated and audited one block of `_BLOCK` at a time, so no
+    more than one block is held. Runs on one thread."""
+    k_max = _count(k_max, "k_max")
+    blocks = _sampled_blocks(_count(n, "n"), rng, lambda seeds: _separable_stack(seeds, k_max),
+                             lambda mats, _: (_ppt_min_eigenvalue(mats), _soundness_audit(mats)))
+    ppts, parts = zip(*[part for _, part in blocks])
+    return min(ppts), _audit_maxima(parts)
 
 
 @cache

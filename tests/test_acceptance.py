@@ -108,9 +108,9 @@ def test_03_qubit_mub_mi_bound_and_singlet():
 def test_04_fig1_survey_dominance_and_quadrant():
     t0 = time.perf_counter()
     states, _ = sample_ensemble(10_000, "mixed", np.random.default_rng(SEED))
-    recs = survey_fig1_states(states)
-    v_c = np.array([r.v_conditional_AtoB for r in recs])
-    v_m = np.array([r.v_symmetric for r in recs])
+    cols = survey_fig1_states(states)
+    v_c = cols[:, 0]   # v_conditional_AtoB
+    v_m = cols[:, 2]   # v_symmetric
     dominance = bool(np.all(v_c >= v_m - 1e-12))
     npt = np.array(
         [np.linalg.eigvalsh(loop_partial_transpose(s.mat, (2, 2), "B")).min() < -1e-12

@@ -26,7 +26,7 @@ from entrosteer import (
     walborn_cv,
     werner_state,
 )
-from entrosteer import cli
+from entrosteer import cli, montecarlo
 from entrosteer.cli import RunConfig, load_state, main, save_state
 
 
@@ -670,7 +670,7 @@ class TestSeparableAuditCommand:
         assert all(v <= 1e-9 for v in data["max_violation"].values())
 
     def test_violation_exits_1(self, tmp_path, monkeypatch, caplog):
-        monkeypatch.setattr(cli, "_soundness_audit",
+        monkeypatch.setattr(montecarlo, "_soundness_audit",
                             lambda mats: {"pair_conditional_AtoB": 1e-6, "mub_mi": -1.0})
         code, out = run(tmp_path, "separable-audit", "--n", "20")
         assert code == 1
@@ -686,7 +686,7 @@ class TestBlockPipeline:
     @staticmethod
     def spy_sampler(monkeypatch, sampler, bad=-1):
         # records each block's size; the state at global index `bad` gets trace 1.1
-        sample, sizes = getattr(cli, sampler), []
+        sample, sizes = getattr(montecarlo, sampler), []
 
         def spied(*args):
             mats = sample(*args)
@@ -696,7 +696,7 @@ class TestBlockPipeline:
                 mats[bad - lo] *= 1.1
             return mats
 
-        monkeypatch.setattr(cli, sampler, spied)
+        monkeypatch.setattr(montecarlo, sampler, spied)
         return sizes
 
     @pytest.mark.parametrize("argv,sampler,bad,sizes", [
@@ -739,8 +739,10 @@ class TestBlockPipeline:
 
     def test_audit_folds_to_the_library_audit(self, tmp_path):
         # the PPT minimum and the per-witness maxima over three blocks equal
-        # the library's over the same states, to the 12 digits the file keeps
-        from entrosteer import ppt_min_eigenvalue, separable_sample, soundness_audit
+        # the library's over the same states, to the 12 digits the file keeps,
+        # and those of the streamed library audit the command runs
+        from entrosteer import (ppt_min_eigenvalue, separable_audit, separable_sample,
+                                soundness_audit)
 
         code, out = run(tmp_path, "separable-audit", "--n", "8200", "--k-max", "2",
                         "--seed", "4")
@@ -750,6 +752,9 @@ class TestBlockPipeline:
         assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min_eigenvalue(states)))
         assert data["max_violation"] == {k: float(cli._fmt(v))
                                          for k, v in soundness_audit(states).items()}
+        ppt_min, maxima = separable_audit(8200, 2, np.random.default_rng(4))
+        assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min))
+        assert data["max_violation"] == {k: float(cli._fmt(v)) for k, v in maxima.items()}
 
     @pytest.mark.parametrize("argv", [["fig1"], ["fig1", "--format", "json"],
                                       ["separable-audit", "--k-max", "12"]],
@@ -1028,7 +1033,10 @@ class TestConfigurationErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_tolerance(self):
-        self.fails_cleanly("werner-threshold", "--tol", "nan")
+        # an infinite tolerance returned the bracket's midpoint and wrote
+        # "tol": Infinity, which is not JSON
+        for tol in ("nan", "inf"):
+            self.fails_cleanly("werner-threshold", "--tol", tol)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--werner", "1.5"],

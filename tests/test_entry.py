@@ -355,11 +355,13 @@ _CALLS = {
         d(_counts(3)), d(_counts(3)), d(_counts(4)), _rng()),
     "mub_set": lambda d: entrosteer.mub_set(d(_counts(4))),
     # at most 4 states, 3 trials and 2 threads per call
-    "survey_fig1": lambda d: entrosteer.survey_fig1(d(_counts(4)), d(_ENSEMBLES), _rng()),
+    # a stream: drained, so its blocks run as well as its argument checks
+    "survey_fig1": lambda d: list(entrosteer.survey_fig1(d(_counts(4)), d(_ENSEMBLES), _rng())),
     "survey_fig2": lambda d: entrosteer.survey_fig2(
         d(_counts(4)), d(_ENSEMBLES), d(_counts(3)), _rng(), threads=d(_counts(2))),
     "basis_sweep": lambda d: entrosteer.basis_sweep(d(_STATES), d(_counts(4)), _rng()),
     "soundness_audit": lambda d: entrosteer.soundness_audit(d(st.lists(_STATES, max_size=3))),
+    "separable_audit": lambda d: entrosteer.separable_audit(d(_counts(4)), d(_counts(3)), _rng()),
     "threshold_bisect": lambda d: entrosteer.threshold_bisect(
         d(_FAMILIES), d(_VALUES), d(_VALUES), d(_VALUES)),
     **{name: _witness(name) for name in ("pair_conditional", "pair_symmetric_mi",
@@ -458,3 +460,15 @@ class TestOneDefinitionPerRule:
                         repeated.append(f"{where} repeats {first[parts]}: {''.join(parts)!r}")
                     first.setdefault(parts, where)
         assert repeated == []
+
+
+class TestSurveyComposition:
+    def test_cli_imports_no_private_montecarlo_name(self):
+        """Each survey is composed in `montecarlo` alone: the command line
+        runs it through a public entry, and reads only the block size and
+        the thread cap, which its memory and thread estimates need."""
+        tree = dict(_module_trees())["cli"]
+        private = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "montecarlo"
+                   for alias in node.names if alias.name.startswith("_")}
+        assert private <= {"_BLOCK", "_worker_count"}

@@ -20,6 +20,7 @@ from entrosteer import (
     random_mixed_state,
     random_pure_state,
     sample_ensemble,
+    separable_audit,
     separable_sample,
     singlet_state,
     soundness_audit,
@@ -108,29 +109,31 @@ class TestSurveyFig1:
     def test_records_match_single_state_witnesses(self):
         states, _ = sample_ensemble(40, "mixed", np.random.default_rng(8))
         triple = pauli_bases()
-        for rec, rho in zip(survey_fig1_states(states), states):
+        cols = survey_fig1_states(states)
+        assert cols.shape == (40, 4)
+        for (c_ab, c_ba, c_sym, purity), rho in zip(cols.tolist(), states):
             v_ab = mub_conditional(rho, triple, triple).violation_bits
             v_ba = mub_conditional(rho, triple, triple, direction="BtoA").violation_bits
             v_m = mub_mi(rho, triple, triple).violation_bits
             pur = 1.0 - von_neumann_entropy(rho) / 2.0
-            assert abs(rec.v_conditional_AtoB - v_ab) < 1e-12
-            assert abs(rec.v_conditional_BtoA - v_ba) < 1e-12
-            assert abs(rec.v_symmetric - v_m) < 1e-12
-            assert rec.purity_scaled == pur   # one spectral entropy rule
+            assert abs(c_ab - v_ab) < 1e-12
+            assert abs(c_ba - v_ba) < 1e-12
+            assert abs(c_sym - v_m) < 1e-12
+            assert purity == pur   # one spectral entropy rule
 
     def test_conditional_dominates_symmetric(self):
-        recs = survey_fig1(300, "mixed", np.random.default_rng(9))
-        for rec in recs:
-            assert rec.v_conditional_AtoB >= rec.v_symmetric - 1e-12
+        for _, cols in survey_fig1(300, "mixed", np.random.default_rng(9)):
+            assert np.all(cols[:, 0] >= cols[:, 2] - 1e-12)
 
     def test_pure_ensemble_purity_is_one(self):
-        recs = survey_fig1(20, "pure", np.random.default_rng(11))
-        for rec in recs:
-            assert abs(rec.purity_scaled - 1.0) < 1e-9
+        for _, cols in survey_fig1(20, "pure", np.random.default_rng(11)):
+            assert np.all(np.abs(cols[:, 3] - 1.0) < 1e-9)
 
     def test_state_ids_sequential(self):
-        recs = survey_fig1(25, "mixed", np.random.default_rng(12))
-        assert [r.state_id for r in recs] == list(range(25))
+        # each block's offset is the state id of its first row
+        blocks = survey_fig1(2500, "mixed", np.random.default_rng(12))
+        ids = [lo + i for lo, cols in blocks for i in range(len(cols))]
+        assert ids == list(range(2500))
 
 
 class TestOptimizeBases:
@@ -477,7 +480,8 @@ class TestThreadCounts:
         return self._CALLS[entry](rng, threads)
 
     @pytest.mark.parametrize("entry", [survey_fig1, survey_fig1_states, soundness_audit,
-                                       _sampled_blocks, _fig1_kernel, _soundness_audit],
+                                       separable_audit, _sampled_blocks, _fig1_kernel,
+                                       _soundness_audit],
                              ids=lambda entry: entry.__name__)
     def test_serial_surveys_take_no_thread_count(self, entry):
         assert "threads" not in inspect.signature(entry).parameters
@@ -517,8 +521,14 @@ class TestSamplerArguments:
         (lambda rng: separable_sample(3, 0, rng), ValueError, "k_max must be >= 1, got 0"),
         (lambda rng: separable_sample(3, 2.0, rng), TypeError,
          "k_max must be an integer, got float"),
+        # survey_fig1 checks its arguments when called, not when its stream is drained
+        (lambda rng: survey_fig1(0, "mixed", rng), ValueError, "n must be >= 1, got 0"),
+        (lambda rng: separable_audit(0, 2, rng), ValueError, "n must be >= 1, got 0"),
+        (lambda rng: separable_audit(3, 2.0, rng), TypeError,
+         "k_max must be an integer, got float"),
     ], ids=["survey_fig1-ensemble", "survey_fig2-ensemble", "sample_ensemble-ensemble",
-            "separable_sample-zero-k_max", "separable_sample-float-k_max"])
+            "separable_sample-zero-k_max", "separable_sample-float-k_max",
+            "survey_fig1-zero-n", "separable_audit-zero-n", "separable_audit-float-k_max"])
     def test_refused_before_sampling(self, call, error, message):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state

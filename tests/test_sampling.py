@@ -161,8 +161,8 @@ def test_fig1_survey_validates_its_stack_once(monkeypatch, ensemble, n, stacks):
     monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(montecarlo, "validate_density_stack", counted_validate)
-    records = survey_fig1(n, ensemble, np.random.default_rng(64))
-    assert len(records) == n
+    blocks = survey_fig1(n, ensemble, np.random.default_rng(64))
+    assert sum(len(cols) for _, cols in blocks) == n
     assert calls == {"objects": 0, "eigvalsh": stacks, "stacks": stacks}
 
 
@@ -177,7 +177,7 @@ def test_sampled_blocks_draw_the_seeds_of_one_up_front_draw(n):
         return np.tile(np.eye(4) / 4, (len(seeds), 1, 1))
 
     rng, reference = np.random.default_rng(n), np.random.default_rng(n)
-    offsets = [lo for lo, _, _ in montecarlo._sampled_blocks(n, rng, sample)]
+    offsets = [lo for lo, _ in montecarlo._sampled_blocks(n, rng, sample, lambda *_: None)]
     assert offsets == list(range(0, n, montecarlo._BLOCK))
     assert seen == _derived_seeds(reference, n)
     assert rng.bit_generator.state == reference.bit_generator.state
@@ -363,7 +363,7 @@ def _carry_dropped(hi, lo, add_hi, add_lo):
 @pytest.mark.parametrize(
     "sample",
     [
-        lambda rng: survey_fig1(4, "mixed", rng),
+        lambda rng: list(survey_fig1(4, "mixed", rng)),
         lambda rng: sample_ensemble(4, "pure", rng),
         lambda rng: separable_sample(4, 2, rng),
     ],
@@ -428,7 +428,7 @@ def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wro
     monkeypatch.setattr(streams, attr, wrong)
     monkeypatch.setattr(streams, "_BLOCK", block)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
-        survey_fig1(5, "mixed", np.random.default_rng(68))
+        list(survey_fig1(5, "mixed", np.random.default_rng(68)))
 
 
 def test_separable_audit_validates_its_stack_once(monkeypatch, tmp_path):
