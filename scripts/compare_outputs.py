@@ -124,7 +124,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("separable-audit-block-1035", "separable-audit", "--n", "1035", "--k-max", "12",
         "--seed", "15", "--out", "OUT.json")
     add("separable-audit-stdout", "separable-audit", "--n", "1100", "--seed", "16")
-    # the block edge of the stream loader's guard (`streams._BLOCK`, 4096 items)
+    # four whole blocks and one state past them (the fifth block is one state,
+    # whose loader call the seeding guard checks at its first and last item)
     add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge", "fig1", "--n", "4097", "--seed", "13", "--out", "OUT.csv")
     add("fig1-block-edge-stdout", "fig1", "--n", "4097", "--seed", "13")
@@ -134,7 +135,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
         "--out", "OUT.csv")
     add("fig2-one-thread", "fig2", "--n", "10", "--trials", "600", "--seed", "4",
         "--out", "OUT.csv")
-    # fig2's states are loaded in guard blocks too: one state past the first
+    # fig2 loads all its states in one loader call: 4097 items, of which the
+    # guard checks the first and the last
     add("fig2-block-edge", "fig2", "--ensemble", "mixed", "--n", "4097", "--trials", "2",
         "--seed", "13", "--threads", "2", "--out", "OUT.csv")
     add("fig2-pure-block-edge", "fig2", "--ensemble", "pure", "--n", "4097", "--trials", "2",
@@ -181,6 +183,7 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     # seed 7 draws more product terms than the expected n * (k_max + 1) / 2
     add("separable-audit-many-terms", "separable-audit", "--n", "10000", "--seed", "7",
         "--out", "OUT.json")
+    # five blocks, the last of one state, with many product terms per state
     add("separable-audit-block-edge", "separable-audit", "--n", "4097", "--k-max", "12",
         "--seed", "13", "--out", "OUT.json")
     add("separable-audit-block-1025", "separable-audit", "--n", "1025", "--k-max", "12",
@@ -208,6 +211,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("error-negative-threads", "fig1", "--threads", "-1")
     add("error-zero-sweep", "sweep", "--n", "0")
     add("error-absurd-count", "fig1", "--n", str(10**15))
+    if os.path.exists("/dev/full"):   # a write that fails: exit 2 with one error line
+        add("error-out-full-device", "fig1", "--n", "5", "--out", "/dev/full")
     add("error-threshold-csv", "werner-threshold", "--format", "csv")
     add("error-eval-missing-file", "eval", "--state-file", "missing.json", "--witness",
         "mub-mi")

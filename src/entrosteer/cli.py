@@ -12,8 +12,9 @@ variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
 violation), 2 configuration error (including a negative seed, an --out path
 whose directory does not exist or whose name leaves no room for the temporary
-file, an option out of its range, or counts whose estimated memory exceeds the
-machine's, all rejected before any work starts).
+file, an option out of its range, a count above _MAX_COUNT (10**9), or counts
+whose estimated memory exceeds the machine's, all rejected before any work
+starts, and an output that cannot be written, such as a file on a full disk).
 """
 
 from __future__ import annotations
@@ -63,19 +64,21 @@ AUDIT_TOL = 1e-9
 # cv-scan. A table held whole (fig2, sweep and cv-scan make theirs in one block,
 # and standard output gets all the text at once) adds _JSON_ROW_BYTES per row as
 # JSON; fig1's CSV on standard output adds _CSV_ROW_BYTES per row. fig1 and
-# separable-audit hold one _BLOCK of states, whatever --n, plus the list of
-# blocks, _PARTITION_BYTES each; a fig1 --out file takes its text a block at a
-# time, and fig1's constant also covers a first run's import of numpy.random
-# (0.9 MiB traced). An audit block state costs _AUDIT_STATE_BYTES plus
-# _AUDIT_TERM_BYTES per term slot (k_max per state), and each fig2 state in
-# flight holds the working set of one trial chunk plus _TRIAL_BYTES per trial.
+# separable-audit hold one _BLOCK of states, whatever --n; a fig1 --out file
+# takes its text a block at a time, and fig1's constant also covers a first
+# run's import of numpy.random (0.9 MiB traced). An audit block state costs
+# _AUDIT_STATE_BYTES plus _AUDIT_TERM_BYTES per term slot (k_max per state);
+# each fig2 state in flight holds one trial chunk's working set plus
+# _TRIAL_BYTES per trial.
 _JSON_ROW_BYTES = 256
 _CSV_ROW_BYTES = 128
-_PARTITION_BYTES = 160
 _AUDIT_STATE_BYTES = 2048
 _AUDIT_TERM_BYTES = 512
 _TRIAL_CHUNK_BYTES = 3 * 2**20
 _TRIAL_BYTES = 32
+# the ceiling of every count: at one thread, 10**9 fig1 states take 2-4 h
+# (70k-130k states/s), and 10**9 audit states at --k-max 4 take 8-11 h (26k-36k)
+_MAX_COUNT = 10**9
 
 # physical memory: a run estimated to need more cannot finish on this machine
 try:
@@ -90,11 +93,11 @@ class ConfigError(Exception):
 
 def _flags(record, *names: str, options: tuple = ()) -> None:
     """Check each named field of `record` as the --flag it is parsed from: a
-    count (`qmat._count`), or one of `options` (`qmat._choice`)."""
+    count up to `_MAX_COUNT` (`qmat._count`), or one of `options` (`qmat._choice`)."""
     for name in names:
         flag, value = "--" + name.replace("_", "-"), getattr(record, name)
         try:
-            _choice(value, options, flag) if options else _count(value, flag)
+            _choice(value, options, flag) if options else _count(value, flag, 1, _MAX_COUNT)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -103,16 +106,11 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
     return rows * (item_bytes + (_JSON_ROW_BYTES if config.format == "json" else 0))
 
 
-def _blocks_bytes(n: int, state_bytes: int) -> int:
-    # one block of states and the list of n states' blocks (`montecarlo._blocks`)
-    return min(n, _BLOCK) * state_bytes + -(-n // _BLOCK) * _PARTITION_BYTES
-
-
 # ---------------------------------------------------------------------------
 # per-command options: each field is one --flag of its subcommand, declared
 # once (`_option`: no default makes it required; argparse's type comes from the
 # annotation), and each record rejects its own out-of-range values when built:
-# every int field is a count >= 1 (`_Options`), and the records check the rest
+# every int field is a count in [1, _MAX_COUNT] (`_Options`); the records check the rest
 
 _ENSEMBLES = ("pure", "mixed")
 
@@ -142,7 +140,7 @@ class Fig1Options(_Options):
     ensemble: str = _option("mixed", choices=_ENSEMBLES)
 
     def peak_bytes(self, config):
-        blocks = _blocks_bytes(self.n, 1920)
+        blocks = min(self.n, _BLOCK) * 1920
         return blocks if config.out_path else blocks + _table_bytes(config, self.n, _CSV_ROW_BYTES)
 
 
@@ -223,7 +221,7 @@ class SeparableAuditOptions(_Options):
     k_max: int = _option(4, "max product terms per mixture")
 
     def peak_bytes(self, config):
-        return _blocks_bytes(self.n, _AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
+        return min(self.n, _BLOCK) * (_AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
 
 
 @dataclass
@@ -561,14 +559,17 @@ def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
     start = time.perf_counter()
     try:
         status = _COMMANDS[config.command][1](config, config.options)
+        if status == 0 and config.out_path:
+            _write_manifest(config, time.perf_counter() - start, blas_threads_defaulted)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # the data or the manifest could not be written
+        print(f"error: cannot write {config.out_path or 'standard output'}: {exc}", file=sys.stderr)
         return 2
     except (BracketError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         log.error("numerical failure: %s", exc)
         return 1
-    if status == 0 and config.out_path:
-        _write_manifest(config, time.perf_counter() - start, blas_threads_defaulted)
     return status
 
 

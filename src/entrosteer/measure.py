@@ -172,12 +172,10 @@ def is_mub_set(bases, tol: float = 1e-8) -> bool:
     One Gram product of all the kets against all the kets gives every
     cross-basis overlap at once.
     """
-    if not bases:
+    bases = [_state(b, "is_mub_set", ProjectiveBasis) for b in bases]
+    if not bases or any(b.dim != bases[0].dim for b in bases):
         return False
-    d = bases[0].dim
-    if any(b.dim != d for b in bases):
-        return False
-    k = len(bases)
+    d, k = bases[0].dim, len(bases)
     v = np.concatenate([b.vectors for b in bases])
     dev = np.abs(np.abs(v.conj() @ v.T) ** 2 - 1.0 / d).reshape(k, d, k, d)
     dev[np.arange(k), :, np.arange(k)] = 0.0   # a basis against itself
@@ -186,6 +184,7 @@ def is_mub_set(bases, tol: float = 1e-8) -> bool:
 
 def rotate_basis(basis: ProjectiveBasis, u: np.ndarray) -> ProjectiveBasis:
     """Apply a unitary to every vector of a basis (u @ v_i for each i)."""
+    _state(basis, "rotate_basis", ProjectiveBasis)
     _check_entries(np.asarray(u)[None], "rotation matrix")
     return ProjectiveBasis(basis.dim, basis.vectors @ np.asarray(u).T)
 
@@ -374,13 +373,14 @@ def overlap_omega(basis_r: ProjectiveBasis, basis_s: ProjectiveBasis) -> float:
     ``Omega = min_{i,j} 1 / |<r_i|s_j>|^2``, clipped to [1, dim] against rounding:
     1 when the bases share a vector, dim exactly when they are mutually unbiased.
     """
+    basis_r, basis_s = (_state(b, "overlap_omega", ProjectiveBasis) for b in (basis_r, basis_s))
     if basis_r.dim != basis_s.dim:
         raise ValueError("bases must share a dimension")
     ov = np.abs(basis_r.vectors.conj() @ basis_s.vectors.T) ** 2
     return float(np.clip(1.0 / ov.max(), 1.0, basis_r.dim))
 
 
-def povm_omega(f: Povm, g: Povm) -> float:
+def povm_omega(f: Povm | ProjectiveBasis, g: Povm | ProjectiveBasis) -> float:
     """POVM generalization of the overlap constant.
 
     ``Omega_POVM = min_{i,j} 1 / ||M_i N_j||^2`` where the operator norm
@@ -393,9 +393,11 @@ def povm_omega(f: Povm, g: Povm) -> float:
     ``||P_i Q_j|| = |<r_i|s_j>|``, so on projective POVMs it agrees with
     ``overlap_omega`` of the underlying bases to rounding (X/Z: 2.000000000000001).
 
-    The square roots are cached on each POVM; all n_f n_g products and their
-    norms come from one batched matmul and one batched SVD.
+    Bases are taken as their POVMs (`as_povm`). The square roots are cached on
+    each POVM; all n_f n_g products and their norms come from one batched
+    matmul and one batched SVD.
     """
+    f, g = as_povm(f), as_povm(g)
     if f.dim != g.dim:
         raise ValueError("POVMs must share a dimension")
     products = f.roots[:, None] @ g.roots[None, :]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -111,11 +111,6 @@ def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
     return [DensityMatrix((2, 2), m) for m in _ensemble_stack(ensemble, seeds)], seeds
 
 
-def _blocks(n: int) -> list[slice]:
-    # fixed partition, bounding the working set; a block's size moves its values' last bits
-    return [slice(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-
-
 def _sampled_blocks(n: int, rng: np.random.Generator, sample, kernel):
     """The sampled surveys' pipeline over n items: per `_BLOCK` of them, in
     turn and holding no other block, its offset and ``kernel(mats, evals)`` of
@@ -124,10 +119,10 @@ def _sampled_blocks(n: int, rng: np.random.Generator, sample, kernel):
     Each block's item seeds are drawn from `rng` only when the block is
     reached; `_derived_seeds` is prefix-stable, so they are the seeds of one
     draw of all n, and `rng` ends in the same state."""
-    for block in _blocks(n):
-        mats = sample(_derived_seeds(rng, block.stop - block.start))
+    for lo in range(0, n, _BLOCK):   # a block's size moves its values' last bits
+        mats = sample(_derived_seeds(rng, min(_BLOCK, n - lo)))
         # yielded unbound, so the generator keeps no result past its block
-        yield block.start, kernel(mats, validate_density_stack(mats, block.start))
+        yield lo, kernel(mats, validate_density_stack(mats, lo))
         del mats   # not held while the next block is sampled
 
 
@@ -159,7 +154,7 @@ def _purity_scaled(evals: np.ndarray) -> np.ndarray:
 
 def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     """``(n, 4)`` columns v_conditional_AtoB, v_conditional_BtoA, v_symmetric
-    and purity_scaled for one block (`_blocks`) of validated ``(n, 4, 4)``
+    and purity_scaled for one block (`_BLOCK`) of validated ``(n, 4, 4)``
     states with ascending eigenvalues ``evals``: the `mub_conditional` and
     `mub_mi` witnesses with Pauli triples on both sides."""
     bound_c = sanchez_ruiz_bound(2)
@@ -190,7 +185,8 @@ def survey_fig1_states(states) -> np.ndarray:
     v_conditional_BtoA, v_symmetric and purity_scaled."""
     mats = _two_qubit_stack(states, "scatter survey")
     evals = np.linalg.eigvalsh(mats)
-    return np.concatenate([_fig1_kernel(mats[b], evals[b]) for b in _blocks(len(mats))])
+    return np.concatenate([_fig1_kernel(mats[lo : lo + _BLOCK], evals[lo : lo + _BLOCK])
+                           for lo in range(0, len(mats), _BLOCK)])
 
 
 def survey_fig1(n: int, ensemble: str, rng: np.random.Generator):
@@ -437,11 +433,13 @@ def soundness_audit(states) -> dict[str, float]:
     1e-9. Runs on one thread.
     """
     mats = _two_qubit_stack(states, "soundness audit")
-    return _audit_maxima([_soundness_audit(mats[b]) for b in _blocks(len(mats))])
+    return reduce(_audit_maxima, (_soundness_audit(mats[lo : lo + _BLOCK])
+                                  for lo in range(0, len(mats), _BLOCK)), {})
 
 
-def _audit_maxima(parts) -> dict[str, float]:
-    return {name: float(np.max([part[name] for part in parts])) for name in parts[0]}
+def _audit_maxima(maxima: dict, part: dict) -> dict[str, float]:
+    # the blocks' maxima so far and one more block's (np.maximum keeps a NaN, as np.max did)
+    return {name: float(np.maximum(maxima.get(name, v), v)) for name, v in part.items()}
 
 
 def separable_audit(n: int, k_max: int, rng: np.random.Generator) -> tuple[float, dict[str, float]]:
@@ -454,8 +452,10 @@ def separable_audit(n: int, k_max: int, rng: np.random.Generator) -> tuple[float
     k_max = _count(k_max, "k_max")
     blocks = _sampled_blocks(_count(n, "n"), rng, lambda seeds: _separable_stack(seeds, k_max),
                              lambda mats, _: (_ppt_min_eigenvalue(mats), _soundness_audit(mats)))
-    ppts, parts = zip(*[part for _, part in blocks])
-    return min(ppts), _audit_maxima(parts)
+    ppt_min, maxima = math.inf, {}
+    for _, (ppt, part) in blocks:   # folded as they come: no block's result is kept
+        ppt_min, maxima = min(ppt_min, ppt), _audit_maxima(maxima, part)
+    return ppt_min, maxima
 
 
 @cache
@@ -471,7 +471,7 @@ def _audit_constants() -> tuple:
 
 
 def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
-    # each witness's largest value over one block (`_blocks`) of validated
+    # each witness's largest value over one block (`_BLOCK`) of validated
     # (n, 4, 4) two-qubit states
     cols, smeared, bound_xz, bound_c3, bound_m3, bound_povm = _audit_constants()
     p = _product_joints(mats, cols, (2, 2))       # (s, 3, 2, 2): X, Y, Z

@@ -14,8 +14,6 @@ import ctypes
 
 import numpy as np
 
-_BLOCK = 4096   # items per guard check and per block of state rows
-
 
 def _derived_seeds(rng: np.random.Generator, n: int) -> list[int]:
     return rng.integers(0, 2**63 - 1, size=n).tolist()
@@ -112,17 +110,32 @@ def _item_streams(seeds, ranks: np.ndarray | None = None):
     filled at once with each item's `integers(1, 5)`, worked out from its
     stream's first output, and each Generator is past that draw.
 
-    The first item of every `_BLOCK` is checked, once loaded, against a real
-    `default_rng`: its whole `bit_generator.state` and its rank. A numpy that
-    seeds, draws or lays out its state differently raises RuntimeError.
+    The first and the last item are checked when called, each loaded, against
+    a real `default_rng`: its whole `bit_generator.state` and its rank. A numpy
+    that seeds, draws or lays out its state differently raises RuntimeError.
     """
     seeded, drawn = _pcg64_states(_seed_words(seeds), ranks is not None)
-    flags = np.zeros((2, len(seeds)), np.uint32)   # has_uint32, uinteger
+    g = np.random.default_rng(0)
+    memory, order = _state_memory(g.bit_generator)
+    width = memory.nbytes
+    # one row of state bytes per item, in memory order (the padding left 0): a load is one write
+    rows = np.zeros((len(seeds), width // 8), np.uint64)
     if drawn is not None:
         seeded = (*drawn[:2], *seeded[2:])
-        flags[0], flags[1] = 1, drawn[2]
+        flags = rows.view(np.uint32)   # has_uint32, uinteger
+        flags[:, 0], flags[:, 1] = 1, drawn[2]
         ranks[:] = drawn[3]
-    return _loaded(seeds, np.array(seeded), flags, ranks)
+    rows[:, -4:] = np.array(seeded)[order].T
+    items = memoryview(rows).cast("B")
+    for i in {0, len(seeds) - 1}:   # the guard: the first and the last item
+        memory[:] = items[i * width : (i + 1) * width]
+        reference = np.random.default_rng(seeds[i])
+        same = ranks is None or reference.integers(1, 5) == ranks[i]
+        if not (same and g.bit_generator.state == reference.bit_generator.state):
+            raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
+                               "vectorised SeedSequence and PCG64 derivation, or lays out its "
+                               "state otherwise; the per-item streams cannot be reproduced")
+    return _loaded(g, memory, items)
 
 
 def _state_memory(bit_gen):
@@ -149,24 +162,8 @@ def _state_memory(bit_gen):
     return memoryview(words.view(np.uint8)), [marks.index(w) for w in words[-4:].tolist()]
 
 
-def _loaded(seeds, halves, flags, ranks):
-    # the iterator of `_item_streams`: per block, each item's state bytes as
-    # one row in memory order (the padding left 0), so a load is one write
-    g = np.random.default_rng(0)
-    memory, order = _state_memory(g.bit_generator)
-    width = memory.nbytes
-    for lo in range(0, len(seeds), _BLOCK):
-        rows = np.zeros((min(_BLOCK, len(seeds) - lo), width // 8), np.uint64)
-        rows.view(np.uint32)[:, :2] = flags[:, lo : lo + _BLOCK].T
-        rows[:, -4:] = halves[order, lo : lo + _BLOCK].T
-        items = memoryview(rows).cast("B")
-        memory[:] = items[:width]
-        reference = np.random.default_rng(seeds[lo])
-        same = ranks is None or reference.integers(1, 5) == ranks[lo]
-        if not (same and g.bit_generator.state == reference.bit_generator.state):
-            raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
-                               "vectorised SeedSequence and PCG64 derivation, or lays out its "
-                               "state otherwise; the per-item streams cannot be reproduced")
-        for i in range(0, len(items), width):
-            memory[:] = items[i : i + width]
-            yield g
+def _loaded(g, memory, items):
+    # the iterator of `_item_streams`: g, with each row of `items` loaded in turn
+    for i in range(0, len(items), memory.nbytes):
+        memory[:] = items[i : i + memory.nbytes]
+        yield g

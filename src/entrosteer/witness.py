@@ -25,7 +25,6 @@ from .measure import (
     _measurement_pairs,
     _set_record,
     _set_statistics,
-    as_povm,
     is_mub_set,
     measurement_distribution,
     overlap_omega,
@@ -70,7 +69,7 @@ def _omega(rec, side: int) -> float:
     if rec.omega[side] is None:
         r, s = rec.pairs[0][side], rec.pairs[1][side]
         projective = isinstance(r, ProjectiveBasis) and isinstance(s, ProjectiveBasis)
-        rec.omega[side] = overlap_omega(r, s) if projective else povm_omega(as_povm(r), as_povm(s))
+        rec.omega[side] = overlap_omega(r, s) if projective else povm_omega(r, s)
     return rec.omega[side]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import re
@@ -403,6 +404,24 @@ class TestAtomicWrites:
             cli._emit(self.config(out), "new\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert out.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize("device", [True, False], ids=["dev-full", "full-disk"])
+    def test_unwritable_output_exits_2(self, tmp_path, monkeypatch, capsys, device):
+        # one error line naming the output, no traceback, and no file left
+        if device and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        out = "/dev/full" if device else str(tmp_path / "out.csv")
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        if not device:   # a device is written in place, not renamed over
+            monkeypatch.setattr(cli.os, "replace", disk_full)
+        assert main(["fig1", "--n", "5", "--out", out]) == 2
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+        assert not os.path.exists(cli._manifest_path(out))
 
     def test_failed_manifest_keeps_old_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
@@ -841,6 +860,7 @@ class TestWorkBudget:
     configuration error, raised before anything is allocated."""
 
     HUGE = str(10**15)
+    MAX = str(10**9)   # cli._MAX_COUNT
 
     @staticmethod
     def estimate(argv):
@@ -877,13 +897,13 @@ class TestWorkBudget:
         assert peak <= estimate <= 2 * peak
 
     def test_estimate_scales_with_every_count(self):
-        # fig1 holds one block for a file, whose estimate grows only by the
-        # partition into blocks, and the whole text for standard output
+        # fig1 holds one block for a file, whatever --n, and the whole text
+        # for standard output
         for fmt in ("csv", "json"):
             file = ["--format", fmt, "--out", "f"]
             block = self.estimate(["fig1", "--n", "2000", *file])
             assert block == self.estimate(["fig1", "--n", "2048", *file])
-            assert block < self.estimate(["fig1", "--n", "1000000", *file]) < 1.2 * block
+            assert block == self.estimate(["fig1", "--n", "1000000", *file])
         base = self.estimate(["fig1", "--n", "3000"])
         assert self.estimate(["fig1", "--n", "6000"]) > base
         assert self.estimate(["fig1", "--n", "3000", "--format", "json"]) > base
@@ -904,10 +924,33 @@ class TestWorkBudget:
             ["separable-audit", "--k-max", HUGE],
             ["fig2", "--trials", HUGE],
             ["cv-scan", "--steps", HUGE],
+            ["fig1", "--n", str(10**9 + 1), "--out", "F"],
+            ["separable-audit", "--n", str(10**9 + 1)],
         ],
-        ids=["fig1-n", "sweep-n", "audit-n", "audit-k-max", "fig2-trials", "cv-scan-steps"],
+        ids=["fig1-n", "sweep-n", "audit-n", "audit-k-max", "fig2-trials", "cv-scan-steps",
+             "fig1-file-past-ceiling", "audit-n-past-ceiling"],
     )
     def test_absurd_count_exits_2_before_the_run(self, monkeypatch, capsys, argv):
+        # a count above the ceiling is refused whatever memory it would take
+        # (a fig1 file or an audit holds one block for any n), before any run
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {argv[1]} must be <= 1000000000, "
+                                           f"got {argv[2]}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--n", MAX],
+            ["sweep", "--n", MAX],
+            ["fig2", "--n", MAX],
+            ["cv-scan", "--steps", MAX],
+            ["separable-audit", "--k-max", MAX],
+        ],
+        ids=["fig1-stdout-n", "sweep-n", "fig2-n", "cv-scan-steps", "audit-k-max"],
+    )
+    def test_counts_at_the_ceiling_still_meet_the_budget(self, monkeypatch, capsys, argv):
         # a fixed budget, and no run can start if the check ever passed
         monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
         monkeypatch.setattr(cli, "dispatch", lambda *a, **k: pytest.fail("the run started"))

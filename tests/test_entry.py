@@ -209,6 +209,22 @@ def _povm(draw):
     return entrosteer.Povm(draw(_counts(3)), (draw(_near(half)), draw(_near(half))))
 
 
+_PAULI = {"basis": entrosteer.pauli_bases(), "povm": [b.povm for b in entrosteer.pauli_bases()]}
+
+
+def _measurement(draw, kind: str):
+    """Mostly a measurement of `kind` ("basis" or "povm"), a Pauli one or one
+    drawn by `_basis` or `_povm`; at times one of the other kind, or not a
+    measurement at all."""
+    other = "povm" if kind == "basis" else "basis"
+    pick = draw(st.sampled_from([kind] * 4 + [other, None]))
+    if pick is None:
+        return draw(st.sampled_from(["junk", np.eye(2), None]))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_PAULI[pick]))
+    return (_basis if pick == "basis" else _povm)(draw)
+
+
 # the discrete witnesses' inputs: states of local dimension up to 3, and for
 # each dimension a few fitting measurements (bases and POVMs) and MUB sets
 _W_RNG = np.random.default_rng(17)
@@ -329,7 +345,7 @@ _CALLS = {
     "ProjectiveBasis": _basis,
     "Povm": _povm,
     "rotate_basis": lambda d: entrosteer.rotate_basis(
-        entrosteer.pauli_bases()[2], d(_near(np.eye(2)))),
+        _measurement(d, "basis"), d(_near(np.eye(2)))),
     "ProbVector": lambda d: entrosteer.ProbVector(d(_near([0.5, 0.5]))),
     "JointDistribution": lambda d: entrosteer.JointDistribution(
         2, 2, d(_near(np.eye(2) / 2))),
@@ -344,10 +360,11 @@ _CALLS = {
         d(_near(np.eye(2) / 2)), "plus"),
     "measurement_distribution": lambda d: entrosteer.measurement_distribution(
         d(_near(np.eye(2, dtype=complex) / 2)), entrosteer.pauli_bases()[0]),
-    "overlap_omega": lambda d: entrosteer.overlap_omega(_basis(d), _basis(d)),
-    "povm_omega": lambda d: entrosteer.povm_omega(_povm(d), _povm(d)),
+    "overlap_omega": lambda d: entrosteer.overlap_omega(
+        _measurement(d, "basis"), _measurement(d, "basis")),
+    "povm_omega": lambda d: entrosteer.povm_omega(_measurement(d, "povm"), _measurement(d, "povm")),
     "is_mub_set": lambda d: entrosteer.is_mub_set(
-        [entrosteer.pauli_bases()[0], _basis(d)]),
+        [entrosteer.pauli_bases()[0], _measurement(d, "basis")]),
     "sanchez_ruiz_bound": lambda d: entrosteer.sanchez_ruiz_bound(d(st.one_of(
         st.integers(-2, 10**400), _VALUES, _counts(4)))),
     "random_unitary": lambda d: entrosteer.random_unitary(d(_counts(4)), _rng()),

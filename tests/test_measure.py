@@ -235,6 +235,31 @@ class TestIsMubSet:
         assert not is_mub_set([x, mub_set(3)[0]])
 
 
+class TestMeasurementTypes:
+    """The public measurement helpers refuse a value of another type with
+    TypeError; `povm_omega` takes projective bases as their POVMs."""
+
+    @pytest.mark.parametrize("call", [
+        lambda x, z: overlap_omega(x, z.povm),
+        lambda x, z: overlap_omega("junk", z),
+        lambda x, z: povm_omega(x, "junk"),
+        lambda x, z: is_mub_set([x, "junk"]),
+        lambda x, z: is_mub_set(np.eye(2)),
+        lambda x, z: rotate_basis("junk", np.eye(2)),
+        lambda x, z: rotate_basis(z.povm, np.eye(2)),
+    ], ids=["overlap-povm", "overlap-str", "povm-str", "mub-set-str", "mub-set-array",
+            "rotate-str", "rotate-povm"])
+    def test_other_types_raise_type_error(self, call):
+        x, _, z = pauli_bases()
+        with pytest.raises(TypeError, match=r"(takes a ProjectiveBasis|expected ProjectiveBasis "
+                                            r"or Povm), got "):
+            call(x, z)
+
+    def test_povm_omega_promotes_bases(self):
+        x, _, z = pauli_bases()
+        assert povm_omega(x, z) == povm_omega(x.povm, as_povm(z))
+
+
 class TestRotateBasis:
     def test_preserves_mub_property(self, rng):
         u = random_unitary(2, rng)

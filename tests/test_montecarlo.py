@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from entrosteer import (
 from entrosteer.montecarlo import (
     _fig1_kernel,
     _sampled_blocks,
+    _separable_stack,
     _soundness_audit,
     _worker_count,
 )
@@ -134,6 +137,27 @@ class TestSurveyFig1:
         blocks = survey_fig1(2500, "mixed", np.random.default_rng(12))
         ids = [lo + i for lo, cols in blocks for i in range(len(cols))]
         assert ids == list(range(2500))
+
+    @pytest.mark.parametrize("stream", [
+        lambda n, rng: survey_fig1(n, "mixed", rng),
+        lambda n, rng: _sampled_blocks(n, rng, lambda seeds: _separable_stack(seeds, 1),
+                                       lambda mats, _: _soundness_audit(mats)),
+    ], ids=["survey_fig1", "separable-blocks"])
+    def test_first_blocks_of_a_huge_survey_hold_one_block(self, stream):
+        # the first two blocks of 10**8 states peak as those of 2048 states do:
+        # nothing is built for the blocks not reached (a list of all 97657
+        # blocks' slices took about 12 MB)
+        peaks = []
+        for n in (2048, 10**8, 2048, 10**8):   # the first two, one-time allocations
+            tracemalloc.start()
+            try:
+                for _ in itertools.islice(stream(n, np.random.default_rng(3)), 2):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= 1.1 * peaks[2]
+        assert peaks[3] < 2 * 2**20
 
 
 class TestOptimizeBases:
@@ -399,7 +423,7 @@ class TestSoundnessAudit:
                             lambda *a: omegas.append(a) or measure.povm_omega(*a))
         before = measure._set_record.cache_info()
         states = separable_sample(12, 2, np.random.default_rng(3))
-        assert len(montecarlo._blocks(len(states))) == 3
+        assert len(range(0, len(states), montecarlo._BLOCK)) == 3   # blocks of 4, 4 and 4
         soundness_audit(states)
         assert main(["separable-audit", "--n", "10", "--out", str(tmp_path / "a.json")]) == 0
         assert len(omegas) == 1

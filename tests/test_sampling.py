@@ -27,8 +27,6 @@ from entrosteer import montecarlo, qmat, streams
 from entrosteer.cli import main, save_state
 from entrosteer.streams import _derived_seeds
 
-_BLOCK_DEFAULT = streams._BLOCK
-
 PINNED = [
     (
         ["fig1", "--ensemble", "mixed", "--n", "2000", "--seed", "5"],
@@ -292,10 +290,8 @@ def _draws(g):
     )
 
 
-def test_item_streams_draw_as_default_rng(monkeypatch):
-    # the buffered half word `_draws` leaves must not reach the next item. A
-    # small block makes several blocks, each loaded and checked on its own
-    monkeypatch.setattr(streams, "_BLOCK", 4)
+def test_item_streams_draw_as_default_rng():
+    # the buffered half word `_draws` leaves must not reach the next item
     seeds = EDGE_SEEDS + _derived_seeds(np.random.default_rng(65), 20)
     got = [_draws(g) for g in streams._item_streams(seeds)]
     assert got == [_draws(np.random.default_rng(s)) for s in seeds]
@@ -311,10 +307,9 @@ def test_item_streams_draw_as_default_rng(monkeypatch):
     assert got == ranked
 
 
-def test_live_item_streams_load_only_their_own_generator(monkeypatch):
+def test_live_item_streams_load_only_their_own_generator():
     # two loaders stepped in turn, one ranked: each writes its state words
     # into its own generator's memory only
-    monkeypatch.setattr(streams, "_BLOCK", 3)
     seeds = {False: _derived_seeds(np.random.default_rng(72), 8),
              True: EDGE_SEEDS[:4] + _derived_seeds(np.random.default_rng(73), 4)}
     ranks = np.full(8, -1, dtype=np.intp)
@@ -371,7 +366,6 @@ def _carry_dropped(hi, lo, add_hi, add_lo):
 )
 def test_seeding_guard_refuses_a_wrong_state(monkeypatch, attr, wrong, sample):
     monkeypatch.setattr(streams, attr, wrong)
-    monkeypatch.setattr(streams, "_BLOCK", 3)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         sample(np.random.default_rng(66))
 
@@ -417,16 +411,15 @@ def _buffer_wrong(words, ranked=False, states=streams._pcg64_states):
 
 
 @pytest.mark.parametrize(
-    "attr,wrong,block",
-    [("_seed_words", _later_words_wrong, 2), ("_pcg64_states", _rank_wrong, _BLOCK_DEFAULT),
-     ("_pcg64_states", _buffer_wrong, _BLOCK_DEFAULT)],
+    "attr,wrong",
+    [("_seed_words", _later_words_wrong), ("_pcg64_states", _rank_wrong),
+     ("_pcg64_states", _buffer_wrong)],
     ids=["later-block", "rank", "buffered-word"],
 )
-def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wrong, block):
-    # only item 0 is right in the first case: the first item of the next
-    # block must be checked; the others break only what the mixed draw sets
+def test_seeding_guard_checks_blocks_ranks_and_draw_state(monkeypatch, attr, wrong):
+    # only item 0 is right in the first case: the last item of the loader
+    # call must be checked too; the others break only what the mixed draw sets
     monkeypatch.setattr(streams, attr, wrong)
-    monkeypatch.setattr(streams, "_BLOCK", block)
     with pytest.raises(RuntimeError, match="seeds default_rng differently"):
         list(survey_fig1(5, "mixed", np.random.default_rng(68)))
 
