@@ -11,10 +11,11 @@ files, `eval` of every witness in both directions, and of the MUB and modular
 witnesses on seeded d = 5 and 7 states, the thresholds (also bisected to
 1e-15, which takes a scalar witness call per step), `cv-scan`, the audit,
 every `--help` text and the configuration errors. One `python -c` run prints
-every `eval` report on four of those state files in hex, so the scalar
-witnesses are compared bit for bit. A case differs when its stdout, its
-stderr, its exit code or its `--out` data file differs; the run manifests
-hold timestamps and are not compared. Each side's directory name in its
+every `eval` report on four of those state files in hex, and the smeared-POVM
+pair-conditional (both directions) and modular reports on each, so the
+scalar witnesses and `povm_omega` are compared bit for bit. A case differs
+when its stdout, its stderr, its exit code or its `--out` data file differs;
+the run manifests hold timestamps and are not compared. Each side's directory name in its
 output is replaced by `<dir>` first. Every differing case is printed. Exit
 status 1 on any difference.
 """
@@ -34,17 +35,31 @@ import numpy as np
 
 WITNESSES = ["pair-conditional", "pair-symmetric-mi", "mub-conditional", "mub-mi",
              "sumdiff-discrete"]
-# run as `python -c REPORT_BITS STATE_FILE...`: the scalar witness path bit for bit
+# run as `python -c REPORT_BITS STATE_FILE...`: the scalar witness path bit for bit,
+# with the smeared first and last MUB bases (X and Z for qubits) as POVMs on both sides,
+# whose bound takes `povm_omega`; the later calls on a set reuse its cached constants
 REPORT_BITS = f"""
 import os, sys
+import numpy as np
+from entrosteer import Povm, mub_set, pair_conditional, sumdiff_discrete
 from entrosteer.cli import _eval_report, load_state
+
+def smeared(basis, eta=0.2):   # elements (1 - eta) P_i + eta I / d
+    mixed = eta * np.eye(basis.dim, dtype=complex) / basis.dim
+    return Povm(basis.dim, tuple((1 - eta) * np.outer(v, v.conj()) + mixed
+                                 for v in basis.vectors))
+
 for path in sys.argv[1:]:
     rho = load_state(path)
-    for witness in {WITNESSES!r}:
-        for direction in ("AtoB", "BtoA"):
-            r = _eval_report(rho, witness, direction)
-            print(os.path.basename(path), witness, direction, float.hex(r.lhs_bits),
-                  float.hex(r.bound_bits), float.hex(r.violation_bits))
+    reports = [(w, d, _eval_report(rho, w, d)) for w in {WITNESSES!r} for d in ("AtoB", "BtoA")]
+    bases = mub_set(rho.dims[0])
+    r, s = smeared(bases[0]), smeared(bases[-1])
+    reports += [("povm-pair-conditional", d, pair_conditional(rho, r, s, r, s, direction=d))
+                for d in ("AtoB", "BtoA")]
+    reports.append(("povm-sumdiff-discrete", "symmetric", sumdiff_discrete(rho, r, s, r, s)))
+    for witness, direction, rep in reports:
+        print(os.path.basename(path), witness, direction, float.hex(rep.lhs_bits),
+              float.hex(rep.bound_bits), float.hex(rep.violation_bits))
 """
 COMMANDS = ["fig1", "fig2", "sweep", "werner-threshold", "cv-scan", "eval", "separable-audit"]
 

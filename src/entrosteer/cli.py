@@ -12,9 +12,10 @@ variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
 violation), 2 configuration error (including a negative seed, an --out path
 whose directory does not exist or whose name leaves no room for the temporary
-file, an option out of its range, a count above _MAX_COUNT (10**9), or counts
-whose estimated memory exceeds the machine's, all rejected before any work
-starts, and an output that cannot be written, such as a file on a full disk).
+file, an option out of its range, a count above _MAX_COUNT (10**9), counts
+whose estimated memory exceeds the machine's, or an audit whose --n * --k-max
+exceeds _MAX_TERMS (4 * 10**9), all rejected before any work starts, and an
+output that cannot be written, such as a file on a full disk).
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ _TRIAL_BYTES = 32
 # the ceiling of every count: at one thread, 10**9 fig1 states take 2-4 h
 # (70k-130k states/s), and 10**9 audit states at --k-max 4 take 8-11 h (26k-36k)
 _MAX_COUNT = 10**9
+# and of an audit's --n * --k-max: at one thread a state costs about 12 us plus
+# 2.4-3.3 us per term slot, so no audit under it runs longer than 10**9 states at --k-max 4
+_MAX_TERMS = 4 * _MAX_COUNT
 
 # physical memory: a run estimated to need more cannot finish on this machine
 try:
@@ -523,6 +527,8 @@ def _cmd_eval(config: RunConfig, options: EvalOptions) -> int:
 
 
 def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> int:
+    if options.n * options.k_max > _MAX_TERMS:   # checked after the memory estimate
+        raise ConfigError(f"--n * --k-max must be <= {_MAX_TERMS}, got {options.n * options.k_max}")
     ppt_min, worst = separable_audit(options.n, options.k_max, np.random.default_rng(config.seed))
     sound = all(v <= AUDIT_TOL for v in worst.values())
     _emit(config, [_json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
@@ -557,15 +563,17 @@ def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
     `blas_threads_defaulted` records in the manifest that the entry point
     set OPENBLAS_NUM_THREADS (see `entrosteer.__main__`)."""
     start = time.perf_counter()
+    writing = config.out_path or "standard output"
     try:
         status = _COMMANDS[config.command][1](config, config.options)
         if status == 0 and config.out_path:
+            writing = _manifest_path(config.out_path)   # the data file is written in full
             _write_manifest(config, time.perf_counter() - start, blas_threads_defaulted)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # the data or the manifest could not be written
-        print(f"error: cannot write {config.out_path or 'standard output'}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {writing}: {exc}", file=sys.stderr)
         return 2
     except (BracketError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
         log.error("numerical failure: %s", exc)

@@ -213,46 +213,41 @@ def _element_stack(povms, n: int) -> np.ndarray:
     return out
 
 
-def _measurement_pairs(pairs) -> tuple:
-    """``pairs`` as a tuple, each measurement checked to be a projective basis
-    or a POVM first, so that any other value raises `as_povm`'s TypeError and
-    never reaches the hash lookup of `_set_record`."""
-    pairs = tuple(pairs)
-    for pair in pairs:
-        for meas in pair:
-            if not isinstance(meas, (ProjectiveBasis, Povm)):
-                as_povm(meas)   # raises the TypeError naming the type
-    return pairs
-
-
 @dataclass(eq=False, slots=True)
 class _SetRecord:
-    """What the witness path derives once per set of m (Alice, Bob) measurement
-    `pairs`: their distinct (d_A, d_B) in order of first use, the padded
-    element stacks (None when the dims differ), each pair's outcome counts, the
-    last state's `_set_statistics`, and per side (0: Alice, 1: Bob) the overlap
-    constant and MUB floor that `witness` works out on first use."""
+    """What the contraction derives once per set of m (Alice, Bob) measurement
+    pairs: their distinct (d_A, d_B) in order of first use, the padded element
+    stacks (None when the dims differ), each pair's outcome counts, and the
+    last state's `_set_statistics`."""
 
-    pairs: tuple
     dims: tuple
     f_stack: np.ndarray | None
     g_stack: np.ndarray | None
     shapes: tuple
     last: tuple | None = None
-    omega: list = field(default_factory=lambda: [None, None])
-    floor: list = field(default_factory=lambda: [None, None])
 
 
 @lru_cache(maxsize=SET_CACHE_SIZE)
 def _set_record(pairs: tuple) -> _SetRecord:
-    """The `_SetRecord` of `_measurement_pairs`, built on first use."""
+    """The `_SetRecord` of a tuple of measurement pairs, built on first use:
+    a value other than a projective basis or a POVM raises `as_povm`'s
+    TypeError here, once, and never on a cached set."""
     fs, gs = zip(*[(as_povm(a), as_povm(b)) for a, b in pairs])
     dims = tuple(dict.fromkeys((f.dim, g.dim) for f, g in zip(fs, gs)))
     shapes = tuple((len(f.elements), len(g.elements)) for f, g in zip(fs, gs))
     if len(dims) > 1:
-        return _SetRecord(pairs, dims, None, None, shapes)
+        return _SetRecord(dims, None, None, shapes)
     n_a, n_b = map(max, zip(*shapes))
-    return _SetRecord(pairs, dims, _element_stack(fs, n_a), _element_stack(gs, n_b), shapes)
+    return _SetRecord(dims, _element_stack(fs, n_a), _element_stack(gs, n_b), shapes)
+
+
+def _cached(fn, *args):
+    """``fn(*args)`` of an `lru_cache` function. An unhashable argument (an ndarray, say)
+    fails the lookup naming no type, so `fn` runs uncached and its checks raise one that does."""
+    try:
+        return fn(*args)
+    except TypeError:
+        return fn.__wrapped__(*args)
 
 
 def _joint_stack(rho: DensityMatrix, rec: _SetRecord) -> np.ndarray:
@@ -311,7 +306,7 @@ def joint_distribution(rho: DensityMatrix, meas_a, meas_b) -> JointDistribution:
     one-pair case of the stacked kernel the witnesses use.
     """
     _state(rho, "joint_distribution")
-    p = _joint_stack(rho, _set_record(_measurement_pairs([(meas_a, meas_b)])))[0]
+    p = _joint_stack(rho, _cached(_set_record, ((meas_a, meas_b),)))[0]
     return JointDistribution(*p.shape, p)
 
 

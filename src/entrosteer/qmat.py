@@ -249,8 +249,8 @@ def werner_state(p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    proj = singlet_state().to_density().mat
-    return DensityMatrix((2, 2), p * proj + (1.0 - p) * np.eye(4) / 4.0)
+    v = singlet_state().vec   # the projector is validated once, with the mixture
+    return DensityMatrix((2, 2), p * np.outer(v, v.conj()) + (1.0 - p) * np.eye(4) / 4.0)
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -15,14 +15,16 @@ validated and the other side's is not.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .infotheory import _modular_entropies, shannon_entropy
 from .measure import (
+    SET_CACHE_SIZE,
     ProjectiveBasis,
-    _measurement_pairs,
+    _cached,
     _set_record,
     _set_statistics,
     is_mub_set,
@@ -63,14 +65,11 @@ def _mub_mi_bound(n: int, floor: float) -> float:
     return (n + 1) * math.log2(n) - floor
 
 
-def _omega(rec, side: int) -> float:
-    """Overlap constant of one party's pair (side 0: Alice, 1: Bob) of a
-    two-pair set record, POVM-general, worked out on first use."""
-    if rec.omega[side] is None:
-        r, s = rec.pairs[0][side], rec.pairs[1][side]
-        projective = isinstance(r, ProjectiveBasis) and isinstance(s, ProjectiveBasis)
-        rec.omega[side] = overlap_omega(r, s) if projective else povm_omega(r, s)
-    return rec.omega[side]
+@lru_cache(maxsize=SET_CACHE_SIZE)
+def _omega(r, s) -> float:
+    """Overlap constant of one party's measurement pair, POVM-general, once per pair."""
+    projective = isinstance(r, ProjectiveBasis) and isinstance(s, ProjectiveBasis)
+    return overlap_omega(r, s) if projective else povm_omega(r, s)
 
 
 def _by_direction(direction: str, a_to_b, b_to_a):
@@ -129,10 +128,9 @@ def pair_conditional(
     """
     _state(rho, "pair_conditional")
     side = _by_direction(direction, 1, 0)   # the steered party
-    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
-    _, (h_joint, h_a, h_b) = _set_statistics(rho, rec)
+    _, (h_joint, h_a, h_b) = _set_statistics(rho, _cached(_set_record, ((r_a, r_b), (s_a, s_b))))
     lhs = _conditional_sum(h_joint, h_a if side else h_b)
-    bound = math.log2(_omega(rec, side))
+    bound = math.log2(_omega(r_b, s_b) if side else _omega(r_a, s_a))
     return WitnessReport("pair_conditional", direction, lhs, bound, bound - lhs)
 
 
@@ -146,43 +144,41 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     _state(rho, "pair_symmetric_mi")
     _projective((r_a, s_a, r_b, s_b), "the symmetric witness")
     n = _equal_dims(rho, "symmetric witness")
-    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
-    lhs = _mi_sum(*_set_statistics(rho, rec)[1])
-    bound = math.log2(n * n / min(_omega(rec, 0), _omega(rec, 1)))
+    lhs = _mi_sum(*_set_statistics(rho, _cached(_set_record, ((r_a, r_b), (s_a, s_b))))[1])
+    bound = math.log2(n * n / min(_omega(r_a, s_a), _omega(r_b, s_b)))
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
 
 
-def _projective(meas, what: str) -> tuple:
-    """`meas` as a tuple, checked to hold projective bases only."""
-    meas = tuple(meas)
+def _projective(meas, what: str) -> None:
+    """Check that `meas` holds projective bases only."""
     for m in meas:
         if not isinstance(m, ProjectiveBasis):
             raise TypeError(f"{what} takes projective bases only, got {type(m).__name__}")
-    return meas
+
+
+@lru_cache(maxsize=SET_CACHE_SIZE)
+def _mub_floor(n: int, steered: tuple, side: int) -> float:
+    """The MUB floor of the steered `side`'s bases, once they are checked to
+    be a complete set of mutually unbiased bases in dimension n."""
+    label = ("steered-side (A)", "steered-side (B)")[side]
+    _projective(steered, label)
+    if len(steered) != n + 1:
+        raise ValueError(f"{label} needs a complete set of {n + 1} bases, got {len(steered)}")
+    if any(b.dim != n for b in steered):
+        raise ValueError(f"{label} bases must all have dimension {n}")
+    if not is_mub_set(steered):
+        raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
+    return sanchez_ruiz_bound(n)
 
 
 def _mub_record(n: int, bases_a, bases_b, side: int) -> tuple:
     """The record of the set ``zip(bases_a, bases_b)`` and its steered `side`'s
-    MUB floor, kept once that side's bases are a complete MUB set in n."""
-    label = ("steered-side (A)", "steered-side (B)")[side]
-    steered = _projective((bases_a, bases_b)[side], label)
+    `_mub_floor`; the steered side's errors come first."""
+    floor = _cached(_mub_floor, n, tuple((bases_a, bases_b)[side]), side)
     if len(bases_a) != len(bases_b):
         raise ValueError(f"both parties need the same number of bases, got {len(bases_a)} "
                          f"and {len(bases_b)}")
-    try:
-        rec = _set_record(_measurement_pairs(zip(bases_a, bases_b)))
-    except (TypeError, ValueError):
-        rec = None   # raised again below, after the steered side's own checks
-    if rec is None or rec.floor[side] is None or rec.dims[0][side] != n:
-        if len(steered) != n + 1:
-            raise ValueError(f"{label} needs a complete set of {n + 1} bases, got {len(steered)}")
-        if any(b.dim != n for b in steered):
-            raise ValueError(f"{label} bases must all have dimension {n}")
-        if not is_mub_set(steered):
-            raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
-        rec = rec or _set_record(_measurement_pairs(zip(bases_a, bases_b)))
-        rec.floor[side] = sanchez_ruiz_bound(n)
-    return rec, rec.floor[side]
+    return _cached(_set_record, tuple(zip(bases_a, bases_b))), floor
 
 
 def mub_conditional(
@@ -229,10 +225,10 @@ def sumdiff_discrete(
     _state(rho, "sumdiff_discrete")
     if len(signs) != 2:
         raise ValueError("signs must be a pair, one per observable")
-    rec = _set_record(_measurement_pairs(((r_a, r_b), (s_a, s_b))))
+    rec = _cached(_set_record, ((r_a, r_b), (s_a, s_b)))
     p, _ = _set_statistics(rho, rec)
     lhs = _left_sum(_modular_entropies(p, rec.shapes, signs))
-    bound = math.log2(min(_omega(rec, 0), _omega(rec, 1)))
+    bound = math.log2(min(_omega(r_a, s_a), _omega(r_b, s_b)))
     return WitnessReport("sumdiff_discrete", "symmetric", lhs, bound, bound - lhs)
 
 

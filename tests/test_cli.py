@@ -423,6 +423,27 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
         assert not os.path.exists(cli._manifest_path(out))
 
+    def test_failed_manifest_write_names_the_manifest(self, tmp_path, monkeypatch, capsys):
+        # the data file was written in full: the error names the manifest
+        out = tmp_path / "out.csv"
+        write = cli._write_atomic
+
+        def manifest_disk_full(path, chunks):
+            if path.endswith(".manifest.json"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(path, chunks)
+
+        monkeypatch.setattr(cli, "_write_atomic", manifest_disk_full)
+        assert main(["fig1", "--n", "5", "--out", str(out)]) == 2
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        manifest = cli._manifest_path(str(out))
+        assert capsys.readouterr().err == f"error: cannot write {manifest}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        monkeypatch.undo()
+        again = tmp_path / "again.csv"
+        assert main(["fig1", "--n", "5", "--out", str(again)]) == 0
+        assert out.read_bytes() == again.read_bytes()
+
     def test_failed_manifest_keeps_old_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
         manifest = tmp_path / "out.manifest.json"
@@ -959,6 +980,37 @@ class TestWorkBudget:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {argv[0]} would need about ")
         assert lines[0].endswith("more than the 64 GiB this machine has")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["separable-audit", "--n", MAX, "--k-max", "5"],
+            ["separable-audit", "--n", "400001", "--k-max", "10000"],
+            ["separable-audit", "--n", "4000001", "--k-max", "1000", "--out", "F"],
+        ],
+        ids=["n-at-ceiling-k5", "k-max-10000", "file-k-max-1000"],
+    )
+    def test_audit_past_its_time_bound_exits_2_before_the_run(self, monkeypatch, capsys, argv):
+        # each count is under the ceiling and the memory fits, but the audit's
+        # time grows with --n * --k-max: refused past 4 * _MAX_COUNT term slots
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        monkeypatch.setattr(cli, "separable_audit", lambda *a: pytest.fail("the audit started"))
+        assert main(argv) == 2
+        work = int(argv[2]) * int(argv[4])
+        assert capsys.readouterr() == ("", f"error: --n * --k-max must be <= 4000000000, "
+                                           f"got {work}\n")
+        assert not os.path.exists("F")
+
+    @pytest.mark.parametrize("n,k_max", [(10**9, 4), (10**8, 40), (4 * 10**5, 10**4)])
+    def test_audit_at_its_time_bound_runs(self, monkeypatch, capsys, n, k_max):
+        # 10**9 states at the default --k-max 4 take the longest of any audit
+        # allowed; a block at --k-max 10**4 holds about 5 GB, within the budget
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        ran = []
+        monkeypatch.setattr(cli, "separable_audit", lambda *a: ran.append(a[:2]) or (0.0, {}))
+        assert main(["separable-audit", "--n", str(n), "--k-max", str(k_max)]) == 0
+        assert ran == [(n, k_max)] and n * k_max == cli._MAX_TERMS == 4 * cli._MAX_COUNT
+        assert json.loads(capsys.readouterr().out)["sound"]
 
     def test_budget_is_physical_memory(self):
         assert cli._MEMORY_BUDGET == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -86,13 +86,14 @@ def _menu_call(k, rho, bases):
 _FRESH_SCRIPT = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
-from entrosteer import measure
+from entrosteer import measure, witness
 from test_measure import _MENU, _interleaving_inputs, _menu_call
 rhos, bases = _interleaving_inputs()
 out = []
 for rho in rhos:
     for k in range(len(_MENU)):
-        measure._set_record.cache_clear()
+        for cache in (measure._set_record, witness._omega, witness._mub_floor):
+            cache.cache_clear()
         rep = _menu_call(k, rho, bases)
         out.append([rep.lhs_bits.hex(), rep.bound_bits.hex(), rep.violation_bits.hex()])
 print(json.dumps(out))
@@ -651,6 +652,81 @@ class TestOneTimeWork:
         assert measure._set_record.cache_info().currsize == measure.SET_CACHE_SIZE
         gc.collect()
         assert released() is None
+
+    def test_bound_caches_stay_at_their_bound_and_release_old_sets(self):
+        # the per-pair overlap constants and the per-set MUB floors are kept
+        # as the set records are: at most SET_CACHE_SIZE of each
+        rng = np.random.default_rng(7)
+        qubits = pauli_bases()
+        rho = werner_state(0.7)
+        u = random_unitary(2, rng)
+        first = [rotate_basis(b, u) for b in qubits]
+        released = weakref.ref(first[0])
+        mub_conditional(rho, qubits, first)
+        pair_conditional(rho, *first[::2], *first[::2], direction="BtoA")
+        del first
+        for _ in range(3 * measure.SET_CACHE_SIZE):
+            u = random_unitary(2, rng)
+            rotated = [rotate_basis(b, u) for b in qubits]
+            mub_conditional(rho, qubits, rotated)
+            pair_conditional(rho, *rotated[::2], *rotated[::2], direction="BtoA")
+            for cache in (witness._omega, witness._mub_floor):
+                assert cache.cache_info().currsize <= measure.SET_CACHE_SIZE
+        assert witness._omega.cache_info().currsize == measure.SET_CACHE_SIZE
+        assert witness._mub_floor.cache_info().currsize == measure.SET_CACHE_SIZE
+        gc.collect()
+        assert released() is None
+
+    def test_sets_that_share_a_pair_work_out_its_overlap_constant_once(self, counts):
+        # the bound's constant belongs to the steered party's pair, not to the
+        # set: a second set with Bob's pair and other bases for Alice reuses it
+        x, y, z = pauli_bases()
+        eye = np.eye(2, dtype=complex)
+        fx, fz = (Povm(2, tuple(0.8 * np.outer(v, v.conj()) + 0.1 * eye for v in b.vectors))
+                  for b in (x, z))
+        rho = werner_state(0.8)
+        first = pair_conditional(rho, x, z, x, z)
+        second = pair_conditional(rho, y, x, x, z)
+        assert counts["overlap_omega"] == 1 and first.bound_bits == second.bound_bits
+        smeared = pair_conditional(rho, x, z, fx, fz)
+        assert pair_conditional(rho, y, fz, fx, fz) == pair_conditional(rho, y, fz, fx, fz)
+        assert counts["povm_omega"] == 1 and smeared.bound_bits > first.bound_bits
+        # and a symmetric witness on the sets reuses both parties' constants
+        sumdiff_discrete(rho, y, x, x, z)
+        pair_symmetric_mi(rho, y, x, x, z)
+        assert counts["overlap_omega"] == 2   # Alice's (y, x) pair, once
+
+    @pytest.mark.parametrize("name", ["pair_conditional", "pair_symmetric_mi",
+                                      "sumdiff_discrete", "mub_conditional", "mub_mi"])
+    def test_a_warm_call_checks_no_measurement_type(self, monkeypatch, name):
+        # types are checked when a set's record (or a steered set's floor) is
+        # built; a warm call finds the set and its bound by hash alone. Only
+        # pair_symmetric_mi keeps a per-call check: its bound holds for
+        # projective bases only, and a POVM pair is a valid key of the caches
+        # it shares with pair_conditional
+        qubits = pauli_bases()
+        x, _, z = qubits
+        rho = werner_state(0.8)
+        call = {"pair_conditional": lambda: pair_conditional(rho, x, z, x, z, direction="BtoA"),
+                "pair_symmetric_mi": lambda: pair_symmetric_mi(rho, x, z, x, z),
+                "sumdiff_discrete": lambda: sumdiff_discrete(rho, x, z, x, z),
+                "mub_conditional": lambda: mub_conditional(rho, qubits, qubits),
+                "mub_mi": lambda: mub_mi(rho, qubits, qubits)}[name]
+        first = call()
+        checked = Counter()
+
+        def counting(module):
+            def isinstance_(value, cls):
+                checked[module] += 1
+                return isinstance(value, cls)
+            return isinstance_
+
+        for module in (measure, witness):
+            monkeypatch.setattr(module, "isinstance", counting(module.__name__), raising=False)
+        monkeypatch.setattr(measure, "as_povm", lambda meas: pytest.fail("as_povm was called"))
+        assert call() == first
+        want = {"entrosteer.witness": 4} if name == "pair_symmetric_mi" else {}
+        assert checked == want
 
     def test_threads_on_one_new_set_agree(self):
         # more threads than cores, switching often, all missing the caches of

@@ -218,6 +218,17 @@ class TestNamedStates:
         want = p * proj + (1 - p) * np.eye(4) / 4
         assert np.max(np.abs(werner_state(p).mat - want)) < 1e-15
 
+    @pytest.mark.parametrize("p", [0.0, 0.37, 0.5, 2**-0.5, 0.9, 1.0])
+    def test_werner_validates_once_with_the_bits_of_the_projector_state(self, monkeypatch, p):
+        # the singlet projector is built as its PureState's to_density builds
+        # it, but not validated on its own: one eigvalsh, for the mixture
+        want = p * singlet_state().to_density().mat + (1.0 - p) * np.eye(4) / 4.0
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert werner_state(p).mat.tobytes() == want.tobytes()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_werner_rejects_out_of_range(self, p):
         with pytest.raises(ValueError):
