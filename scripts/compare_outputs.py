@@ -10,14 +10,17 @@ the surveys in both formats, sweeps over Werner and seeded d = 2, 3, 5 state
 files, `eval` of every witness in both directions, and of the MUB and modular
 witnesses on seeded d = 5 and 7 states, the thresholds (also bisected to
 1e-15, which takes a scalar witness call per step), `cv-scan`, the audit,
-every `--help` text and the configuration errors. One `python -c` run prints
+every `--help` text, the `--verbose` lines, a numerical failure (exit 1) and the
+configuration errors. One `python -c` run prints
 every `eval` report on four of those state files in hex, and the smeared-POVM
 pair-conditional (both directions) and modular reports on each, so the
 scalar witnesses and `povm_omega` are compared bit for bit. A case differs
-when its stdout, its stderr, its exit code or its `--out` data file differs;
-the run manifests hold timestamps and are not compared. Each side's directory name in its
-output is replaced by `<dir>` first. Every differing case is printed. Exit
-status 1 on any difference.
+when its stdout, its stderr, its exit code, its `--out` data file or its run
+manifest differs; a manifest is compared without its `timestamp` and
+`wall_time_s`. Each side's directory name in its output is replaced by `<dir>`
+first. A run still going after TIMEOUT seconds is stopped, and its exit code
+reads as a time-out. Every differing case is printed. Exit status 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ for path in sys.argv[1:]:
         print(os.path.basename(path), witness, direction, float.hex(rep.lhs_bits),
               float.hex(rep.bound_bits), float.hex(rep.violation_bits))
 """
+TIMEOUT = 120   # seconds; the longest case takes a few
 COMMANDS = ["fig1", "fig2", "sweep", "werner-threshold", "cv-scan", "eval", "separable-audit"]
 
 
@@ -186,6 +190,11 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
             "--tol", "1e-15", "--out", "OUT.json")
     add("werner-threshold-coarse", "werner-threshold", "--tol", "1e-3", "--lo", "0.4")
     add("werner-threshold-no-bracket", "werner-threshold", "--lo", "0.9", "--hi", "0.95")
+    add("werner-threshold-no-bracket-0.99", "werner-threshold", "--lo", "0.9", "--hi", "0.99")
+    # the INFO lines on standard error
+    add("fig1-verbose", "fig1", "--n", "50", "--seed", "3", "--verbose", "--out", "OUT.csv")
+    add("separable-audit-verbose", "separable-audit", "--n", "300", "--seed", "3", "--verbose",
+        "--out", "OUT.json")
     add("cv-scan", "cv-scan", "--out", "OUT.csv")
     add("cv-scan-json", "cv-scan", "--r-min", "0.5", "--r-max", "6", "--steps", "23",
         "--format", "json", "--out", "OUT.json")
@@ -226,6 +235,8 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("error-negative-threads", "fig1", "--threads", "-1")
     add("error-zero-sweep", "sweep", "--n", "0")
     add("error-absurd-count", "fig1", "--n", str(10**15))
+    # --n * --trials one state past its time bound (4 * 10**9), within memory
+    add("error-fig2-time-bound", "fig2", "--n", "4001", "--trials", str(10**6), "--out", "OUT.csv")
     if os.path.exists("/dev/full"):   # a write that fails: exit 2 with one error line
         add("error-out-full-device", "fig1", "--n", "5", "--out", "/dev/full")
     add("error-threshold-csv", "werner-threshold", "--format", "csv")
@@ -255,18 +266,26 @@ def run_case(checkout: str, workdir: str, name: str, argv: list[str], env: dict)
     environ.update(env, PYTHONPATH=os.path.join(checkout, "src"))
     program = [] if argv[0] == "-c" else ["-m", "entrosteer"]   # a `-c` case runs its own script
     argv = [sys.executable, *program, *(a.replace("OUT.", name + ".") for a in argv)]
-    done = subprocess.run(argv, cwd=rundir, env=environ, capture_output=True, text=True,
-                          timeout=600)
-    data = {}
+    try:
+        done = subprocess.run(argv, cwd=rundir, env=environ, capture_output=True, text=True,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        done = subprocess.CompletedProcess(argv, f"timed out after {TIMEOUT} s", "", "")
+    data, manifests = {}, {}
     for entry in sorted(os.listdir(rundir)):
-        if not entry.endswith(".manifest.json"):
-            with open(os.path.join(rundir, entry), "rb") as fh:
-                data[entry] = fh.read()
+        with open(os.path.join(rundir, entry), "rb") as fh:
+            content = fh.read()
+        if entry.endswith(".manifest.json"):
+            manifests[entry] = json.loads(content)
+            del manifests[entry]["timestamp"], manifests[entry]["wall_time_s"]
+        else:
+            data[entry] = content
     return {
         "exit code": done.returncode,
         "stdout": done.stdout.replace(rundir, "<dir>"),
         "stderr": done.stderr.replace(rundir, "<dir>"),
         "data file": data,
+        "manifest": manifests,
     }
 
 

@@ -1,5 +1,6 @@
 """Entry point of ``python -m entrosteer`` and the ``entrosteer`` script."""
 
+import gc
 import os
 
 
@@ -12,11 +13,19 @@ def main(argv: list[str] | None = None) -> int:
     thread and from the ``--threads`` pool, which is the package's one
     parallelism. OpenBLAS reads the variable once, when numpy is first
     imported, so it is set here, before ``cli`` imports numpy.
+
+    The modules ``cli`` imports live as long as the process: they load with the
+    cyclic GC off and are frozen (``gc.freeze``), so no collection in the run or
+    at exit scans them. Library imports of ``entrosteer.cli`` keep the default.
     """
     defaulted = "OPENBLAS_NUM_THREADS" not in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from .cli import main as cli_main
-
+    gc.disable()
+    try:
+        from .cli import main as cli_main
+    finally:
+        gc.freeze()
+        gc.enable()
     return cli_main(argv, blas_threads_defaulted=defaulted)
 
 

@@ -14,21 +14,20 @@ violation), 2 configuration error (including a negative seed, an --out path
 whose directory does not exist or whose name leaves no room for the temporary
 file, an option out of its range, a count above _MAX_COUNT (10**9), counts
 whose estimated memory exceeds the machine's, or an audit whose --n * --k-max
-exceeds _MAX_TERMS (4 * 10**9), all rejected before any work starts, and an
-output that cannot be written, such as a file on a full disk).
+exceeds _MAX_TERMS (4 * 10**9) or a fig2 whose --n * --trials exceeds _MAX_TRIALS
+(as many), all rejected before any work starts, and an output that cannot be
+written, such as a file on a full disk).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import stat
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,8 +52,6 @@ from .witness import (
     pair_symmetric_mi,
     sumdiff_discrete,
 )
-
-log = logging.getLogger("entrosteer")
 
 AUDIT_TOL = 1e-9
 
@@ -83,6 +80,8 @@ _MAX_COUNT = 10**9
 # and of an audit's --n * --k-max: at one thread a state costs about 12 us plus
 # 2.4-3.3 us per term slot, so no audit under it runs longer than 10**9 states at --k-max 4
 _MAX_TERMS = 4 * _MAX_COUNT
+# and of fig2's --n * --trials: a trial takes 6-8 us at one thread, so none runs much past 7 h
+_MAX_TRIALS = 4 * _MAX_COUNT
 
 # physical memory: a run estimated to need more cannot finish on this machine
 try:
@@ -111,21 +110,34 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-command options: each field is one --flag of its subcommand, declared
-# once (`_option`: no default makes it required; argparse's type comes from the
-# annotation), and each record rejects its own out-of-range values when built:
-# every int field is a count in [1, _MAX_COUNT] (`_Options`); the records check the rest
+# per-command options: each row (name, type, default, help, choices) of a record's
+# FIELDS is one --flag of its subcommand, declared once (a default of ... makes
+# it required), and each record rejects its own out-of-range values when built:
+# every int field is a count in [1, _MAX_COUNT] (`_Options`); `_check` does the rest
 
 _ENSEMBLES = ("pure", "mixed")
 
 
-def _option(default=MISSING, help=None, choices=None):
-    return field(default=default, metadata={"help": help, "choices": choices})
+class _Record:   # read-only once its __init__ has filled vars(self)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
 
 
-class _Options:
-    def __post_init__(self):
-        _flags(self, *[f.name for f in fields(self) if f.type == "int"])
+class _Options(_Record):
+    FIELDS: tuple = ()
+
+    def __init__(self, **values):
+        vars(self).update((name, values.pop(name, default)) for name, _, default, *_ in self.FIELDS)
+        if values or ... in vars(self).values():
+            raise TypeError(f"{type(self).__name__} needs each field without a default and "
+                            f"takes no other; unknown: {sorted(values)}")
+        _flags(self, *[name for name, kind, *_ in self.FIELDS if kind is int])
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse the values that no type or count check covers."""
 
     def peak_bytes(self, config: RunConfig) -> int:
         """Peak memory a run's arrays and output take, estimated from its
@@ -138,21 +150,19 @@ class _Options:
         return 1
 
 
-@dataclass(frozen=True)
 class Fig1Options(_Options):
-    n: int = _option(10000, "number of states")
-    ensemble: str = _option("mixed", choices=_ENSEMBLES)
+    FIELDS = (("n", int, 10000, "number of states", None),
+              ("ensemble", str, "mixed", None, _ENSEMBLES))
 
     def peak_bytes(self, config):
         blocks = min(self.n, _BLOCK) * 1920
         return blocks if config.out_path else blocks + _table_bytes(config, self.n, _CSV_ROW_BYTES)
 
 
-@dataclass(frozen=True)
 class Fig2Options(_Options):
-    n: int = _option(500, "number of states")
-    ensemble: str = _option("mixed", choices=_ENSEMBLES)
-    trials: int = _option(500, "basis-set draws per state")
+    FIELDS = (("n", int, 500, "number of states", None),
+              ("ensemble", str, "mixed", None, _ENSEMBLES),
+              ("trials", int, 500, "basis-set draws per state", None))
 
     def threads_used(self, config):
         return _worker_count(config.threads, self.n, os.cpu_count())   # as survey_fig2 does
@@ -162,14 +172,12 @@ class Fig2Options(_Options):
                 + self.threads_used(config) * (_TRIAL_CHUNK_BYTES + self.trials * _TRIAL_BYTES))
 
 
-@dataclass(frozen=True)
 class SweepOptions(_Options):
-    n: int = _option(10000, "number of basis-set draws")
-    state_file: str | None = _option(None, "JSON state file (see README)")
-    werner: float = _option(0.9, "Werner parameter used when no state file is given")
+    FIELDS = (("n", int, 10000, "number of basis-set draws", None),
+              ("state_file", str, None, "JSON state file (see README)", None),
+              ("werner", float, 0.9, "Werner parameter used when no state file is given", None))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if self.state_file is None and not 0.0 <= self.werner <= 1.0:
             raise ConfigError(f"--werner must be in [0, 1], got {self.werner}")
 
@@ -177,15 +185,13 @@ class SweepOptions(_Options):
         return _table_bytes(config, self.n, 512)
 
 
-@dataclass(frozen=True)
 class WernerThresholdOptions(_Options):
-    settings: int = _option(2, "2: X/Z conditional pair; 3: full Pauli MUB triple", (2, 3))
-    tol: float = _option(1e-6, "bracket width at stop")
-    lo: float = _option(0.5, "lower bracket endpoint")
-    hi: float = _option(0.99, "upper bracket endpoint")
+    FIELDS = (("settings", int, 2, "2: X/Z conditional pair; 3: full Pauli MUB triple", (2, 3)),
+              ("tol", float, 1e-6, "bracket width at stop", None),
+              ("lo", float, 0.5, "lower bracket endpoint", None),
+              ("hi", float, 0.99, "upper bracket endpoint", None))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if not self.tol > 0:
             raise ConfigError("tolerance must be positive")
         if self.tol == math.inf:   # would stop at the bracket's midpoint, and JSON has no inf
@@ -194,14 +200,11 @@ class WernerThresholdOptions(_Options):
             raise ConfigError(f"need 0 <= lo < hi <= 1, got lo={self.lo}, hi={self.hi}")
 
 
-@dataclass(frozen=True)
 class CvScanOptions(_Options):
-    r_min: float = _option(0.0)
-    r_max: float = _option(2.0)
-    steps: int = _option(9)
+    FIELDS = (("r_min", float, 0.0, None, None), ("r_max", float, 2.0, None, None),
+              ("steps", int, 9, None, None))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self):
         if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_max)):
             raise ConfigError(
                 f"need finite 0 <= r-min <= r-max, got {self.r_min}, {self.r_max}")
@@ -210,34 +213,29 @@ class CvScanOptions(_Options):
         return _table_bytes(config, self.steps, 512)
 
 
-@dataclass(frozen=True)
 class EvalOptions(_Options):
-    state_file: str = _option(help="JSON state file (see README)")
-    witness: str = _option(choices=("pair-conditional", "pair-symmetric-mi", "mub-conditional",
-                                    "mub-mi", "sumdiff-discrete"))
-    direction: str = _option("AtoB", "steering direction for conditional witnesses",
-                             ("AtoB", "BtoA"))
+    FIELDS = (("state_file", str, ..., "JSON state file (see README)", None),
+              ("witness", str, ..., None, ("pair-conditional", "pair-symmetric-mi",
+                                           "mub-conditional", "mub-mi", "sumdiff-discrete")),
+              ("direction", str, "AtoB", "steering direction for conditional witnesses",
+               ("AtoB", "BtoA")))
 
 
-@dataclass(frozen=True)
 class SeparableAuditOptions(_Options):
-    n: int = _option(10000, "number of separable states")
-    k_max: int = _option(4, "max product terms per mixture")
+    FIELDS = (("n", int, 10000, "number of separable states", None),
+              ("k_max", int, 4, "max product terms per mixture", None))
 
     def peak_bytes(self, config):
         return min(self.n, _BLOCK) * (_AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int
-    options: _Options
-    out_path: str | None = None
-    format: str = "csv"
-    threads: int = 1
+class RunConfig(_Record):
+    """One run: its command, seed, options record, output and --verbose flag."""
 
-    def __post_init__(self):
+    def __init__(self, command: str, seed: int, options: _Options, out_path: str | None = None,
+                 format: str = "csv", threads: int = 1, verbose: bool = False):
+        vars(self).update(command=command, seed=seed, options=options, out_path=out_path,
+                          format=format, threads=threads, verbose=verbose)
         _flags(self, "threads")
         _flags(self, "format", options=("csv", "json"))
         if self.out_path:
@@ -366,7 +364,7 @@ def _write_manifest(config: RunConfig, wall_s: float, blas_threads_defaulted: bo
     manifest = {
         "command": config.command,
         "seed": config.seed,
-        "parameters": asdict(config.options),
+        "parameters": vars(config.options),
         "format": config.format,
         "threads": config.options.threads_used(config),
         "versions": {"entrosteer": __version__, "numpy": np.__version__,
@@ -382,7 +380,7 @@ def _write_manifest(config: RunConfig, wall_s: float, blas_threads_defaulted: bo
     }
     path = _manifest_path(config.out_path)
     _write_atomic(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
-    log.info("manifest written to %s", path)
+    _log(config, "info", "manifest written to %s", path)
 
 
 def _temporary_name(path: str) -> str:
@@ -418,11 +416,21 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
+def _log(config: RunConfig, level: str, message: str, *args) -> None:
+    """Log an "error", or an "info" line under --verbose; only then is `logging` imported."""
+    if level == "info" and not config.verbose:
+        return
+    import logging
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO if config.verbose else logging.WARNING,
+                        format="%(levelname)s %(message)s")
+    getattr(logging.getLogger("entrosteer"), level)(message, *args)
+
+
 def _emit(config: RunConfig, chunks) -> None:
     # standard output gets all the text `chunks` at once: no partial table on failure
     if config.out_path:
         _write_atomic(config.out_path, chunks)
-        log.info("wrote %s", config.out_path)
+        _log(config, "info", "wrote %s", config.out_path)
     else:
         sys.stdout.write("".join(chunks))
 
@@ -448,6 +456,8 @@ def _cmd_fig1(config: RunConfig, options: Fig1Options) -> int:
 
 
 def _cmd_fig2(config: RunConfig, options: Fig2Options) -> int:
+    if options.n * options.trials > _MAX_TRIALS:   # checked after the memory estimate
+        raise ConfigError(f"--n * --trials must be <= {_MAX_TRIALS}, got {options.n * options.trials}")
     rng = np.random.default_rng(config.seed)
     pairs = survey_fig2(options.n, options.ensemble, options.trials, rng, threads=config.threads)
     rows = [(res.state_id, res.best_v_AtoB, res.best_v_BtoA, purity) for res, purity in pairs]
@@ -485,7 +495,7 @@ def _cmd_werner_threshold(config: RunConfig, options: WernerThresholdOptions) ->
     p_star = threshold_bisect(family, options.lo, options.hi, tol=options.tol)
     witness = "pair-conditional" if options.settings == 2 else "mub-conditional"
     # the options are settings, tol, lo and hi
-    _emit(config, [_json_text({"p_star": p_star, "witness": witness, **asdict(options)})])
+    _emit(config, [_json_text({"p_star": p_star, "witness": witness, **vars(options)})])
     return 0
 
 
@@ -531,11 +541,11 @@ def _cmd_separable_audit(config: RunConfig, options: SeparableAuditOptions) -> i
         raise ConfigError(f"--n * --k-max must be <= {_MAX_TERMS}, got {options.n * options.k_max}")
     ppt_min, worst = separable_audit(options.n, options.k_max, np.random.default_rng(config.seed))
     sound = all(v <= AUDIT_TOL for v in worst.values())
-    _emit(config, [_json_text({**asdict(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
+    _emit(config, [_json_text({**vars(options), "ppt_min_eigenvalue": ppt_min,   # n, k_max
                                "max_violation": worst, "tolerance": AUDIT_TOL,
                                "sound": sound})])
     if not sound:
-        log.error("soundness audit found a violation above %g", AUDIT_TOL)
+        _log(config, "error", "soundness audit found a violation above %g", AUDIT_TOL)
         return 1
     return 0
 
@@ -576,7 +586,7 @@ def dispatch(config: RunConfig, blas_threads_defaulted: bool = False) -> int:
         print(f"error: cannot write {writing}: {exc}", file=sys.stderr)
         return 2
     except (BracketError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
-        log.error("numerical failure: %s", exc)
+        _log(config, "error", "numerical failure: %s", exc)
         return 1
     return status
 
@@ -617,14 +627,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entrosteer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    arg_types = {"int": int, "float": float}   # the annotations, as strings
     for command, (options_cls, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_text)
-        for f in fields(options_cls):
-            required = f.default is MISSING
-            p.add_argument("--" + f.name.replace("_", "-"), type=arg_types.get(f.type),
-                           default=None if required else f.default, required=required,
-                           **f.metadata)
+        for name, kind, default, help, choices in options_cls.FIELDS:
+            p.add_argument("--" + name.replace("_", "-"), type=kind, help=help, choices=choices,
+                           default=None if default is ... else default, required=default is ...)
     return parser
 
 
@@ -636,17 +643,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         seed=_resolve_seed(args.seed),
-        options=options_cls(**{f.name: getattr(args, f.name) for f in fields(options_cls)}),
+        options=options_cls(**{name: getattr(args, name) for name, *_ in options_cls.FIELDS}),
         out_path=args.out,
         format=fmt,
         threads=args.threads,
+        verbose=args.verbose,
     )
 
 
 def main(argv: list[str] | None = None, *, blas_threads_defaulted: bool = False) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(message)s")
     try:
         config = _config_from_args(args)
     except ConfigError as exc:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -341,7 +340,7 @@ class TestManifest:
         parameters = json.loads((tmp_path / "run.manifest.json").read_text())["parameters"]
         args = cli._build_parser().parse_args(argv)
         options_cls = cli._COMMANDS[argv[0]][0]
-        assert parameters == {f.name: getattr(args, f.name) for f in fields(options_cls)}
+        assert parameters == {name: getattr(args, name) for name, *_ in options_cls.FIELDS}
 
     @pytest.mark.parametrize("argv,threads", [
         (["fig1", "--n", "4"], 1),
@@ -875,6 +874,20 @@ class TestValidation:
         with pytest.raises(cli.ConfigError, match=f"^--threads must be an integer, got {kind}$"):
             RunConfig(command="fig1", seed=0, options=cli.Fig1Options(n=1), threads=value)
 
+    def test_records_are_read_only_and_take_their_own_fields_only(self):
+        options = cli.Fig1Options(n=3)
+        config = RunConfig(command="fig1", seed=0, options=options)
+        for record, name in ((options, "n"), (options, "other"), (config, "seed")):
+            with pytest.raises(AttributeError, match="is read-only"):
+                setattr(record, name, 4)
+            with pytest.raises(AttributeError, match="is read-only"):
+                delattr(record, name)
+        assert (vars(options), config.seed) == ({"n": 3, "ensemble": "mixed"}, 0)
+        with pytest.raises(TypeError, match=r"unknown: \['k_max', 'm'\]"):
+            cli.Fig1Options(n=3, m=1, k_max=2)
+        with pytest.raises(TypeError, match=r"needs each field without a default"):
+            cli.EvalOptions(witness="mub-mi")   # --state-file is required
+
 
 class TestWorkBudget:
     """A run whose estimated memory exceeds physical memory is a
@@ -1001,6 +1014,29 @@ class TestWorkBudget:
                                            f"got {work}\n")
         assert not os.path.exists("F")
 
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--n", "1000000", "--trials", "1000000"],
+        ["fig2", "--n", "4001", "--trials", "1000000", "--out", "F"],
+    ], ids=["both-10**6", "file-one-state-past"])
+    def test_fig2_past_its_time_bound_exits_2_before_the_run(self, monkeypatch, capsys, argv):
+        # 10**12 trials fit the count ceiling and the memory (about 1.94 GiB),
+        # but at 6-8 us a trial would take weeks: refused past 4 * _MAX_COUNT trials
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        monkeypatch.setattr(cli, "survey_fig2", lambda *a, **k: pytest.fail("the survey started"))
+        assert main(argv) == 2
+        work = int(argv[2]) * int(argv[4])
+        assert capsys.readouterr() == ("", f"error: --n * --trials must be <= 4000000000, "
+                                           f"got {work}\n")
+        assert not os.path.exists("F")
+
+    def test_fig2_at_its_time_bound_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_MEMORY_BUDGET", 64 * 2**30)
+        ran = []
+        monkeypatch.setattr(cli, "survey_fig2", lambda *a, **k: ran.append(a[:3]) or [])
+        assert main(["fig2", "--n", "4000", "--trials", str(10**6)]) == 0
+        assert ran == [(4000, "mixed", 10**6)] and 4000 * 10**6 == cli._MAX_TRIALS
+        assert capsys.readouterr().out == "state_id,best_v_AtoB,best_v_BtoA,purity\n"
+
     @pytest.mark.parametrize("n,k_max", [(10**9, 4), (10**8, 40), (4 * 10**5, 10**4)])
     def test_audit_at_its_time_bound_runs(self, monkeypatch, capsys, n, k_max):
         # 10**9 states at the default --k-max 4 take the longest of any audit
@@ -1037,7 +1073,7 @@ _FLAGS = {
 }
 _COMMON = ["--seed", "--threads", "--format", "--out", "--verbose"]
 # each subcommand's own flags, read from its options record as the parser is
-_COMMANDS = {command: ["--" + f.name.replace("_", "-") for f in fields(options_cls)]
+_COMMANDS = {command: ["--" + name.replace("_", "-") for name, *_ in options_cls.FIELDS]
              for command, (options_cls, *_) in cli._COMMANDS.items()}
 # given every time: eval needs them, and the other defaults are large runs
 _ALWAYS = {"fig1": ["--n"], "fig2": ["--n", "--trials"], "sweep": ["--n"],
@@ -1191,7 +1227,7 @@ class TestCommandTable:
         for command, subparser in sub.choices.items():
             dests = {a.dest for a in subparser._actions}
             assert self.COMMON <= dests, command
-            assert dests - self.COMMON == {f.name for f in fields(cli._COMMANDS[command][0])}
+            assert dests - self.COMMON == {name for name, *_ in cli._COMMANDS[command][0].FIELDS}
 
 
 class TestReproduceScript:

@@ -146,6 +146,33 @@ class TestBlasDefault:
         assert len(data) == 1
 
 
+class TestStartup:
+    """The entry point loads `cli` with the cyclic garbage collector off and
+    freezes what it loaded; a quiet run never imports `logging`."""
+
+    def test_a_quiet_run_loads_no_logging_and_freezes_the_imports(self, tmp_path):
+        out = tmp_path / "f.csv"
+        proc = _python(
+            "import gc, sys; from entrosteer.__main__ import main\n"
+            f"status = main(['fig1', '--n', '5', '--out', {str(out)!r}])\n"
+            "print(status, 'logging' in sys.modules, gc.isenabled(), gc.get_freeze_count() > 0)"
+        )
+        assert (proc.stdout, proc.stderr) == ("0 False True True\n", "")
+
+    def test_verbose_still_logs_both_lines(self, tmp_path):
+        out = tmp_path / "f.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrosteer", "fig1", "--n", "5", "--out", str(out),
+             "--verbose"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == (f"INFO wrote {out}\n"
+                               f"INFO manifest written to {tmp_path / 'f.manifest.json'}\n")
+
+    def test_library_import_freezes_nothing(self):
+        out = _python("import gc, entrosteer.cli; print(gc.isenabled(), gc.get_freeze_count())")
+        assert out.stdout == "True 0\n"
+
+
 # Values the library entry points must either handle or refuse with a
 # ValueError or TypeError: small finite floats, NaN, infinities, huge values
 # and the smallest subnormal.
