@@ -43,7 +43,7 @@ from .montecarlo import (
     survey_fig2,
     threshold_bisect,
 )
-from .qmat import DensityMatrix, _choice, _count, werner_state
+from .qmat import DensityMatrix, _choice, _count, _Record, werner_state
 from .witness import (
     WitnessReport,
     mub_conditional,
@@ -118,16 +118,7 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
 _ENSEMBLES = ("pure", "mixed")
 
 
-class _Record:   # read-only once its __init__ has filled vars(self)
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is read-only")
-
-    __delattr__ = __setattr__
-
-
 class _Options(_Record):
-    FIELDS: tuple = ()
-
     def __init__(self, **values):
         vars(self).update((name, values.pop(name, default)) for name, _, default, *_ in self.FIELDS)
         if values or ... in vars(self).values():

@@ -13,11 +13,10 @@ displacements is structural rather than something to compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import STRUCT_TOL, _choice, _state
+from .qmat import STRUCT_TOL, _choice, _Record, _state
 from .witness import WitnessReport, _by_direction
 
 LOG2_PI_E = math.log2(math.pi * math.e)
@@ -52,8 +51,7 @@ def _out_of_range(problem: str) -> ValueError:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
+class GaussianState(_Record):
     """Two-mode Gaussian state given by its quadrature covariance matrix.
 
     The matrix must be real, symmetric within 1e-12 and satisfy the physicality
@@ -64,7 +62,7 @@ class GaussianState:
     at least 1/2 - O(eps ||cov||^2), and `tmsv(r)`'s is below 1/2 from r ~ 5.
     """
 
-    cov: np.ndarray
+    FIELDS = ("cov",)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cov)
@@ -89,7 +87,7 @@ class GaussianState:
                 vv - cross < 0.25 - STRUCT_TOL * vv for vv, cross in modes):
             raise ValueError("covariance violates the uncertainty condition")
         c.setflags(write=False)
-        object.__setattr__(self, "cov", c)
+        vars(self)["cov"] = c
 
 
 def symplectic_eigenvalues(g: GaussianState) -> np.ndarray:

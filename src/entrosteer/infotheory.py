@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .qmat import STRUCT_TOL, _check_entries, _choice, validate_density_stack
+from .qmat import STRUCT_TOL, _check_entries, _choice, _Record, validate_density_stack
 
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
 NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
@@ -47,14 +46,13 @@ def _checked_probs(p, axis=None) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True, eq=False)
-class ProbVector:
+class ProbVector(_Record):
     """Probability vector: entries in [0, 1], total 1 within 1e-10."""
 
-    probs: np.ndarray
+    FIELDS = ("probs",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _probs_1d(self.probs))
+        vars(self)["probs"] = _probs_1d(self.probs)
 
 
 def _probs_1d(p) -> np.ndarray:

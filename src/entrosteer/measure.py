@@ -7,14 +7,14 @@ Omega for eigenbases and its POVM generalization built from operator norms.
 
 from __future__ import annotations
 
+import sys
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .infotheory import _checked_probs, _joint_entropies, _probs_2d
-from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _count, _floored_eigenvalues
+from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _count, _floored_eigenvalues, _Record
 from .qmat import _hermitian_stack, _state
 
 # Measurement sets whose derived data the witness path keeps. Measurements are
@@ -22,26 +22,22 @@ from .qmat import _hermitian_stack, _state
 SET_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveBasis:
+class ProjectiveBasis(_Record):
     """An orthonormal measurement basis. ``vectors[i]`` is the i-th ket."""
 
-    dim: int
-    vectors: np.ndarray
+    FIELDS = ("dim", "vectors")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _count(self.dim, "dimension", 0))   # 0: "empty basis" below
+        d = _count(self.dim, "dimension", 0)   # 0: "empty basis" below
         v = np.array(self.vectors, dtype=complex)
-        if v.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"expected {self.dim} vectors of length {self.dim}, got shape {v.shape}"
-            )
+        if v.shape != (d, d):
+            raise ValueError(f"expected {d} vectors of length {d}, got shape {v.shape}")
         _check_entries(v[None], "basis")
         gram = v.conj() @ v.T
-        if not np.abs(gram - np.eye(self.dim)).max() <= STRUCT_TOL:
+        if not np.abs(gram - np.eye(d)).max() <= STRUCT_TOL:
             raise ValueError("basis vectors are not orthonormal within 1e-10")
         v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        vars(self).update(dim=d, vectors=v)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -54,34 +50,30 @@ class ProjectiveBasis:
         return Povm(self.dim, tuple(np.outer(v, v.conj()) for v in self.vectors))
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_Record):
     """A positive operator-valued measure: PSD elements summing to identity.
 
     ``stacked`` is the read-only ``(n, dim, dim)`` array of the elements, and
     each of ``elements`` is a view of one of its slices.
     """
 
-    dim: int
-    elements: tuple
-    stacked: np.ndarray = field(init=False, repr=False)
+    FIELDS = ("dim", "elements")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _count(self.dim, "dimension", 0))
+        d = _count(self.dim, "dimension", 0)
         els = [np.array(e, dtype=complex) for e in self.elements]
         if not els:
             raise ValueError("a POVM needs at least one element")
         for k, m in enumerate(els):
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"element {k} has shape {m.shape}, expected square dim {self.dim}")
+            if m.shape != (d, d):
+                raise ValueError(f"element {k} has shape {m.shape}, expected square dim {d}")
         stacked = np.stack(els)
         _hermitian_stack(stacked, "POVM element")
         _floored_eigenvalues(stacked, "POVM element")
-        if not np.abs(stacked.sum(axis=0) - np.eye(self.dim)).max() <= STRUCT_TOL:
+        if not np.abs(stacked.sum(axis=0) - np.eye(d)).max() <= STRUCT_TOL:
             raise ValueError("POVM elements do not sum to identity within 1e-10")
         stacked.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(stacked))
-        object.__setattr__(self, "stacked", stacked)
+        vars(self).update(dim=d, elements=tuple(stacked), stacked=stacked)
 
     @cached_property
     def roots(self) -> np.ndarray:
@@ -93,8 +85,7 @@ class Povm:
         return roots
 
 
-@dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(_Record):
     """Joint outcome probabilities P(a, b) for one measurement on each party.
 
     Entries in [-1e-12, 0) are floating-point dust and get clamped to zero;
@@ -102,17 +93,14 @@ class JointDistribution:
     a complex input may carry an imaginary part of at most 1e-8.
     """
 
-    n_a: int
-    n_b: int
-    probs: np.ndarray
+    FIELDS = ("n_a", "n_b", "probs")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_a", _count(self.n_a, "n_a", 0))
-        object.__setattr__(self, "n_b", _count(self.n_b, "n_b", 0))
+        n_a, n_b = _count(self.n_a, "n_a", 0), _count(self.n_b, "n_b", 0)
         p = np.asarray(self.probs)
-        if p.shape != (self.n_a, self.n_b):
-            raise ValueError(f"expected shape {(self.n_a, self.n_b)}, got {p.shape}")
-        object.__setattr__(self, "probs", _probs_2d(p))
+        if p.shape != (n_a, n_b):
+            raise ValueError(f"expected shape {(n_a, n_b)}, got {p.shape}")
+        vars(self).update(n_a=n_a, n_b=n_b, probs=_probs_2d(p))
 
 
 def pauli_bases() -> list[ProjectiveBasis]:
@@ -153,6 +141,9 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
     """
     if _count(d, "dimension") == 2:
         return pauli_bases()
+    if (d + 1) * d * d * 16 > sys.maxsize:   # refused before _is_prime's trial division can hang
+        raise ValueError(
+            f"a complete MUB set in dimension {d} needs more bytes than one array can address")
     if not _is_prime(d):
         raise ValueError(
             f"complete MUB sets are implemented for d = 2 and odd primes, got d = {d}"
@@ -213,18 +204,17 @@ def _element_stack(povms, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False, slots=True)
 class _SetRecord:
     """What the contraction derives once per set of m (Alice, Bob) measurement
     pairs: their distinct (d_A, d_B) in order of first use, the padded element
     stacks (None when the dims differ), each pair's outcome counts, and the
-    last state's `_set_statistics`."""
+    last state's `_set_statistics` (None until a state is seen)."""
 
-    dims: tuple
-    f_stack: np.ndarray | None
-    g_stack: np.ndarray | None
-    shapes: tuple
-    last: tuple | None = None
+    __slots__ = ("dims", "f_stack", "g_stack", "shapes", "last")
+
+    def __init__(self, dims: tuple, f_stack, g_stack, shapes: tuple):
+        self.dims, self.f_stack, self.g_stack, self.shapes, self.last = (
+            dims, f_stack, g_stack, shapes, None)
 
 
 @lru_cache(maxsize=SET_CACHE_SIZE)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class BracketError(RuntimeError):
     """Raised when a bisection bracket does not straddle a sign change."""
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     state_id: int
     best_v_AtoB: float
     best_v_BtoA: float

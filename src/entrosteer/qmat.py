@@ -8,8 +8,6 @@ an explicit ``numpy.random.Generator`` -- there is no hidden global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Structural invariants (Hermiticity, trace or probability total, eigenvalue
@@ -112,8 +110,39 @@ def _subsystem_dims(dims) -> tuple[int, int]:
     return _count(d_a, "subsystem dimension"), _count(d_b, "subsystem dimension")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class _Record:
+    """The package's read-only record, equal and hashed by identity.
+
+    Its constructor binds the class's `FIELDS` positionally or by keyword
+    (TypeError for a missing, repeated or unknown one), then calls the class's
+    ``__post_init__``, which checks the values and may replace them through
+    ``vars(self)``. A subclass with its own ``__init__`` fills ``vars(self)``
+    there, and its `FIELDS` rows may be tuples that start with the name.
+    """
+
+    FIELDS: tuple = ()
+
+    def __init__(self, *values, **named):
+        fields = vars(self)
+        fields.update(zip(self.FIELDS, values))
+        unknown = named.keys() - set(self.FIELDS[len(values):])
+        fields.update(named)
+        if unknown or len(fields) != len(self.FIELDS) or len(values) > len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.FIELDS} once each, "
+                            f"got {len(values)} positional and {sorted(named)} by keyword")
+        self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        names = [row if type(row) is str else row[0] for row in self.FIELDS] or vars(self)
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+
+class DensityMatrix(_Record):
     """A validated bipartite density matrix.
 
     Parameters
@@ -130,8 +159,7 @@ class DensityMatrix:
     share across threads.
     """
 
-    dims: tuple[int, int]
-    mat: np.ndarray
+    FIELDS = ("dims", "mat")
 
     def __post_init__(self) -> None:
         d_a, d_b = _subsystem_dims(self.dims)
@@ -145,8 +173,7 @@ class DensityMatrix:
             )
         validate_density_stack(m[None])
         m.setflags(write=False)
-        object.__setattr__(self, "dims", (d_a, d_b))
-        object.__setattr__(self, "mat", m)
+        vars(self).update(dims=(d_a, d_b), mat=m)
 
     @property
     def total_dim(self) -> int:
@@ -167,12 +194,10 @@ def _equal_dims(rho: DensityMatrix, what: str) -> int:
     return rho.dims[0]
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Record):
     """A bipartite pure state vector, unit-normalized within 1e-10."""
 
-    dims: tuple[int, int]
-    vec: np.ndarray
+    FIELDS = ("dims", "vec")
 
     def __post_init__(self) -> None:
         d_a, d_b = _subsystem_dims(self.dims)
@@ -185,8 +210,7 @@ class PureState:
         if not abs(np.linalg.norm(v) - 1.0) <= STRUCT_TOL:
             raise ValueError("state vector is not unit-normalized within 1e-10")
         v.setflags(write=False)
-        object.__setattr__(self, "dims", (d_a, d_b))
-        object.__setattr__(self, "vec", v)
+        vars(self).update(dims=(d_a, d_b), vec=v)
 
     def to_density(self) -> DensityMatrix:
         """Return the rank-1 projector |psi><psi| as a DensityMatrix."""

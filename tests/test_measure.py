@@ -1,10 +1,12 @@
 import functools
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from collections import Counter
@@ -210,6 +212,20 @@ class TestMubSet:
     def test_rejects_non_prime(self, d):
         with pytest.raises(ValueError):
             mub_set(d)
+
+    @pytest.mark.parametrize("d", [2**61 - 1, 2**127 - 1])
+    def test_refuses_a_prime_too_large_to_address_at_once(self, d):
+        # Mersenne primes: trial division up to sqrt(d) would take minutes or never end
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more bytes than one array can address"):
+            mub_set(d)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("d, digest", [(2, "c1e60fb74abea396"), (3, "f271987938e73e23"),
+                                           (7, "4a087d2e33ae5c99")])
+    def test_small_sets_keep_their_bytes(self, d, digest):
+        data = b"".join(b.vectors.tobytes() for b in mub_set(d))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestIsMubSet:

@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 
 from entrosteer import (
     DensityMatrix,
+    GaussianState,
+    JointDistribution,
+    OptimizationResult,
+    Povm,
+    ProbVector,
+    ProjectiveBasis,
     PureState,
     partial_trace,
     partial_transpose,
@@ -340,3 +346,50 @@ class TestArgumentRules:
     def test_out_of_range_values_raise_value_error(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
+
+
+# each record type with valid field values, and its repr as a dataclass printed it
+_RECORDS = [
+    (DensityMatrix, ((1, 1), [[1]]), "DensityMatrix(dims=(1, 1), mat=array([[1.+0.j]]))"),
+    (PureState, ((1, 1), [1]), "PureState(dims=(1, 1), vec=array([1.+0.j]))"),
+    (ProjectiveBasis, (1, [[1]]), "ProjectiveBasis(dim=1, vectors=array([[1.+0.j]]))"),
+    (Povm, (1, [[[1]]]), "Povm(dim=1, elements=(array([[1.+0.j]]),))"),
+    (JointDistribution, (1, 1, [[1.0]]), "JointDistribution(n_a=1, n_b=1, probs=array([[1.]]))"),
+    (ProbVector, ([1.0],), "ProbVector(probs=array([1.]))"),
+    (GaussianState, (np.eye(4) / 2,),
+     "GaussianState(cov=array([[0.5, 0. , 0. , 0. ],\n       [0. , 0.5, 0. , 0. ],\n"
+     "       [0. , 0. , 0.5, 0. ],\n       [0. , 0. , 0. , 0.5]]))"),
+]
+
+
+class TestRecords:
+    """The library's value types are read-only records: built from their
+    fields, compared and hashed by identity, printed field by field."""
+
+    @pytest.mark.parametrize("cls, args, text", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+    def test_record_contract(self, cls, args, text):
+        record = cls(*args)
+        by_name = cls(**dict(zip(cls.FIELDS, args)))
+        assert repr(record) == repr(by_name) == text
+        for name in cls.FIELDS:
+            value = getattr(record, name)
+            assert np.array_equal(np.asarray(value), np.asarray(getattr(by_name, name)))
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
+        first = {cls.FIELDS[0]: args[0]}
+        for bad in (lambda: cls(*args[:-1]), lambda: cls(*args, args[-1]),
+                    lambda: cls(*args, extra=1), lambda: cls(*args, **first)):
+            with pytest.raises(TypeError, match=f"{cls.__name__} takes the fields"):
+                bad()
+        for name in (cls.FIELDS[0], "extra"):
+            with pytest.raises(AttributeError, match="is read-only"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError, match="is read-only"):
+                delattr(record, name)
+        assert record == record and record != by_name
+        assert hash(record) == object.__hash__(record) != hash(by_name)
+
+    def test_optimization_result_compares_by_value(self):
+        a, b = (OptimizationResult(1, 0.5, -0.2, 3, 7) for _ in range(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert repr(a) == ("OptimizationResult(state_id=1, best_v_AtoB=0.5, best_v_BtoA=-0.2, "
+                           "trials=3, seed=7)")
