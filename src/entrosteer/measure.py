@@ -139,7 +139,7 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
     magnitudes make every cross-basis overlap squared equal to 1/d. Prime
     powers would need the finite-field construction, which is not implemented.
     """
-    if _count(d, "dimension") == 2:
+    if (d := _count(d, "dimension")) == 2:   # a Python int: the byte bound cannot overflow
         return pauli_bases()
     if (d + 1) * d * d * 16 > sys.maxsize:   # refused before _is_prime's trial division can hang
         raise ValueError(

@@ -213,9 +213,10 @@ class TestMubSet:
         with pytest.raises(ValueError):
             mub_set(d)
 
-    @pytest.mark.parametrize("d", [2**61 - 1, 2**127 - 1])
+    @pytest.mark.parametrize("d", [2**61 - 1, 2**127 - 1, np.int64(2**61 - 1)])
     def test_refuses_a_prime_too_large_to_address_at_once(self, d):
-        # Mersenne primes: trial division up to sqrt(d) would take minutes or never end
+        # Mersenne primes: trial division up to sqrt(d) would take minutes or never end.
+        # The numpy integer must not overflow the byte bound.
         start = time.perf_counter()
         with pytest.raises(ValueError, match="more bytes than one array can address"):
             mub_set(d)
