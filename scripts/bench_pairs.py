@@ -27,6 +27,21 @@ import sys
 import tempfile
 
 
+def benchmark(root: str) -> tuple[tuple, dict]:
+    """perfbench/workloads.py's workload names and BENCHMARK.json, in the checkout `root`."""
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    from workloads import WORKLOADS
+
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return tuple(WORKLOADS), json.load(fh)
+
+
+def summary(values: list[float]) -> dict:
+    """The median and quartiles of `values`: the one rule that the claims and files use."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -50,15 +65,14 @@ def compare(base: str, change: str, workload: str, pairs: int, seed: int, second
     lines, holds = [], {True: [], False: []}
     for name in runs["base"][0]:
         lower = better.get(name, "lower") == "lower"
-        quartiles = {side: statistics.quantiles([r[name] for r in rs], n=4, method="inclusive")
-                     for side, rs in runs.items()}
+        stats = {side: summary([r[name] for r in rs]) for side, rs in runs.items()}
         wins = sum((c[name] < b[name]) if lower else (c[name] > b[name])
                    for b, c in zip(runs["base"], runs["change"]))
-        b, c = quartiles["base"], quartiles["change"]
-        gain = b[1] - c[1] if lower else c[1] - b[1]
-        holds[wins >= 0.9 * pairs and gain > b[2] - b[0]].append(name)
-        lines.append(f"  {name:14s} base {b[1]:.4g} [{b[0]:.4g}, {b[2]:.4g}]  "
-                     f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]  "
+        b, c = stats["base"], stats["change"]
+        gain = b["median"] - c["median"] if lower else c["median"] - b["median"]
+        holds[wins >= 0.9 * pairs and gain > b["q3"] - b["q1"]].append(name)
+        lines.append(f"  {name:14s} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
+                     f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
                      f"({'lower' if lower else 'higher'} is better) change wins {wins}/{pairs}")
     lines.append(f"  claim rule (>= 9/10 wins, median gain > base IQR) holds for: "
                  f"{', '.join(holds[True]) or 'none'}; not for: {', '.join(holds[False]) or 'none'}")
@@ -67,11 +81,9 @@ def compare(base: str, change: str, workload: str, pairs: int, seed: int, second
 
 def main(argv: list[str] | None = None) -> int:
     root = os.getcwd()
-    sys.path.insert(0, os.path.join(root, "perfbench"))
-    from workloads import WORKLOADS
-
+    workloads, bench = benchmark(root)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="scatter", choices=WORKLOADS)
+    parser.add_argument("--workload", default="scatter", choices=workloads)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=900, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=50.0)
@@ -79,8 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     base = tempfile.mkdtemp(prefix="bench-base-")
     subprocess.run(["git", "worktree", "add", "--detach", base, args.base],

@@ -1,19 +1,20 @@
 """Record the benchmark of the working tree in one BENCH_<n>.json file.
 
-    python3 scripts/record_bench.py --out BENCH_30.json [--seeds 5] [--seed 900] \
-        [--seconds 50] [--repeats 5]
+    python3 scripts/record_bench.py --out BENCH_30.json
 
-Run from the root of a checkout. For each of `--seeds` consecutive seeds, every
-workload of perfbench/workloads.py runs once through `bench_pairs.run_once`
+Run from the root of a checkout. For each of the seeds 900-904, every workload
+of perfbench/workloads.py runs once for 50 s through `bench_pairs.run_once`
 (`perfbench/run.py --trace 0`). The file keeps each end-to-end metric's values
 in seed order, with their median and quartiles: under "gated" for the
 workloads BENCHMARK.json lists, under "ungated" for the rest. Then each
-command-line path of ROADMAP's baseline table runs `--repeats` times with
-`--out`, and the file keeps its best wall time and the largest peak RSS that
-`wait4` reports. The machine facts (CPU count, Python and numpy versions, the
+command-line path of ROADMAP's baseline table runs 5 times with `--out`, and
+the file keeps its best wall time and the largest peak RSS that `wait4`
+reports. The machine facts (CPU count, Python and numpy versions, the
 BLAS thread and bytecode settings, the commit, whether src/ differs from it,
 and the load average before and after) tell a reader which files compare: the
-host may be shared. A file claims nothing by itself; a later one quotes it.
+host may be shared. Seeds, seconds and repeats are fixed, so that every file of
+the trajectory compares with the one before. A file claims nothing by itself;
+a later one quotes it.
 """
 
 from __future__ import annotations
@@ -22,15 +23,17 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-from bench_pairs import run_once
+from bench_pairs import benchmark, run_once, summary
 
 SCHEMA = 1
+SEEDS = range(900, 905)
+SECONDS = 50.0
+REPEATS = 5   # runs per command-line path
 # the command-line paths of ROADMAP's baseline table
 CLI_PATHS = (
     ("fig1", "--n", "10000"),
@@ -41,13 +44,7 @@ CLI_PATHS = (
 )
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "values": values}
-
-
-def record(runs: dict, cli: list, machine: dict, seeds: list, seconds: float,
-           gated: list, units: dict) -> dict:
+def record(runs: dict, cli: list, machine: dict, gated: list, units: dict) -> dict:
     """The file's content: `runs` maps each workload to its `run_once` results
     in seed order, `cli` holds the `cli_path` entries."""
     metrics = {name: {metric: summary([r[metric] for r in results]) for metric in results[0]}
@@ -56,8 +53,8 @@ def record(runs: dict, cli: list, machine: dict, seeds: list, seconds: float,
         "schema": SCHEMA,
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "machine": machine,
-        "seeds": seeds,
-        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "seconds": SECONDS,
         "units": units,
         "gated": {name: m for name, m in metrics.items() if name in gated},
         "ungated": {name: m for name, m in metrics.items() if name not in gated},
@@ -65,11 +62,11 @@ def record(runs: dict, cli: list, machine: dict, seeds: list, seconds: float,
     }
 
 
-def cli_path(root: str, argv: tuple, repeats: int, scratch: str) -> dict:
-    """Best wall time and largest peak RSS of `repeats` runs of one command."""
+def cli_path(root: str, argv: tuple, scratch: str) -> dict:
+    """Best wall time and largest peak RSS of REPEATS runs of one command."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     walls, rss = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "entrosteer", *argv, "--out",
                                  os.path.join(scratch, "out")], env=env,
@@ -80,7 +77,7 @@ def cli_path(root: str, argv: tuple, repeats: int, scratch: str) -> dict:
         if proc.returncode:
             sys.exit(f"{' '.join(argv)} exited {proc.returncode}")
         rss.append(usage.ru_maxrss / 1024)   # KiB on Linux
-    return {"argv": list(argv), "repeats": repeats, "best_wall_s": min(walls),
+    return {"argv": list(argv), "repeats": REPEATS, "best_wall_s": min(walls),
             "peak_rss_mb": max(rss)}
 
 
@@ -110,33 +107,20 @@ def write(path: str, data: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--seeds", type=int, default=5, help="runs per workload")
-    parser.add_argument("--seed", type=int, default=900, help="the first seed")
-    parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--repeats", type=int, default=5, help="runs per command-line path")
     args = parser.parse_args(argv)
-    if args.seeds < 2 or args.repeats < 1:
-        parser.error("--seeds must be at least 2 for quartiles, and --repeats at least 1")
     root = os.getcwd()
-    sys.path.insert(0, os.path.join(root, "perfbench"))
-    from workloads import WORKLOADS
-
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
-
+    workloads, bench = benchmark(root)
     load_before = os.getloadavg()
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    runs = {name: [] for name in WORKLOADS}
-    for seed in seeds:
-        for name in WORKLOADS:
-            runs[name].append(run_once(root, name, seed, args.seconds))
+    runs = {name: [] for name in workloads}
+    for seed in SEEDS:
+        for name in workloads:
+            runs[name].append(run_once(root, name, seed, SECONDS))
         print(f"seed {seed} done", file=sys.stderr)
     with tempfile.TemporaryDirectory() as scratch:
-        cli = [cli_path(root, path, args.repeats, scratch) for path in CLI_PATHS]
+        cli = [cli_path(root, path, scratch) for path in CLI_PATHS]
     machine = dict(machine_facts(root), loadavg_before=load_before,
                    loadavg_after=os.getloadavg())
-    write(args.out, record(runs, cli, machine, seeds, args.seconds,
-                           [w["name"] for w in bench["workloads"]],
+    write(args.out, record(runs, cli, machine, [w["name"] for w in bench["workloads"]],
                            {m["name"]: m["unit"] for m in bench["end_to_end"]}))
     return 0
 

@@ -119,6 +119,8 @@ _ENSEMBLES = ("pure", "mixed")
 
 
 class _Options(_Record):
+    __repr__ = object.__repr__   # FIELDS rows are option tuples, not names
+
     def __init__(self, **values):
         vars(self).update((name, values.pop(name, default)) for name, _, default, *_ in self.FIELDS)
         if values or ... in vars(self).values():
@@ -222,6 +224,8 @@ class SeparableAuditOptions(_Options):
 
 class RunConfig(_Record):
     """One run: its command, seed, options record, output and --verbose flag."""
+
+    __repr__ = object.__repr__
 
     def __init__(self, command: str, seed: int, options: _Options, out_path: str | None = None,
                  format: str = "csv", threads: int = 1, verbose: bool = False):

@@ -143,11 +143,10 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
         return pauli_bases()
     if (d + 1) * d * d * 16 > sys.maxsize:   # refused before _is_prime's trial division can hang
         raise ValueError(
-            f"a complete MUB set in dimension {d} needs more bytes than one array can address")
+            f"a complete MUB set in dimension {d} would take more than sys.maxsize bytes")
     if not _is_prime(d):
         raise ValueError(
-            f"complete MUB sets are implemented for d = 2 and odd primes, got d = {d}"
-        )
+            f"complete MUB sets are implemented for d = 2 and odd primes, got d = {d}")
     n = np.arange(d)
     bases = [ProjectiveBasis(d, np.eye(d, dtype=complex))]
     for a in range(d):
@@ -258,8 +257,7 @@ def _joint_stack(rho: DensityMatrix, rec: _SetRecord) -> np.ndarray:
     for f_dim, g_dim in rec.dims:
         if (f_dim, g_dim) != rho.dims:
             raise ValueError(
-                f"measurement dims ({f_dim}, {g_dim}) do not match state dims {rho.dims}"
-            )
+                f"measurement dims ({f_dim}, {g_dim}) do not match state dims {rho.dims}")
     d_a, d_b = rho.dims
     # rr[j, l, i, k] = rho[(k, l), (i, j)]
     rr = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(3, 1, 2, 0)

@@ -117,7 +117,7 @@ class _Record:
     (TypeError for a missing, repeated or unknown one), then calls the class's
     ``__post_init__``, which checks the values and may replace them through
     ``vars(self)``. A subclass with its own ``__init__`` fills ``vars(self)``
-    there, and its `FIELDS` rows may be tuples that start with the name.
+    there; one whose `FIELDS` are not names sets its own ``__repr__``.
     """
 
     FIELDS: tuple = ()
@@ -138,8 +138,8 @@ class _Record:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        names = [row if type(row) is str else row[0] for row in self.FIELDS] or vars(self)
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+        fields = ', '.join(f'{n}={getattr(self, n)!r}' for n in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class DensityMatrix(_Record):
@@ -169,8 +169,7 @@ class DensityMatrix(_Record):
         n = d_a * d_b
         if m.shape != (n, n):
             raise ValueError(
-                f"dims {self.dims} require a {n}x{n} matrix, got shape {m.shape}"
-            )
+                f"dims {self.dims} require a {n}x{n} matrix, got shape {m.shape}")
         validate_density_stack(m[None])
         m.setflags(write=False)
         vars(self).update(dims=(d_a, d_b), mat=m)
@@ -204,8 +203,7 @@ class PureState(_Record):
         v = np.array(self.vec, dtype=complex).ravel()
         if v.size != d_a * d_b:
             raise ValueError(
-                f"dims {self.dims} require a vector of length {d_a * d_b}, got {v.size}"
-            )
+                f"dims {self.dims} require a vector of length {d_a * d_b}, got {v.size}")
         _check_entries(v[None], "state vector")
         if not abs(np.linalg.norm(v) - 1.0) <= STRUCT_TOL:
             raise ValueError("state vector is not unit-normalized within 1e-10")

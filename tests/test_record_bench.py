@@ -4,8 +4,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import record_bench  # noqa: E402
 
@@ -25,8 +23,8 @@ def test_the_file_pins_its_schema(tmp_path):
     machine = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "OPENBLAS_NUM_THREADS": None,
                "PYTHONDONTWRITEBYTECODE": "1", "commit": "0" * 40, "src_differs": False,
                "loadavg_before": [0.5, 0.5, 0.5], "loadavg_after": [1.0, 0.5, 0.5]}
-    data = record_bench.record(runs, cli, machine, [900, 901, 902, 903, 904], 50.0,
-                               ["scatter", "single-state"], {m: "u" for m in METRICS})
+    data = record_bench.record(runs, cli, machine, ["scatter", "single-state"],
+                               {m: "u" for m in METRICS})
     path = tmp_path / "BENCH_0.json"
     record_bench.write(str(path), data)
     back = json.loads(path.read_text(encoding="utf-8"))
@@ -42,8 +40,3 @@ def test_the_file_pins_its_schema(tmp_path):
                            "values": [3.0, 4.0, 5.0, 6.0, 7.0]}
     assert all(set(metrics) == set(METRICS) for group in ("gated", "ungated")
                for metrics in back[group].values())
-
-
-def test_quartiles_need_two_seeds():
-    with pytest.raises(SystemExit):
-        record_bench.main(["--out", "unused.json", "--seeds", "1"])
