@@ -12,8 +12,9 @@ change won (the direction of each metric comes from BENCHMARK.json). A claimed
 gain needs at least 9 wins in 10 pairs and a gap between the medians larger
 than the base's interquartile range; a closing line names the metrics for which
 that rule holds. `--workload` takes the names in perfbench/workloads.py, so a
-typo fails before any worktree is made. Exit status 1 when a run fails or
-reports a wrong output.
+typo fails before any worktree is made. Exit status 1 when the base ref cannot
+be checked out (git's message on one line), or a run fails or reports a wrong
+output.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,8 +96,12 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     base = tempfile.mkdtemp(prefix="bench-base-")
-    subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
-                   cwd=root, check=True, capture_output=True)
+    added = subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
+                           cwd=root, capture_output=True, text=True)
+    if added.returncode:   # one line: the ref and git's message
+        shutil.rmtree(base, ignore_errors=True)
+        sys.exit(f"cannot check out --base {args.base}: "
+                 f"{'; '.join(added.stderr.strip().splitlines())}")
     try:
         lines = compare(base, root, args.workload, args.pairs, args.seed, args.seconds, better)
     finally:

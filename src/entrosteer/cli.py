@@ -111,22 +111,19 @@ def _table_bytes(config: RunConfig, rows: int, item_bytes: int) -> int:
 
 # ---------------------------------------------------------------------------
 # per-command options: each row (name, type, default, help, choices) of a record's
-# FIELDS is one --flag of its subcommand, declared once (a default of ... makes
-# it required), and each record rejects its own out-of-range values when built:
-# every int field is a count in [1, _MAX_COUNT] (`_Options`); `_check` does the rest
+# FLAGS is one --flag of its subcommand, and FIELDS are the rows' names. A default
+# of ... makes the flag required; argparse alone applies defaults, and a record
+# takes every field. Each int field is a count in [1, _MAX_COUNT] (`_Options`).
 
 _ENSEMBLES = ("pure", "mixed")
 
 
 class _Options(_Record):
-    __repr__ = object.__repr__   # FIELDS rows are option tuples, not names
+    def __init_subclass__(cls):
+        cls.FIELDS = tuple(name for name, *_ in cls.FLAGS)
 
-    def __init__(self, **values):
-        vars(self).update((name, values.pop(name, default)) for name, _, default, *_ in self.FIELDS)
-        if values or ... in vars(self).values():
-            raise TypeError(f"{type(self).__name__} needs each field without a default and "
-                            f"takes no other; unknown: {sorted(values)}")
-        _flags(self, *[name for name, kind, *_ in self.FIELDS if kind is int])
+    def __post_init__(self) -> None:
+        _flags(self, *[name for name, kind, *_ in self.FLAGS if kind is int])
         self._check()
 
     def _check(self) -> None:
@@ -144,8 +141,8 @@ class _Options(_Record):
 
 
 class Fig1Options(_Options):
-    FIELDS = (("n", int, 10000, "number of states", None),
-              ("ensemble", str, "mixed", None, _ENSEMBLES))
+    FLAGS = (("n", int, 10000, "number of states", None),
+             ("ensemble", str, "mixed", None, _ENSEMBLES))
 
     def peak_bytes(self, config):
         blocks = min(self.n, _BLOCK) * 1920
@@ -153,9 +150,9 @@ class Fig1Options(_Options):
 
 
 class Fig2Options(_Options):
-    FIELDS = (("n", int, 500, "number of states", None),
-              ("ensemble", str, "mixed", None, _ENSEMBLES),
-              ("trials", int, 500, "basis-set draws per state", None))
+    FLAGS = (("n", int, 500, "number of states", None),
+             ("ensemble", str, "mixed", None, _ENSEMBLES),
+             ("trials", int, 500, "basis-set draws per state", None))
 
     def threads_used(self, config):
         return _worker_count(config.threads, self.n, os.cpu_count())   # as survey_fig2 does
@@ -166,9 +163,9 @@ class Fig2Options(_Options):
 
 
 class SweepOptions(_Options):
-    FIELDS = (("n", int, 10000, "number of basis-set draws", None),
-              ("state_file", str, None, "JSON state file (see README)", None),
-              ("werner", float, 0.9, "Werner parameter used when no state file is given", None))
+    FLAGS = (("n", int, 10000, "number of basis-set draws", None),
+             ("state_file", str, None, "JSON state file (see README)", None),
+             ("werner", float, 0.9, "Werner parameter used when no state file is given", None))
 
     def _check(self):
         if self.state_file is None and not 0.0 <= self.werner <= 1.0:
@@ -179,10 +176,10 @@ class SweepOptions(_Options):
 
 
 class WernerThresholdOptions(_Options):
-    FIELDS = (("settings", int, 2, "2: X/Z conditional pair; 3: full Pauli MUB triple", (2, 3)),
-              ("tol", float, 1e-6, "bracket width at stop", None),
-              ("lo", float, 0.5, "lower bracket endpoint", None),
-              ("hi", float, 0.99, "upper bracket endpoint", None))
+    FLAGS = (("settings", int, 2, "2: X/Z conditional pair; 3: full Pauli MUB triple", (2, 3)),
+             ("tol", float, 1e-6, "bracket width at stop", None),
+             ("lo", float, 0.5, "lower bracket endpoint", None),
+             ("hi", float, 0.99, "upper bracket endpoint", None))
 
     def _check(self):
         if not self.tol > 0:
@@ -194,8 +191,8 @@ class WernerThresholdOptions(_Options):
 
 
 class CvScanOptions(_Options):
-    FIELDS = (("r_min", float, 0.0, None, None), ("r_max", float, 2.0, None, None),
-              ("steps", int, 9, None, None))
+    FLAGS = (("r_min", float, 0.0, None, None), ("r_max", float, 2.0, None, None),
+             ("steps", int, 9, None, None))
 
     def _check(self):
         if not (0.0 <= self.r_min <= self.r_max and math.isfinite(self.r_max)):
@@ -207,16 +204,16 @@ class CvScanOptions(_Options):
 
 
 class EvalOptions(_Options):
-    FIELDS = (("state_file", str, ..., "JSON state file (see README)", None),
-              ("witness", str, ..., None, ("pair-conditional", "pair-symmetric-mi",
-                                           "mub-conditional", "mub-mi", "sumdiff-discrete")),
-              ("direction", str, "AtoB", "steering direction for conditional witnesses",
-               ("AtoB", "BtoA")))
+    FLAGS = (("state_file", str, ..., "JSON state file (see README)", None),
+             ("witness", str, ..., None, ("pair-conditional", "pair-symmetric-mi",
+                                          "mub-conditional", "mub-mi", "sumdiff-discrete")),
+             ("direction", str, "AtoB", "steering direction for conditional witnesses",
+              ("AtoB", "BtoA")))
 
 
 class SeparableAuditOptions(_Options):
-    FIELDS = (("n", int, 10000, "number of separable states", None),
-              ("k_max", int, 4, "max product terms per mixture", None))
+    FLAGS = (("n", int, 10000, "number of separable states", None),
+             ("k_max", int, 4, "max product terms per mixture", None))
 
     def peak_bytes(self, config):
         return min(self.n, _BLOCK) * (_AUDIT_STATE_BYTES + self.k_max * _AUDIT_TERM_BYTES)
@@ -225,12 +222,9 @@ class SeparableAuditOptions(_Options):
 class RunConfig(_Record):
     """One run: its command, seed, options record, output and --verbose flag."""
 
-    __repr__ = object.__repr__
+    FIELDS = ("command", "seed", "options", "out_path", "format", "threads", "verbose")
 
-    def __init__(self, command: str, seed: int, options: _Options, out_path: str | None = None,
-                 format: str = "csv", threads: int = 1, verbose: bool = False):
-        vars(self).update(command=command, seed=seed, options=options, out_path=out_path,
-                          format=format, threads=threads, verbose=verbose)
+    def __post_init__(self) -> None:
         _flags(self, "threads")
         _flags(self, "format", options=("csv", "json"))
         if self.out_path:
@@ -624,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for command, (options_cls, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, parents=[common], help=help_text)
-        for name, kind, default, help, choices in options_cls.FIELDS:
+        for name, kind, default, help, choices in options_cls.FLAGS:
             p.add_argument("--" + name.replace("_", "-"), type=kind, help=help, choices=choices,
                            default=None if default is ... else default, required=default is ...)
     return parser
@@ -638,7 +632,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         command=args.command,
         seed=_resolve_seed(args.seed),
-        options=options_cls(**{name: getattr(args, name) for name, *_ in options_cls.FIELDS}),
+        options=options_cls(**{name: getattr(args, name) for name in options_cls.FIELDS}),
         out_path=args.out,
         format=fmt,
         threads=args.threads,

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmat import STRUCT_TOL, _check_entries, _choice, _Record, validate_density_stack
+from .qmat import STRUCT_TOL, _check_entries, _choice, _Record, _state, validate_density_stack
 
 ZERO_CUTOFF = 1e-15   # probabilities at or below this count as exact zeros
 NEG_TOL = 1e-12       # entries in [-NEG_TOL, 0) are rounding dust, clamped to 0
@@ -187,7 +187,7 @@ def concurrence(rho) -> float:
     C = max(0, l1 - l2 - l3 - l4) where l_i are the decreasingly sorted square
     roots of the eigenvalues of rho (sy (x) sy) rho* (sy (x) sy).
     """
-    if getattr(rho, "dims", None) != (2, 2):
+    if _state(rho, "concurrence").dims != (2, 2):
         raise ValueError("concurrence is defined here for two-qubit states only")
     m = rho.mat
     sy = np.array([[0.0, -1j], [1j, 0.0]])
@@ -203,6 +203,6 @@ def entanglement_of_formation(rho) -> float:
 
     E = h((1 + sqrt(1 - C^2))/2) with h the binary entropy; ranges over [0, 1].
     """
-    c = concurrence(rho)
+    c = concurrence(_state(rho, "entanglement_of_formation"))
     x = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
     return float(_entropies(np.array([x, 1.0 - x])))

@@ -116,8 +116,8 @@ class _Record:
     Its constructor binds the class's `FIELDS` positionally or by keyword
     (TypeError for a missing, repeated or unknown one), then calls the class's
     ``__post_init__``, which checks the values and may replace them through
-    ``vars(self)``. A subclass with its own ``__init__`` fills ``vars(self)``
-    there; one whose `FIELDS` are not names sets its own ``__repr__``.
+    ``vars(self)``. It is the only way in: pickle and copy rebuild a record
+    from its fields through it (``__reduce__``), checked and read-only again.
     """
 
     FIELDS: tuple = ()
@@ -136,6 +136,9 @@ class _Record:
         raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is read-only")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.FIELDS)
 
     def __repr__(self) -> str:
         fields = ', '.join(f'{n}={getattr(self, n)!r}' for n in self.FIELDS)

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import pickle
 import re
 import shlex
 import stat
@@ -34,6 +35,14 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.dat"
     code = main([*argv, "--out", str(out)])
     return code, out
+
+
+def run_config(**fields) -> RunConfig:
+    """A one-state fig1 run record, built with every field as `_config_from_args`
+    builds it: `fields` replace the values of a run on standard output."""
+    values = {"command": "fig1", "seed": 0, "options": cli.Fig1Options(n=1, ensemble="mixed"),
+              "out_path": None, "format": "csv", "threads": 1, "verbose": False}
+    return RunConfig(**{**values, **fields})
 
 
 class TestCsvText:
@@ -340,7 +349,7 @@ class TestManifest:
         parameters = json.loads((tmp_path / "run.manifest.json").read_text())["parameters"]
         args = cli._build_parser().parse_args(argv)
         options_cls = cli._COMMANDS[argv[0]][0]
-        assert parameters == {name: getattr(args, name) for name, *_ in options_cls.FIELDS}
+        assert parameters == {name: getattr(args, name) for name in options_cls.FIELDS}
 
     @pytest.mark.parametrize("argv,threads", [
         (["fig1", "--n", "4"], 1),
@@ -375,8 +384,7 @@ class TestAtomicWrites:
 
     @staticmethod
     def config(out):
-        return RunConfig(command="fig1", seed=0, options=cli.Fig1Options(n=1, ensemble="mixed"),
-                         out_path=str(out))
+        return run_config(out_path=str(out))
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_data_write(self, tmp_path, existing):
@@ -870,23 +878,47 @@ class TestValidation:
     @pytest.mark.parametrize("value,kind", [(2.0, "float"), (True, "bool")])
     def test_records_refuse_a_count_that_is_no_integer(self, value, kind):
         with pytest.raises(cli.ConfigError, match=f"^--n must be an integer, got {kind}$"):
-            cli.Fig1Options(n=value)
+            cli.Fig1Options(n=value, ensemble="mixed")
         with pytest.raises(cli.ConfigError, match=f"^--threads must be an integer, got {kind}$"):
-            RunConfig(command="fig1", seed=0, options=cli.Fig1Options(n=1), threads=value)
+            run_config(threads=value)
 
     def test_records_are_read_only_and_take_their_own_fields_only(self):
-        options = cli.Fig1Options(n=3)
-        config = RunConfig(command="fig1", seed=0, options=options)
+        options = cli.Fig1Options(n=3, ensemble="mixed")
+        config = run_config(options=options)
         for record, name in ((options, "n"), (options, "other"), (config, "seed")):
             with pytest.raises(AttributeError, match="is read-only"):
                 setattr(record, name, 4)
             with pytest.raises(AttributeError, match="is read-only"):
                 delattr(record, name)
         assert (vars(options), config.seed) == ({"n": 3, "ensemble": "mixed"}, 0)
-        with pytest.raises(TypeError, match=r"unknown: \['k_max', 'm'\]"):
-            cli.Fig1Options(n=3, m=1, k_max=2)
-        with pytest.raises(TypeError, match=r"needs each field without a default"):
-            cli.EvalOptions(witness="mub-mi")   # --state-file is required
+        with pytest.raises(TypeError, match=r"^Fig1Options takes the fields \('n', 'ensemble'\)"):
+            cli.Fig1Options(n=3, ensemble="mixed", m=1, k_max=2)
+        # the defaults are the parser's: a record takes every field
+        with pytest.raises(TypeError, match=r"^EvalOptions takes the fields"):
+            cli.EvalOptions(state_file="w.json", witness="mub-mi")
+
+    def test_a_run_record_round_trips_through_pickle(self, tmp_path):
+        config = run_config(options=cli.SeparableAuditOptions(n=3, k_max=2),
+                            command="separable-audit", out_path=str(tmp_path / "a.json"),
+                            format="json")
+        back = pickle.loads(pickle.dumps(config))
+        assert back is not config and repr(back) == repr(config)
+        assert type(back.options) is cli.SeparableAuditOptions
+        assert vars(back.options) == {"n": 3, "k_max": 2}
+        # rebuilt through the constructor, so its checks run again
+        vars(config)["threads"] = 0
+        with pytest.raises(cli.ConfigError, match="^--threads must be >= 1, got 0$"):
+            pickle.loads(pickle.dumps(config))
+
+    def test_no_record_has_its_own_constructor_or_repr(self):
+        # every record gets its fields through `_Record.__init__` alone, which
+        # pickle and copy reach through `_Record.__reduce__`
+        records, todo = [], [cli._Record]
+        while todo:
+            records.append(todo.pop())
+            todo.extend(records[-1].__subclasses__())
+        own = [cls.__name__ for cls in records[1:] if {"__init__", "__repr__"} & vars(cls).keys()]
+        assert own == [] and len([cls for cls in records if cls.FIELDS]) == 15
 
 
 class TestWorkBudget:
@@ -1073,7 +1105,7 @@ _FLAGS = {
 }
 _COMMON = ["--seed", "--threads", "--format", "--out", "--verbose"]
 # each subcommand's own flags, read from its options record as the parser is
-_COMMANDS = {command: ["--" + name.replace("_", "-") for name, *_ in options_cls.FIELDS]
+_COMMANDS = {command: ["--" + name.replace("_", "-") for name in options_cls.FIELDS]
              for command, (options_cls, *_) in cli._COMMANDS.items()}
 # given every time: eval needs them, and the other defaults are large runs
 _ALWAYS = {"fig1": ["--n"], "fig2": ["--n", "--trials"], "sweep": ["--n"],
@@ -1227,7 +1259,7 @@ class TestCommandTable:
         for command, subparser in sub.choices.items():
             dests = {a.dest for a in subparser._actions}
             assert self.COMMON <= dests, command
-            assert dests - self.COMMON == {name for name, *_ in cli._COMMANDS[command][0].FIELDS}
+            assert dests - self.COMMON == set(cli._COMMANDS[command][0].FIELDS)
 
 
 class TestReproduceScript:

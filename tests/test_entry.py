@@ -214,6 +214,8 @@ _STATES = st.sampled_from([
     entrosteer.DensityMatrix((1, 2), np.eye(2) / 2),
     entrosteer.DensityMatrix((3, 3), np.eye(9) / 9), np.eye(4) / 4,
 ])
+# a state of any type the two-qubit measures may be handed
+_ANY_STATES = _STATES | st.sampled_from([entrosteer.singlet_state(), np.eye(4)[0]])
 _X, _, _Z = entrosteer.pauli_bases()
 _FAMILIES = st.sampled_from([
     lambda p: p - 0.5,
@@ -382,6 +384,8 @@ _CALLS = {
         d(_near(np.eye(2) / 2))),
     "conditional_entropy": lambda d: entrosteer.conditional_entropy(
         d(_near(np.eye(2) / 2))),
+    "concurrence": lambda d: entrosteer.concurrence(d(_ANY_STATES)),
+    "entanglement_of_formation": lambda d: entrosteer.entanglement_of_formation(d(_ANY_STATES)),
     "mutual_information": lambda d: entrosteer.mutual_information(
         d(_near(np.eye(3) / 3))),
     "modular_sum_entropy": lambda d: entrosteer.modular_sum_entropy(

@@ -248,6 +248,12 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence(random_density(rng, 2, 3))
 
+    @pytest.mark.parametrize("measure", [concurrence, entanglement_of_formation])
+    def test_refuses_a_pure_state_by_its_own_name(self, measure):
+        with pytest.raises(TypeError, match=f"^{measure.__name__} takes a DensityMatrix, "
+                                            "got PureState$"):
+            measure(singlet_state())
+
 
 class TestEntanglementOfFormation:
     def test_werner_08(self):

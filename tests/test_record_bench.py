@@ -1,10 +1,15 @@
-"""The BENCH_<n>.json writer of scripts/record_bench.py, on canned benchmark runs."""
+"""The BENCH_<n>.json writer of scripts/record_bench.py, on canned benchmark runs,
+and the base checkout of scripts/bench_pairs.py."""
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import bench_pairs  # noqa: E402
 import record_bench  # noqa: E402
 
 METRICS = ("items_per_s", "eval_p50_us", "eval_p99_us", "cpu_s", "peak_rss_mb", "setup_s")
@@ -40,3 +45,15 @@ def test_the_file_pins_its_schema(tmp_path):
                            "values": [3.0, 4.0, 5.0, 6.0, 7.0]}
     assert all(set(metrics) == set(METRICS) for group in ("gated", "ungated")
                for metrics in back[group].values())
+
+
+def test_a_base_ref_git_cannot_check_out_exits_1_and_leaves_no_directory(tmp_path, monkeypatch):
+    # the temporary worktree directory goes, and git's message is the one line
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "benchmark", lambda root: (("scatter",), {"end_to_end": []}))
+    monkeypatch.setattr(bench_pairs, "compare", lambda *a: pytest.fail("a pair ran"))
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    with pytest.raises(SystemExit) as stop:   # a message exits with status 1
+        bench_pairs.main(["--base", "no-such-ref-xyz", "--pairs", "2"])
+    assert stop.value.code.startswith("cannot check out --base no-such-ref-xyz: fatal: ")
+    assert "\n" not in stop.value.code and list(tmp_path.iterdir()) == []
