@@ -29,7 +29,7 @@ RUN="python3 -m entrosteer"
 
 FIG1_N=10000; FIG2_N=500; FIG2_TRIALS=500; SWEEP_N=10000; AUDIT_N=10000
 if [ "$FULL" = 1 ]; then
-    FIG1_N=100000; FIG2_N=5000; FIG2_TRIALS=500
+    FIG1_N=100000; FIG2_N=5000
 fi
 
 mkdir -p "$OUTDIR"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .infotheory import _checked_probs, _joint_entropies, _probs_2d
 from .qmat import STRUCT_TOL, DensityMatrix, _check_entries, _count, _floored_eigenvalues, _Record
-from .qmat import _hermitian_stack, _state
+from .qmat import _hermitian_stack, _state, validate_density_stack
 
 # Measurement sets whose derived data the witness path keeps. Measurements are
 # immutable and hash by identity; a cache entry holds them, so no id is reused.
@@ -341,12 +341,12 @@ def _povm_joints(mats: np.ndarray, els_a: np.ndarray, els_b: np.ndarray) -> np.n
 
 def measurement_distribution(mat: np.ndarray, meas) -> np.ndarray:
     """Outcome distribution of one measurement on a single-party density
-    matrix, with the probability checks of `joint_distribution`."""
+    matrix, checked as `qmat.validate_density_stack` checks a stack."""
     m = as_povm(meas)
     a = np.asarray(mat, dtype=complex)
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state shape {a.shape} does not match measurement dim {m.dim}")
-    _check_entries(a[None], "density matrix")
+    validate_density_stack(a[None])
     return _checked_probs(np.einsum("aij,ji->a", m.stacked, a))
 
 

@@ -313,14 +313,16 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
     negative at `lo` and positive at `hi` (monotonicity is the caller's
     responsibility; BracketError otherwise). A NaN at any evaluated parameter,
     the endpoints included, raises ValueError naming it, as do endpoints beyond
-    2**1022 in size. Returns the crossing within `tol`, or within one float
-    spacing when `tol` is finer than that: bisection stops as soon as the
-    midpoint is no longer strictly inside the bracket.
+    2**1022 in size or with `lo >= hi`. Returns the crossing within `tol`, or
+    within one float spacing when `tol` is finer than that: bisection stops as
+    soon as the midpoint is no longer strictly inside the bracket.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not abs(lo) + abs(hi) <= 2.0**1022:   # so every midpoint is finite
         raise ValueError(f"bracket endpoints must lie within 2**1022, got [{lo}, {hi}]")
+    if not lo < hi:
+        raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
 
     def f(p):   # a NaN midpoint would otherwise move `hi`
         value = witness_family(p)

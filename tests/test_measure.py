@@ -797,10 +797,12 @@ class TestMeasurementDistribution:
     @pytest.mark.parametrize(
         "mat,message",
         [
-            (2 * np.eye(2), "probabilities sum to .*, not 1 within"),
-            (np.array([[0.5, 0.5j], [0.5j, 0.5]]), "non-negligible imaginary part"),
+            (2 * np.eye(2), "^density matrix trace .* differs from 1 beyond 1e-10$"),
+            (np.array([[0.5, 0.5j], [0.5j, 0.5]]), "^density matrix is not Hermitian within 1e-10$"),
+            # its X-basis outcomes [1, 0] look valid: only the matrix check sees it
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), "^density matrix is not Hermitian within 1e-10$"),
         ],
-        ids=["trace-2", "non-hermitian"],
+        ids=["trace-2", "non-hermitian", "non-hermitian-valid-outcomes"],
     )
     def test_rejects_what_joint_distribution_rejects(self, mat, message):
         x, _, _ = pauli_bases()

@@ -306,6 +306,12 @@ class TestThresholdBisect:
         with pytest.raises(ValueError, match=r"^bracket endpoints must lie within 2\*\*1022"):
             threshold_bisect(family, lo, hi, tol=1e-6)
 
+    @pytest.mark.parametrize("lo,hi", [(0.9, 0.1), (0.5, 0.5)], ids=["reversed", "empty"])
+    def test_endpoints_out_of_order_raise(self, lo, hi):
+        # a reversed bracket passed the sign check and came back unbisected as 0.5
+        with pytest.raises(ValueError, match=r"^bracket needs lo < hi, got "):
+            threshold_bisect(lambda p: 0.3 - p, lo, hi, tol=1e-6)
+
     def test_tolerance_below_float_spacing_stops(self):
         calls = []
 
