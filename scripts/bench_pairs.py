@@ -20,6 +20,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -36,6 +37,25 @@ def benchmark(root: str) -> tuple[tuple, dict]:
 
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         return tuple(WORKLOADS), json.load(fh)
+
+
+@contextlib.contextmanager
+def checked_out(root: str, ref: str):
+    """A temporary git worktree of `ref`, added from the checkout `root` and
+    removed on exit. When git cannot check `ref` out, no directory is left and
+    the process exits 1 with one line: `cannot check out --base <ref>: <git's
+    message>`."""
+    path = tempfile.mkdtemp(prefix="base-")
+    added = subprocess.run(["git", "worktree", "add", "--detach", path, ref],
+                           cwd=root, capture_output=True, text=True)
+    if added.returncode:
+        shutil.rmtree(path, ignore_errors=True)
+        sys.exit(f"cannot check out --base {ref}: {'; '.join(added.stderr.strip().splitlines())}")
+    try:
+        yield path
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", path], cwd=root,
+                       capture_output=True)
 
 
 def summary(values: list[float]) -> dict:
@@ -95,17 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2 for quartiles")
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    base = tempfile.mkdtemp(prefix="bench-base-")
-    added = subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
-                           cwd=root, capture_output=True, text=True)
-    if added.returncode:   # one line: the ref and git's message
-        shutil.rmtree(base, ignore_errors=True)
-        sys.exit(f"cannot check out --base {args.base}: "
-                 f"{'; '.join(added.stderr.strip().splitlines())}")
-    try:
+    with checked_out(root, args.base) as base:
         lines = compare(base, root, args.workload, args.pairs, args.seed, args.seconds, better)
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root)
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"
           f" base {args.base} against the working tree")
     print("\n".join(lines))

@@ -20,7 +20,8 @@ manifest differs; a manifest is compared without its `timestamp` and
 `wall_time_s`. Each side's directory name in its output is replaced by `<dir>`
 first. A run still going after TIMEOUT seconds is stopped, and its exit code
 reads as a time-out. Every differing case is printed. Exit status 1 on any
-difference.
+difference, or when the base ref cannot be checked out (git's message on one
+line, as `bench_pairs.py` prints it).
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ import argparse
 import json
 import os
 import shlex
-import shutil
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
+from bench_pairs import checked_out
 
 WITNESSES = ["pair-conditional", "pair-symmetric-mi", "mub-conditional", "mub-mi",
              "sumdiff-discrete"]
@@ -294,14 +295,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD", help="git ref to compare against")
     args = parser.parse_args(argv)
     root = os.getcwd()
-    scratch = os.path.realpath(tempfile.mkdtemp(prefix="compare-outputs-"))
-    base = os.path.join(scratch, "base")
-    added = subprocess.run(["git", "worktree", "add", "--detach", base, args.base],
-                           cwd=root, capture_output=True, text=True)
-    if added.returncode:
-        shutil.rmtree(scratch)
-        sys.exit(f"cannot check out {args.base}: {added.stderr.strip()}")
-    try:
+    with checked_out(root, args.base) as base, \
+            tempfile.TemporaryDirectory(prefix="compare-outputs-",
+                                        ignore_cleanup_errors=True) as scratch:
+        scratch = os.path.realpath(scratch)
         inputs = os.path.join(scratch, "inputs")
         os.makedirs(inputs)
         runs = cases(state_files(inputs))
@@ -318,10 +315,6 @@ def main(argv: list[str] | None = None) -> int:
                     if key != "data file":
                         print(f"  base {key}: {sides[0][key]!r:.300}")
                         print(f"  change {key}: {sides[1][key]!r:.300}")
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base], cwd=root,
-                       capture_output=True)
-        shutil.rmtree(scratch, ignore_errors=True)
     print(f"{len(runs)} cases, base {args.base} against the working tree: "
           f"{len(differ)} differ{': ' + ', '.join(differ) if differ else ''}")
     return 1 if differ else 0

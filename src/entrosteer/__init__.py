@@ -55,9 +55,7 @@ _EXPORTS = {
         "basis_sweep",
         "optimize_bases",
         "ppt_min_eigenvalue",
-        "sample_ensemble",
         "separable_audit",
-        "separable_sample",
         "soundness_audit",
         "survey_fig1",
         "survey_fig1_states",

@@ -11,12 +11,12 @@ The seed is resolved from --seed, then the ENTROSTEER_SEED environment
 variable, then 0. Exit codes: 0 success, 1 numerical failure (for example a
 bisection bracket without a sign change, or a soundness audit that finds a
 violation), 2 configuration error (including a negative seed, an --out path
-whose directory does not exist or whose name leaves no room for the temporary
-file, an option out of its range, a count above _MAX_COUNT (10**9), counts
-whose estimated memory exceeds the machine's, or an audit whose --n * --k-max
-exceeds _MAX_TERMS (4 * 10**9) or a fig2 whose --n * --trials exceeds _MAX_TRIALS
-(as many), all rejected before any work starts, and an output that cannot be
-written, such as a file on a full disk).
+that is empty, whose directory does not exist or whose name leaves no room for
+the temporary file, an option out of its range, a count above _MAX_COUNT
+(10**9), counts whose estimated memory exceeds the machine's, or an audit whose
+--n * --k-max exceeds _MAX_TERMS (4 * 10**9) or a fig2 whose --n * --trials
+exceeds _MAX_TRIALS (as many), all rejected before any work starts, and an
+output that cannot be written, such as a file on a full disk).
 """
 
 from __future__ import annotations
@@ -227,8 +227,10 @@ class RunConfig(_Record):
     def __post_init__(self) -> None:
         _flags(self, "threads")
         _flags(self, "format", options=("csv", "json"))
-        if self.out_path:
+        if self.out_path is not None:
             # checked before the run, not when its result is written
+            if not self.out_path:   # "" names no file; it does not ask for standard output
+                raise ConfigError("--out is empty")
             if os.path.isdir(self.out_path):
                 raise ConfigError(f"--out {self.out_path} is a directory")
             parent = os.path.dirname(os.path.abspath(self.out_path))

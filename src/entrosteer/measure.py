@@ -21,6 +21,10 @@ from .qmat import _hermitian_stack, _state, validate_density_stack
 # immutable and hash by identity; a cache entry holds them, so no id is reused.
 SET_CACHE_SIZE = 32
 
+# Bases are mutually unbiased when every overlap |<a_i|b_j>|^2 between two of
+# them is 1/d within this tolerance (`is_mub_set`).
+MUB_TOL = 1e-8
+
 
 class ProjectiveBasis(_Record):
     """An orthonormal measurement basis. ``vectors[i]`` is the i-th ket."""
@@ -156,8 +160,9 @@ def mub_set(d: int) -> list[ProjectiveBasis]:
     return bases
 
 
-def is_mub_set(bases, tol: float = 1e-8) -> bool:
-    """Check that every pair of bases in the list is mutually unbiased.
+def is_mub_set(bases) -> bool:
+    """Check that every pair of bases in the list is mutually unbiased
+    (within `MUB_TOL`).
 
     One Gram product of all the kets against all the kets gives every
     cross-basis overlap at once.
@@ -169,7 +174,7 @@ def is_mub_set(bases, tol: float = 1e-8) -> bool:
     v = np.concatenate([b.vectors for b in bases])
     dev = np.abs(np.abs(v.conj() @ v.T) ** 2 - 1.0 / d).reshape(k, d, k, d)
     dev[np.arange(k), :, np.arange(k)] = 0.0   # a basis against itself
-    return bool(dev.max() <= tol)
+    return bool(dev.max() <= MUB_TOL)
 
 
 def rotate_basis(basis: ProjectiveBasis, u: np.ndarray) -> ProjectiveBasis:

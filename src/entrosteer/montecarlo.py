@@ -103,13 +103,6 @@ def _ensemble_stack(ensemble: str, seeds: list[int]) -> np.ndarray:
     return mats
 
 
-def sample_ensemble(n: int, ensemble: str, rng: np.random.Generator):
-    """Sample n two-qubit states; returns (states, per-state integer seeds)."""
-    _choice(ensemble, ("pure", "mixed"), "ensemble")
-    seeds = _derived_seeds(rng, _count(n, "n"))
-    return [DensityMatrix((2, 2), m) for m in _ensemble_stack(ensemble, seeds)], seeds
-
-
 def _sampled_blocks(n: int, rng: np.random.Generator, sample, kernel):
     """The sampled surveys' pipeline over n items: per `_BLOCK` of them, in
     turn and holding no other block, its offset and ``kernel(mats, evals)`` of
@@ -349,17 +342,11 @@ def threshold_bisect(witness_family, lo: float, hi: float, tol: float = 1e-6) ->
 # ---------------------------------------------------------------------------
 # separable soundness ensemble
 
-def separable_sample(n: int, k_max: int, rng: np.random.Generator) -> list[DensityMatrix]:
-    """n separable two-qubit states: convex mixtures of at most k_max product
-    states with Dirichlet-uniform weights and random single-qubit factors
-    (rank 1 or 2, so pure-product boundary cases are included)."""
-    k_max = _count(k_max, "k_max")
-    mats = _separable_stack(_derived_seeds(rng, _count(n, "n")), k_max)
-    return [DensityMatrix((2, 2), m) for m in mats]
-
-
 def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
-    """The unvalidated (n, 4, 4) stack of `separable_sample` states.
+    """The separable two-qubit states, one per seed, as one unvalidated
+    (n, 4, 4) stack: convex mixtures of at most k_max product states with
+    Dirichlet-uniform weights and random single-qubit factors (rank 1 or 2,
+    so pure-product boundary cases are included).
 
     Per item, in draw order: the term count k, the k Dirichlet weights (as
     `dirichlet(np.ones(k))` makes them: k standard exponentials over their
@@ -444,7 +431,7 @@ def _audit_maxima(maxima: dict, part: dict) -> dict[str, float]:
 
 
 def separable_audit(n: int, k_max: int, rng: np.random.Generator) -> tuple[float, dict[str, float]]:
-    """The soundness audit over n sampled separable states (`separable_sample`
+    """The soundness audit over n sampled separable states (`_separable_stack`
     with at most k_max terms): ``(ppt_min_eigenvalue, maxima)``, the smallest
     partial-transpose eigenvalue and each witness's `soundness_audit` maximum.
     The arguments are checked before anything is drawn; the states are

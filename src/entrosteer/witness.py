@@ -22,6 +22,7 @@ import numpy as np
 
 from .infotheory import _modular_entropies, shannon_entropy
 from .measure import (
+    MUB_TOL,
     SET_CACHE_SIZE,
     ProjectiveBasis,
     _cached,
@@ -167,7 +168,7 @@ def _mub_floor(n: int, steered: tuple, side: int) -> float:
     if any(b.dim != n for b in steered):
         raise ValueError(f"{label} bases must all have dimension {n}")
     if not is_mub_set(steered):
-        raise ValueError(f"{label} bases are not mutually unbiased within 1e-8")
+        raise ValueError(f"{label} bases are not mutually unbiased within {MUB_TOL:g}")
     return sanchez_ruiz_bound(n)
 
 

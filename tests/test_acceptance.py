@@ -23,18 +23,16 @@ from entrosteer import (
     partial_trace,
     pauli_bases,
     povm_omega,
-    ppt_min_eigenvalue,
     random_mixed_state,
+    random_pure_state,
     random_unitary,
     reid_sumdiff_cv,
     rotate_basis,
-    sample_ensemble,
     sanchez_ruiz_bound,
-    separable_sample,
+    separable_audit,
     shannon_entropy,
     singlet_state,
-    soundness_audit,
-    survey_fig1_states,
+    survey_fig1,
     survey_fig2,
     threshold_bisect,
     tmsv,
@@ -45,6 +43,8 @@ from entrosteer import (
 )
 from entrosteer.cli import main
 from entrosteer.measure import measurement_distribution
+from entrosteer.montecarlo import _ensemble_stack
+from entrosteer.streams import _derived_seeds
 
 SEED = 20260819
 
@@ -107,14 +107,16 @@ def test_03_qubit_mub_mi_bound_and_singlet():
 
 def test_04_fig1_survey_dominance_and_quadrant():
     t0 = time.perf_counter()
-    states, _ = sample_ensemble(10_000, "mixed", np.random.default_rng(SEED))
-    cols = survey_fig1_states(states)
+    blocks = survey_fig1(10_000, "mixed", np.random.default_rng(SEED))
+    cols = np.concatenate([c for _, c in blocks])
     v_c = cols[:, 0]   # v_conditional_AtoB
     v_m = cols[:, 2]   # v_symmetric
     dominance = bool(np.all(v_c >= v_m - 1e-12))
+    # the states the survey evaluated, rebuilt from the same item seeds
+    mats = _ensemble_stack("mixed", _derived_seeds(np.random.default_rng(SEED), 10_000))
     npt = np.array(
-        [np.linalg.eigvalsh(loop_partial_transpose(s.mat, (2, 2), "B")).min() < -1e-12
-         for s in states]
+        [np.linalg.eigvalsh(loop_partial_transpose(m, (2, 2), "B")).min() < -1e-12
+         for m in mats]
     )
     quad = (v_c > 0) & (v_m <= 0)
     frac = quad[npt].sum() / npt.sum()
@@ -149,9 +151,8 @@ def test_05_violation_gap_identity_and_chain():
 
 def test_06_separable_audit():
     t0 = time.perf_counter()
-    states = separable_sample(10_000, 4, np.random.default_rng(SEED + 2))
-    ppt_ok = ppt_min_eigenvalue(states) >= -1e-12
-    audit = soundness_audit(states)
+    ppt_min, audit = separable_audit(10_000, 4, np.random.default_rng(SEED + 2))
+    ppt_ok = ppt_min >= -1e-12
     worst = max(audit.values())
     dt = time.perf_counter() - t0
     ok = ppt_ok and worst <= 1e-9 and dt < 120.0
@@ -214,9 +215,9 @@ def test_09_cv_closed_forms_and_flip_points():
 
 def test_10_basis_search_convergence_and_one_way():
     t0 = time.perf_counter()
-    states, seeds = sample_ensemble(200, "pure", np.random.default_rng(SEED + 5))
     diffs_small, diffs_large = [], []
-    for rho, seed in zip(states, seeds):
+    for seed in _derived_seeds(np.random.default_rng(SEED + 5), 200):
+        rho = random_pure_state(2, 2, np.random.default_rng(seed)).to_density()
         small = optimize_bases(rho, 500, np.random.default_rng(seed + 1))
         large = optimize_bases(rho, 2000, np.random.default_rng(seed + 1))
         diffs_small.append(abs(small.best_v_AtoB - small.best_v_BtoA))

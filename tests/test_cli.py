@@ -788,14 +788,16 @@ class TestBlockPipeline:
         # the PPT minimum and the per-witness maxima over three blocks equal
         # the library's over the same states, to the 12 digits the file keeps,
         # and those of the streamed library audit the command runs
-        from entrosteer import (ppt_min_eigenvalue, separable_audit, separable_sample,
+        from entrosteer import (DensityMatrix, ppt_min_eigenvalue, separable_audit,
                                 soundness_audit)
+        from entrosteer.streams import _derived_seeds
 
         code, out = run(tmp_path, "separable-audit", "--n", "8200", "--k-max", "2",
                         "--seed", "4")
         assert code == 0
         data = json.loads(out.read_text())
-        states = separable_sample(8200, 2, np.random.default_rng(4))
+        seeds = _derived_seeds(np.random.default_rng(4), 8200)
+        states = [DensityMatrix((2, 2), m) for m in montecarlo._separable_stack(seeds, 2)]
         assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min_eigenvalue(states)))
         assert data["max_violation"] == {k: float(cli._fmt(v))
                                          for k, v in soundness_audit(states).items()}
@@ -1194,6 +1196,10 @@ class TestConfigurationErrors:
     def test_out_is_a_directory(self, tmp_path):
         self.fails_cleanly("fig1", "--n", "5", "--out", str(tmp_path))
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_empty(self):
+        # an empty --out was read as no --out: the data went to standard output
+        self.fails_cleanly("fig1", "--n", "2", "--out", "")
 
     def test_nan_tolerance(self):
         # an infinite tolerance returned the bracket's midpoint and wrote

@@ -21,9 +21,7 @@ from entrosteer import (
     ppt_min_eigenvalue,
     random_mixed_state,
     random_pure_state,
-    sample_ensemble,
     separable_audit,
-    separable_sample,
     singlet_state,
     soundness_audit,
     survey_fig1,
@@ -34,12 +32,14 @@ from entrosteer import (
     werner_state,
 )
 from entrosteer.montecarlo import (
+    _ensemble_stack,
     _fig1_kernel,
     _sampled_blocks,
     _separable_stack,
     _soundness_audit,
     _worker_count,
 )
+from entrosteer.streams import _derived_seeds
 
 AUDIT_KEYS = {
     "pair_conditional_AtoB",
@@ -83,37 +83,48 @@ def test_worker_count_is_capped(threads, items, cpus, expected):
     assert _worker_count(threads, items, cpus) == expected
 
 
+def _ensemble_states(n: int, ensemble: str, seed: int) -> list[DensityMatrix]:
+    # the states `survey_fig1(n, ensemble, default_rng(seed))` evaluates
+    seeds = _derived_seeds(np.random.default_rng(seed), n)
+    return [DensityMatrix((2, 2), m) for m in _ensemble_stack(ensemble, seeds)]
+
+
+def _separable_states(n: int, k_max: int, seed: int) -> list[DensityMatrix]:
+    # the states `separable_audit(n, k_max, default_rng(seed))` audits
+    seeds = _derived_seeds(np.random.default_rng(seed), n)
+    return [DensityMatrix((2, 2), m) for m in _separable_stack(seeds, k_max)]
+
+
 class TestSampleEnsemble:
     def test_deterministic(self):
-        a, seeds_a = sample_ensemble(6, "mixed", np.random.default_rng(3))
-        b, seeds_b = sample_ensemble(6, "mixed", np.random.default_rng(3))
-        assert seeds_a == seeds_b
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.mat, sb.mat)
+        a = [cols for _, cols in survey_fig1(6, "mixed", np.random.default_rng(3))]
+        b = [cols for _, cols in survey_fig1(6, "mixed", np.random.default_rng(3))]
+        assert len(a) == len(b) == 1 and np.array_equal(a[0], b[0])
 
     def test_pure_ensemble_is_pure(self):
-        states, _ = sample_ensemble(20, "pure", np.random.default_rng(4))
-        for s in states:
+        for s in _ensemble_states(20, "pure", 4):
             assert abs(np.trace(s.mat @ s.mat).real - 1.0) < 1e-12
 
     def test_mixed_ensemble_spans_ranks(self):
-        states, _ = sample_ensemble(200, "mixed", np.random.default_rng(5))
-        ranks = {int(np.sum(np.linalg.eigvalsh(s.mat) > 1e-10)) for s in states}
+        ranks = {int(np.sum(np.linalg.eigvalsh(s.mat) > 1e-10))
+                 for s in _ensemble_states(200, "mixed", 5)}
         assert ranks == {1, 2, 3, 4}
 
     def test_rejects_bad_ensemble(self):
         with pytest.raises(ValueError):
-            sample_ensemble(3, "thermal", np.random.default_rng(0))
+            survey_fig1(3, "thermal", np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_ensemble(0, "pure", np.random.default_rng(0))
+            survey_fig1(0, "pure", np.random.default_rng(0))
 
 
 class TestSurveyFig1:
     def test_records_match_single_state_witnesses(self):
-        states, _ = sample_ensemble(40, "mixed", np.random.default_rng(8))
+        states = _ensemble_states(40, "mixed", 8)
         triple = pauli_bases()
         cols = survey_fig1_states(states)
         assert cols.shape == (40, 4)
+        [(_, streamed)] = survey_fig1(40, "mixed", np.random.default_rng(8))
+        assert np.array_equal(cols, streamed)
         for (c_ab, c_ba, c_sym, purity), rho in zip(cols.tolist(), states):
             v_ab = mub_conditional(rho, triple, triple).violation_bits
             v_ba = mub_conditional(rho, triple, triple, direction="BtoA").violation_bits
@@ -327,23 +338,23 @@ class TestThresholdBisect:
 
 class TestSeparableSample:
     def test_all_ppt(self):
-        states = separable_sample(300, 4, np.random.default_rng(51))
-        assert ppt_min_eigenvalue(states) >= -1e-12
+        ppt_min, _ = separable_audit(300, 4, np.random.default_rng(51))
+        assert ppt_min >= -1e-12
 
     def test_valid_density_matrices(self):
-        for s in separable_sample(50, 3, np.random.default_rng(52)):
+        for s in _separable_states(50, 3, 52):
             assert abs(np.trace(s.mat).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(s.mat).min() > -1e-12
 
     def test_kmax_one_gives_products(self):
-        for s in separable_sample(40, 1, np.random.default_rng(53)):
+        for s in _separable_states(40, 1, 53):
             assert concurrence(s) < 1e-7
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            separable_sample(0, 2, np.random.default_rng(0))
+            separable_audit(0, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            separable_sample(5, 0, np.random.default_rng(0))
+            separable_audit(5, 0, np.random.default_rng(0))
 
 
 class TestPptMinEigenvalue:
@@ -361,8 +372,7 @@ class TestSoundnessAudit:
         assert set(audit) == AUDIT_KEYS
 
     def test_separable_states_never_violate(self):
-        states = separable_sample(400, 4, np.random.default_rng(61))
-        audit = soundness_audit(states)
+        _, audit = separable_audit(400, 4, np.random.default_rng(61))
         for name, worst in audit.items():
             assert worst <= 1e-9, name
 
@@ -428,7 +438,7 @@ class TestSoundnessAudit:
         monkeypatch.setattr(montecarlo, "povm_omega",
                             lambda *a: omegas.append(a) or measure.povm_omega(*a))
         before = measure._set_record.cache_info()
-        states = separable_sample(12, 2, np.random.default_rng(3))
+        states = _separable_states(12, 2, 3)
         assert len(range(0, len(states), montecarlo._BLOCK)) == 3   # blocks of 4, 4 and 4
         soundness_audit(states)
         assert main(["separable-audit", "--n", "10", "--out", str(tmp_path / "a.json")]) == 0
@@ -546,19 +556,15 @@ class TestSamplerArguments:
          "ensemble must be 'pure' or 'mixed', got 'thermal'"),
         (lambda rng: survey_fig2(3, "thermal", 2, rng), ValueError,
          "ensemble must be 'pure' or 'mixed', got 'thermal'"),
-        (lambda rng: sample_ensemble(3, "thermal", rng), ValueError,
-         "ensemble must be 'pure' or 'mixed', got 'thermal'"),
-        (lambda rng: separable_sample(3, 0, rng), ValueError, "k_max must be >= 1, got 0"),
-        (lambda rng: separable_sample(3, 2.0, rng), TypeError,
-         "k_max must be an integer, got float"),
         # survey_fig1 checks its arguments when called, not when its stream is drained
         (lambda rng: survey_fig1(0, "mixed", rng), ValueError, "n must be >= 1, got 0"),
         (lambda rng: separable_audit(0, 2, rng), ValueError, "n must be >= 1, got 0"),
+        (lambda rng: separable_audit(3, 0, rng), ValueError, "k_max must be >= 1, got 0"),
         (lambda rng: separable_audit(3, 2.0, rng), TypeError,
          "k_max must be an integer, got float"),
-    ], ids=["survey_fig1-ensemble", "survey_fig2-ensemble", "sample_ensemble-ensemble",
-            "separable_sample-zero-k_max", "separable_sample-float-k_max",
-            "survey_fig1-zero-n", "separable_audit-zero-n", "separable_audit-float-k_max"])
+    ], ids=["survey_fig1-ensemble", "survey_fig2-ensemble", "survey_fig1-zero-n",
+            "separable_audit-zero-n", "separable_audit-zero-k_max",
+            "separable_audit-float-k_max"])
     def test_refused_before_sampling(self, call, error, message):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 from entrosteer import (
     random_mixed_state,
     random_pure_state,
-    sample_ensemble,
-    separable_sample,
+    separable_audit,
     survey_fig1,
 )
 from entrosteer import montecarlo, qmat, streams
@@ -77,21 +76,21 @@ def test_pinned_output_digest(tmp_path, argv, digest):
 
 
 def test_mixed_items_replay_from_seed():
-    states, seeds = sample_ensemble(300, "mixed", np.random.default_rng(61))
+    seeds = _derived_seeds(np.random.default_rng(61), 300)
     ranks = set()
-    for rho, seed in zip(states, seeds):
+    for mat, seed in zip(montecarlo._ensemble_stack("mixed", seeds), seeds):
         g = np.random.default_rng(seed)
         rank = int(g.integers(1, 5))
         ranks.add(rank)
-        assert np.array_equal(rho.mat, random_mixed_state(2, 2, rank, g).mat)
+        assert np.array_equal(mat, random_mixed_state(2, 2, rank, g).mat)
     assert ranks == {1, 2, 3, 4}
 
 
 def test_pure_items_replay_from_seed():
-    states, seeds = sample_ensemble(300, "pure", np.random.default_rng(62))
-    for rho, seed in zip(states, seeds):
+    seeds = _derived_seeds(np.random.default_rng(62), 300)
+    for mat, seed in zip(montecarlo._ensemble_stack("pure", seeds), seeds):
         again = random_pure_state(2, 2, np.random.default_rng(seed)).to_density()
-        assert np.array_equal(rho.mat, again.mat)
+        assert np.array_equal(mat, again.mat)
 
 
 def _separable_item(seed: int, k_max: int) -> np.ndarray:
@@ -115,17 +114,21 @@ def _separable_item(seed: int, k_max: int) -> np.ndarray:
     pytest.param(600, 12, 74, id="12"),
 ])
 def test_separable_items_replay_from_seed(n, k_max, seed):
-    states = separable_sample(n, k_max, np.random.default_rng(seed))
     seeds = _derived_seeds(np.random.default_rng(seed), n)
-    for rho, item_seed in zip(states, seeds):
-        assert np.array_equal(rho.mat, _separable_item(item_seed, k_max))
+    for mat, item_seed in zip(montecarlo._separable_stack(seeds, k_max), seeds):
+        assert np.array_equal(mat, _separable_item(item_seed, k_max))
     if n == 3000:
         # the audit workload's draw: more terms than the expected count, plus slack
         terms = sum(int(np.random.default_rng(s).integers(1, k_max + 1)) for s in seeds)
         assert terms > n * (k_max + 1) // 2 + 64
 
 
-@pytest.mark.parametrize("sample", [sample_ensemble, survey_fig1])
+@pytest.mark.parametrize(
+    "sample",
+    [survey_fig1,
+     lambda n, ensemble, rng: montecarlo._ensemble_stack(ensemble, _derived_seeds(rng, n))],
+    ids=["survey_fig1", "ensemble_stack"],
+)
 def test_unknown_ensemble_is_rejected(sample):
     with pytest.raises(ValueError, match="ensemble must be 'pure' or 'mixed', got 'bell'"):
         sample(3, "bell", np.random.default_rng(0))
@@ -359,8 +362,8 @@ def _carry_dropped(hi, lo, add_hi, add_lo):
     "sample",
     [
         lambda rng: list(survey_fig1(4, "mixed", rng)),
-        lambda rng: sample_ensemble(4, "pure", rng),
-        lambda rng: separable_sample(4, 2, rng),
+        lambda rng: list(survey_fig1(4, "pure", rng)),
+        lambda rng: separable_audit(4, 2, rng),
     ],
     ids=["fig1", "pure", "separable"],
 )
