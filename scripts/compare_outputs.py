@@ -144,6 +144,11 @@ def cases(states: dict[str, str]) -> list[tuple[str, list[str], dict[str, str]]]
     add("separable-audit-block-1035", "separable-audit", "--n", "1035", "--k-max", "12",
         "--seed", "15", "--out", "OUT.json")
     add("separable-audit-stdout", "separable-audit", "--n", "1100", "--seed", "16")
+    # the audit fold's edges: one state, its first and only block, and exactly one full block
+    add("separable-audit-one-state", "separable-audit", "--n", "1", "--seed", "16",
+        "--out", "OUT.json")
+    add("separable-audit-one-block", "separable-audit", "--n", "1024", "--seed", "16",
+        "--out", "OUT.json")
     # four whole blocks and one state past them (the fifth block is one state,
     # whose loader call the seeding guard checks at its first and last item)
     add("fig1-one-block", "fig1", "--n", "4096", "--seed", "13", "--out", "OUT.csv")

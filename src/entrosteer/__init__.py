@@ -54,11 +54,9 @@ _EXPORTS = {
         "OptimizationResult",
         "basis_sweep",
         "optimize_bases",
-        "ppt_min_eigenvalue",
         "separable_audit",
         "soundness_audit",
         "survey_fig1",
-        "survey_fig1_states",
         "survey_fig2",
         "threshold_bisect",
     ),

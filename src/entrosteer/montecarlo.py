@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cache, reduce
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .witness import (
     _left_sum,
     _mi_sum,
     _mub_mi_bound,
+    _pair_mi_bound,
     sanchez_ruiz_bound,
 )
 
@@ -157,37 +158,13 @@ def _fig1_kernel(mats: np.ndarray, evals: np.ndarray) -> np.ndarray:
     return np.stack([v_ab, v_ba, v_sym, _purity_scaled(evals)], axis=1)
 
 
-def _two_qubit_stack(states, what: str) -> np.ndarray:
-    # the (n, 4, 4) stack of a non-empty list of two-qubit DensityMatrix states
-    states = list(states)
-    if not states:
-        raise ValueError(f"{what} needs at least one state")
-    for s in states:
-        if not isinstance(s, DensityMatrix):
-            raise TypeError(f"{what} takes DensityMatrix states, got {type(s).__name__}")
-        if s.dims != (2, 2):
-            raise ValueError(f"{what} is defined for two-qubit states, got dims {s.dims}")
-    return np.stack([s.mat for s in states])
-
-
-def survey_fig1_states(states) -> np.ndarray:
-    """Evaluate the full-MUB conditional and symmetric witnesses, with Pauli
-    triples on both sides, for a list of two-qubit states, on one thread: an
-    ``(n, 4)`` array whose row i holds state i's v_conditional_AtoB,
-    v_conditional_BtoA, v_symmetric and purity_scaled."""
-    mats = _two_qubit_stack(states, "scatter survey")
-    evals = np.linalg.eigvalsh(mats)
-    return np.concatenate([_fig1_kernel(mats[lo : lo + _BLOCK], evals[lo : lo + _BLOCK])
-                           for lo in range(0, len(mats), _BLOCK)])
-
-
 def survey_fig1(n: int, ensemble: str, rng: np.random.Generator):
     """Scatter survey over n sampled states (ensemble "pure" or "mixed"), as a
     stream of ``(offset, columns)``, one per block of at most `_BLOCK` states:
-    `columns` is the block's ``(m, 4)`` array of `survey_fig1_states` for
-    states offset .. offset + m - 1. The arguments are checked when called;
-    each block is sampled, validated once and evaluated when it is reached,
-    so no more than one block is held. Runs on one thread.
+    `columns` is the block's ``(m, 4)`` array of `_fig1_kernel`, row i for
+    state offset + i. The arguments are checked when called; each block is
+    sampled, validated once and evaluated when it is reached, so no more than
+    one block is held. Runs on one thread.
     """
     _choice(ensemble, ("pure", "mixed"), "ensemble")
     return _sampled_blocks(_count(n, "n"), rng, lambda seeds: _ensemble_stack(ensemble, seeds),
@@ -266,10 +243,10 @@ def survey_fig2(
     once; each pool thread (`threads` >= 1) then draws its item's trials from
     `default_rng(seed)`, past the state's draws in `_ensemble_stack`'s order.
     """
-    _count(trials, "trials")
-    _count(threads, "threads")
+    trials, threads = _count(trials, "trials"), _count(threads, "threads")
     _choice(ensemble, ("pure", "mixed"), "ensemble")
-    seeds = _derived_seeds(rng, _count(n, "n"))
+    n = _count(n, "n")
+    seeds = _derived_seeds(rng, n)
     mats = _ensemble_stack(ensemble, seeds)
     purity = _purity_scaled(validate_density_stack(mats)).tolist()
 
@@ -389,12 +366,6 @@ def _separable_stack(seeds: list[int], k_max: int) -> np.ndarray:
     return mats
 
 
-def ppt_min_eigenvalue(states) -> float:
-    """Smallest partial-transpose eigenvalue over a batch of two-qubit states;
-    nonnegative (within tolerance) certifies every state separable."""
-    return _ppt_min_eigenvalue(_two_qubit_stack(states, "PPT check"))
-
-
 def _ppt_min_eigenvalue(mats: np.ndarray) -> float:
     # mats: validated (n, 4, 4) two-qubit states
     pt = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
@@ -410,40 +381,54 @@ def _smeared_povm(basis) -> Povm:
                          for v in basis.vectors))
 
 
-def soundness_audit(states) -> dict[str, float]:
-    """Max violation of every implemented discrete witness over a state batch.
+def _audit_fold(blocks) -> tuple[float, dict[str, float]]:
+    """``(ppt_min, maxima)`` over ``(offset, mats)`` blocks of validated ``(m, 4, 4)``
+    two-qubit stacks, m <= `_BLOCK`: the smallest partial-transpose eigenvalue
+    and each `_soundness_audit` maximum, folded as they come (no block is kept)."""
+    ppt_min, maxima = math.inf, {}
+    for _, mats in blocks:
+        ppt_min = min(ppt_min, _ppt_min_eigenvalue(mats))
+        maxima = {name: float(np.maximum(maxima.get(name, v), v))   # keeps a NaN, as np.max did
+                  for name, v in _soundness_audit(mats).items()}
+        del mats   # not held while the next block is sampled
+    return ppt_min, maxima
 
-    Covers both pair-conditional directions (X/Z), the pair symmetric MI
-    witness, both full-MUB conditional directions, the full-MUB MI witness,
-    the modular sum/difference witness, and a smeared-POVM conditional pair
-    (elements (1-eta) P_i + eta I/2, eta = 0.2) exercising the operator-norm
-    bound. On separable inputs every returned value should be <= 0 up to
-    1e-9. Runs on one thread.
+
+def soundness_audit(states) -> tuple[float, dict[str, float]]:
+    """The soundness audit over a non-empty list of two-qubit `DensityMatrix`
+    states: ``(ppt_min, maxima)``, as `separable_audit` returns it; a
+    nonnegative ppt_min (within tolerance) certifies every state separable.
+
+    The maxima cover both pair-conditional directions (X/Z), the pair
+    symmetric MI witness, both full-MUB conditional directions, the full-MUB
+    MI witness, the modular sum/difference witness, and a smeared-POVM
+    conditional pair (elements (1-eta) P_i + eta I/2, eta = 0.2) exercising
+    the operator-norm bound. On separable inputs every maximum should be <= 0
+    up to 1e-9. Runs on one thread.
     """
-    mats = _two_qubit_stack(states, "soundness audit")
-    return reduce(_audit_maxima, (_soundness_audit(mats[lo : lo + _BLOCK])
-                                  for lo in range(0, len(mats), _BLOCK)), {})
-
-
-def _audit_maxima(maxima: dict, part: dict) -> dict[str, float]:
-    # the blocks' maxima so far and one more block's (np.maximum keeps a NaN, as np.max did)
-    return {name: float(np.maximum(maxima.get(name, v), v)) for name, v in part.items()}
+    states = list(states)
+    if not states:
+        raise ValueError("soundness audit needs at least one state")
+    for s in states:
+        if not isinstance(s, DensityMatrix):
+            raise TypeError(f"soundness audit takes DensityMatrix states, got {type(s).__name__}")
+        if s.dims != (2, 2):
+            raise ValueError(f"soundness audit is defined for two-qubit states, got dims {s.dims}")
+    mats = np.stack([s.mat for s in states])
+    return _audit_fold((lo, mats[lo : lo + _BLOCK]) for lo in range(0, len(mats), _BLOCK))
 
 
 def separable_audit(n: int, k_max: int, rng: np.random.Generator) -> tuple[float, dict[str, float]]:
     """The soundness audit over n sampled separable states (`_separable_stack`
-    with at most k_max terms): ``(ppt_min_eigenvalue, maxima)``, the smallest
+    with at most k_max terms): ``(ppt_min, maxima)``, the smallest
     partial-transpose eigenvalue and each witness's `soundness_audit` maximum.
     The arguments are checked before anything is drawn; the states are
     sampled, validated and audited one block of `_BLOCK` at a time, so no
     more than one block is held. Runs on one thread."""
     k_max = _count(k_max, "k_max")
-    blocks = _sampled_blocks(_count(n, "n"), rng, lambda seeds: _separable_stack(seeds, k_max),
-                             lambda mats, _: (_ppt_min_eigenvalue(mats), _soundness_audit(mats)))
-    ppt_min, maxima = math.inf, {}
-    for _, (ppt, part) in blocks:   # folded as they come: no block's result is kept
-        ppt_min, maxima = min(ppt_min, ppt), _audit_maxima(maxima, part)
-    return ppt_min, maxima
+    return _audit_fold(_sampled_blocks(_count(n, "n"), rng,
+                                       lambda seeds: _separable_stack(seeds, k_max),
+                                       lambda mats, _: mats))
 
 
 @cache
@@ -452,16 +437,16 @@ def _audit_constants() -> tuple:
     # built once per process and kept out of the witnesses' set cache; all read-only
     x_basis, _, z_basis = pauli_bases()
     povm_x, povm_z = _smeared_povm(x_basis), _smeared_povm(z_basis)
-    bound_c3 = sanchez_ruiz_bound(2)
-    return (_pauli_columns(), (povm_x.stacked, povm_z.stacked),
-            math.log2(overlap_omega(x_basis, z_basis)), bound_c3, _mub_mi_bound(2, bound_c3),
+    omega_xz, bound_c3 = overlap_omega(x_basis, z_basis), sanchez_ruiz_bound(2)
+    return (_pauli_columns(), (povm_x.stacked, povm_z.stacked), math.log2(omega_xz),
+            _pair_mi_bound(2, omega_xz, omega_xz), bound_c3, _mub_mi_bound(2, bound_c3),
             math.log2(povm_omega(povm_x, povm_z)))
 
 
 def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     # each witness's largest value over one block (`_BLOCK`) of validated
     # (n, 4, 4) two-qubit states
-    cols, smeared, bound_xz, bound_c3, bound_m3, bound_povm = _audit_constants()
+    cols, smeared, bound_xz, bound_mi, bound_c3, bound_m3, bound_povm = _audit_constants()
     p = _product_joints(mats, cols, (2, 2))       # (s, 3, 2, 2): X, Y, Z
     h_joint, h_a, h_b = _joint_entropies(p)
     hp_joint, hp_a, hp_b = (h[:, ::2] for h in (h_joint, h_a, h_b))   # X and Z
@@ -472,7 +457,7 @@ def _soundness_audit(mats: np.ndarray) -> dict[str, float]:
     values = {
         "pair_conditional_AtoB": bound_xz - _conditional_sum(hp_joint, hp_a),
         "pair_conditional_BtoA": bound_xz - _conditional_sum(hp_joint, hp_b),
-        "pair_symmetric_mi": _mi_sum(hp_joint, hp_a, hp_b) - bound_xz,
+        "pair_symmetric_mi": _mi_sum(hp_joint, hp_a, hp_b) - bound_mi,
         "mub_conditional_AtoB": bound_c3 - _conditional_sum(h_joint, h_a),
         "mub_conditional_BtoA": bound_c3 - _conditional_sum(h_joint, h_b),
         "mub_mi": _mi_sum(h_joint, h_a, h_b) - bound_m3,

@@ -66,6 +66,12 @@ def _mub_mi_bound(n: int, floor: float) -> float:
     return (n + 1) * math.log2(n) - floor
 
 
+def _pair_mi_bound(n: int, omega_a: float, omega_b: float) -> float:
+    """Upper bound, in bits, on I(R^A:R^B) + I(S^A:S^B) in dimension n, from each
+    party's overlap constant: ``log2(N^2 / min(Omega^A, Omega^B))``."""
+    return math.log2(n * n / min(omega_a, omega_b))
+
+
 @lru_cache(maxsize=SET_CACHE_SIZE)
 def _omega(r, s) -> float:
     """Overlap constant of one party's measurement pair, POVM-general, once per pair."""
@@ -146,7 +152,7 @@ def pair_symmetric_mi(rho: DensityMatrix, r_a, s_a, r_b, s_b) -> WitnessReport:
     _projective((r_a, s_a, r_b, s_b), "the symmetric witness")
     n = _equal_dims(rho, "symmetric witness")
     lhs = _mi_sum(*_set_statistics(rho, _cached(_set_record, ((r_a, r_b), (s_a, s_b))))[1])
-    bound = math.log2(n * n / min(_omega(r_a, s_a), _omega(r_b, s_b)))
+    bound = _pair_mi_bound(n, _omega(r_a, s_a), _omega(r_b, s_b))
     return WitnessReport("pair_symmetric_mi", "symmetric", lhs, bound, lhs - bound)
 
 

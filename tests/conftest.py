@@ -6,11 +6,28 @@ themselves.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, its output captured as text. The
+    absolute `src` path goes first on its PYTHONPATH, so it imports this
+    checkout's `entrosteer` from any working directory; `env` (by default
+    this process's) gives the rest of its environment."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=env, **kwargs)
 
 
 @pytest.fixture

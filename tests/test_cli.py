@@ -6,8 +6,6 @@ import pickle
 import re
 import shlex
 import stat
-import subprocess
-import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -16,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from conftest import random_density
+from conftest import random_density, run_python
 
 from entrosteer import (
     basis_sweep,
@@ -236,11 +234,8 @@ class TestStateFiles:
     def test_deep_nesting_exits_2_with_one_error_line(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "eval", "--state-file", str(path),
-             "--witness", "mub-mi"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "entrosteer", "eval", "--state-file", str(path),
+                          "--witness", "mub-mi")
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot load state file")
@@ -608,10 +603,7 @@ class TestWernerThresholdCommand:
 
 
     def test_tolerance_below_float_spacing_terminates(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "werner-threshold", "--tol", "1e-300"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "entrosteer", "werner-threshold", "--tol", "1e-300")
         assert proc.returncode == 0, proc.stderr
         assert abs(json.loads(proc.stdout)["p_star"] - 0.7799442711232785) < 1e-9
 
@@ -642,11 +634,8 @@ class TestCvScanCommand:
 
     def test_squeezing_past_the_usable_range_exits_1(self, tmp_path):
         out = tmp_path / "cv.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "cv-scan", "--r-min", "0",
-             "--r-max", "10", "--steps", "3", "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "entrosteer", "cv-scan", "--r-min", "0", "--r-max", "10",
+                          "--steps", "3", "--out", str(out))
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR "), proc.stderr
@@ -655,11 +644,8 @@ class TestCvScanCommand:
 
     def test_physical_state_past_the_range_reports_the_range(self, tmp_path):
         # tmsv(8) once failed its own physicality check instead
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "cv-scan", "--r-min", "8",
-             "--r-max", "8", "--steps", "1"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "entrosteer", "cv-scan", "--r-min", "8", "--r-max", "8",
+                          "--steps", "1")
         assert proc.returncode == 1
         assert proc.stderr.rstrip("\n").endswith("usable for 0 <= r <= 6.2"), proc.stderr
         assert "uncertainty" not in proc.stderr
@@ -788,8 +774,7 @@ class TestBlockPipeline:
         # the PPT minimum and the per-witness maxima over three blocks equal
         # the library's over the same states, to the 12 digits the file keeps,
         # and those of the streamed library audit the command runs
-        from entrosteer import (DensityMatrix, ppt_min_eigenvalue, separable_audit,
-                                soundness_audit)
+        from entrosteer import DensityMatrix, separable_audit, soundness_audit
         from entrosteer.streams import _derived_seeds
 
         code, out = run(tmp_path, "separable-audit", "--n", "8200", "--k-max", "2",
@@ -798,12 +783,10 @@ class TestBlockPipeline:
         data = json.loads(out.read_text())
         seeds = _derived_seeds(np.random.default_rng(4), 8200)
         states = [DensityMatrix((2, 2), m) for m in montecarlo._separable_stack(seeds, 2)]
-        assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min_eigenvalue(states)))
-        assert data["max_violation"] == {k: float(cli._fmt(v))
-                                         for k, v in soundness_audit(states).items()}
-        ppt_min, maxima = separable_audit(8200, 2, np.random.default_rng(4))
-        assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min))
-        assert data["max_violation"] == {k: float(cli._fmt(v)) for k, v in maxima.items()}
+        for ppt_min, maxima in (soundness_audit(states),
+                                separable_audit(8200, 2, np.random.default_rng(4))):
+            assert data["ppt_min_eigenvalue"] == float(cli._fmt(ppt_min))
+            assert data["max_violation"] == {k: float(cli._fmt(v)) for k, v in maxima.items()}
 
     @pytest.mark.parametrize("argv", [["fig1"], ["fig1", "--format", "json"],
                                       ["separable-audit", "--k-max", "12"]],
@@ -1171,10 +1154,7 @@ class TestConfigurationErrors:
     """Bad configuration exits 2 with one error line, before any work."""
 
     def fails_cleanly(self, *argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", *argv],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python("-m", "entrosteer", *argv)
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
@@ -1291,11 +1271,14 @@ class TestReproduceScript:
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "m.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "fig1", "--n", "5",
-             "--seed", "2", "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "entrosteer", "fig1", "--n", "5", "--seed", "2", "--out", str(out))
         assert proc.returncode == 0
         assert out.read_text().startswith("state_id,")
+
+    def test_a_file_run_leaves_its_file_and_manifest_only(self, tmp_path):
+        # a relative --out, run from another working directory: no temporary
+        # file is left beside the two it writes
+        proc = run_python("-m", "entrosteer", "fig1", "--n", "5", "--out", "f.csv",
+                          cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "f.manifest.json"]

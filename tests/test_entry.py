@@ -6,12 +6,11 @@ import json
 import math
 import os
 import pathlib
-import subprocess
 import sys
 
 import numpy as np
 import pytest
-from conftest import loop_violation, random_basis, random_density, random_povm
+from conftest import loop_violation, random_basis, random_density, random_povm, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +20,8 @@ from entrosteer.cvgauss import TMSV_R_MAX
 BLAS = "OPENBLAS_NUM_THREADS"
 
 
-def _python(code: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-    )
+def _python(code: str, env: dict | None = None):
+    proc = run_python("-c", code, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -91,10 +88,7 @@ _ENTRY_POINTS = {
 
 
 def _run_cli(entry: str, argv: list[str], blas: str | None) -> None:
-    proc = subprocess.run(
-        [sys.executable, *_ENTRY_POINTS[entry], *argv],
-        capture_output=True, text=True, timeout=120, env=_env(blas),
-    )
+    proc = run_python(*_ENTRY_POINTS[entry], *argv, env=_env(blas))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -161,9 +155,7 @@ class TestStartup:
 
     def test_verbose_still_logs_both_lines(self, tmp_path):
         out = tmp_path / "f.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "entrosteer", "fig1", "--n", "5", "--out", str(out),
-             "--verbose"], capture_output=True, text=True, timeout=120)
+        proc = run_python("-m", "entrosteer", "fig1", "--n", "5", "--out", str(out), "--verbose")
         assert proc.returncode == 0
         assert proc.stderr == (f"INFO wrote {out}\n"
                                f"INFO manifest written to {tmp_path / 'f.manifest.json'}\n")

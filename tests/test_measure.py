@@ -3,7 +3,6 @@ import gc
 import hashlib
 import json
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -20,6 +19,7 @@ from conftest import (
     random_basis,
     random_density,
     random_povm,
+    run_python,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,10 +104,7 @@ print(json.dumps(out))
 
 @functools.cache
 def _fresh_process_reports():
-    package_root = os.path.dirname(os.path.dirname(measure.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", _FRESH_SCRIPT, os.path.dirname(__file__), package_root],
-        capture_output=True, text=True, timeout=120, check=True)
+    done = run_python("-c", _FRESH_SCRIPT, os.path.dirname(__file__), check=True)
     return json.loads(done.stdout)
 
 

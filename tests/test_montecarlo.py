@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -18,20 +19,19 @@ from entrosteer import (
     pair_conditional,
     partial_trace,
     pauli_bases,
-    ppt_min_eigenvalue,
     random_mixed_state,
     random_pure_state,
     separable_audit,
     singlet_state,
     soundness_audit,
     survey_fig1,
-    survey_fig1_states,
     survey_fig2,
     threshold_bisect,
     von_neumann_entropy,
     werner_state,
 )
 from entrosteer.montecarlo import (
+    _BLOCK,
     _ensemble_stack,
     _fig1_kernel,
     _sampled_blocks,
@@ -121,10 +121,8 @@ class TestSurveyFig1:
     def test_records_match_single_state_witnesses(self):
         states = _ensemble_states(40, "mixed", 8)
         triple = pauli_bases()
-        cols = survey_fig1_states(states)
+        [(_, cols)] = survey_fig1(40, "mixed", np.random.default_rng(8))
         assert cols.shape == (40, 4)
-        [(_, streamed)] = survey_fig1(40, "mixed", np.random.default_rng(8))
-        assert np.array_equal(cols, streamed)
         for (c_ab, c_ba, c_sym, purity), rho in zip(cols.tolist(), states):
             v_ab = mub_conditional(rho, triple, triple).violation_bits
             v_ba = mub_conditional(rho, triple, triple, direction="BtoA").violation_bits
@@ -230,6 +228,17 @@ class TestSurveyFig2:
         for res, purity in out:
             assert 0.0 <= purity <= 1.0 + 1e-12
             assert res.trials == 60
+
+    def test_numpy_integer_counts_give_python_numbers(self):
+        # the checked counts are bound: `trials` came back a numpy.int64,
+        # which json.dumps refuses
+        out = survey_fig2(np.int64(2), "mixed", np.int64(3), np.random.default_rng(44),
+                          threads=np.int64(2))
+        assert len(out) == 2
+        for res, purity in out:
+            values = [getattr(res, name) for name in res._fields] + [purity]
+            assert [type(v) for v in values] == [int, float, float, int, int, float]
+        json.dumps(out)
 
     def test_thread_count_does_not_change_results(self):
         a = survey_fig2(8, "pure", 40, np.random.default_rng(42), threads=1)
@@ -359,16 +368,16 @@ class TestSeparableSample:
 
 class TestPptMinEigenvalue:
     def test_singlet(self):
-        assert abs(ppt_min_eigenvalue([singlet_state().to_density()]) + 0.5) < 1e-12
+        assert abs(soundness_audit([singlet_state().to_density()])[0] + 0.5) < 1e-12
 
     def test_batch_takes_minimum(self):
         states = [werner_state(0.0), singlet_state().to_density()]
-        assert abs(ppt_min_eigenvalue(states) + 0.5) < 1e-12
+        assert abs(soundness_audit(states)[0] + 0.5) < 1e-12
 
 
 class TestSoundnessAudit:
     def test_key_set(self):
-        audit = soundness_audit([werner_state(0.5)])
+        _, audit = soundness_audit([werner_state(0.5)])
         assert set(audit) == AUDIT_KEYS
 
     def test_separable_states_never_violate(self):
@@ -376,19 +385,30 @@ class TestSoundnessAudit:
         for name, worst in audit.items():
             assert worst <= 1e-9, name
 
+    @pytest.mark.parametrize("n,k_max,seed", [(2100, 4, 5), (3000, 12, 13)])
+    def test_a_list_audit_folds_as_the_sampled_audit(self, n, k_max, seed):
+        # the states of a sampled audit, given as a list, run through the same
+        # blocks and fold: the PPT minimum and every maximum agree bit for bit
+        assert len(range(0, n, _BLOCK)) == 3
+        ppt_min, maxima = separable_audit(n, k_max, np.random.default_rng(seed))
+        again, maxima_again = soundness_audit(_separable_states(n, k_max, seed))
+        assert again.hex() == ppt_min.hex()
+        assert {k: v.hex() for k, v in maxima_again.items()} == {
+            k: v.hex() for k, v in maxima.items()}
+
     def test_xz_bound_is_the_pair_witness_bound(self):
         # the singlet's X/Z conditional sums are exactly 0 in the audit, so
         # its two values are the bound itself; log2 of an unclipped
         # overlap_omega(X, Z) read 1.0000000000000002
         rho = singlet_state().to_density()
-        audit = soundness_audit([rho])
+        _, audit = soundness_audit([rho])
         x, _, z = pauli_bases()
         bound = pair_conditional(rho, x, z, x, z).bound_bits
         assert audit["pair_conditional_AtoB"] == audit["pair_conditional_BtoA"] == bound == 1.0
 
     def test_values_match_public_witnesses(self):
         rho = werner_state(0.9)
-        audit = soundness_audit([rho])
+        _, audit = soundness_audit([rho])
         x, _, z = pauli_bases()
         triple = pauli_bases()
         px, pz = smeared_pair()
@@ -407,7 +427,7 @@ class TestSoundnessAudit:
         ) < 1e-9
 
     def test_singlet_triggers_every_projective_witness(self):
-        audit = soundness_audit([singlet_state().to_density()])
+        _, audit = soundness_audit([singlet_state().to_density()])
         for name in AUDIT_KEYS - {"povm_pair_conditional_AtoB",
                                   "povm_pair_conditional_BtoA"}:
             assert audit[name] > 0.5, name
@@ -453,13 +473,10 @@ _SINGLET = singlet_state().to_density().mat
 
 
 class TestStateListInputs:
-    """The three entry points that take a list of states check it at one
+    """The one entry point that takes a list of states checks it at its
     boundary: two-qubit `DensityMatrix` states, at least one of them."""
 
-    @pytest.mark.parametrize(
-        "entry", [survey_fig1_states, soundness_audit, ppt_min_eigenvalue],
-        ids=["survey_fig1_states", "soundness_audit", "ppt_min_eigenvalue"],
-    )
+    @pytest.mark.parametrize("entry", [soundness_audit], ids=["soundness_audit"])
     @pytest.mark.parametrize(
         "states,error,match",
         [
@@ -519,9 +536,8 @@ class TestThreadCounts:
     def _call(self, entry, rng, threads):
         return self._CALLS[entry](rng, threads)
 
-    @pytest.mark.parametrize("entry", [survey_fig1, survey_fig1_states, soundness_audit,
-                                       separable_audit, _sampled_blocks, _fig1_kernel,
-                                       _soundness_audit],
+    @pytest.mark.parametrize("entry", [survey_fig1, soundness_audit, separable_audit,
+                                       _sampled_blocks, _fig1_kernel, _soundness_audit],
                              ids=lambda entry: entry.__name__)
     def test_serial_surveys_take_no_thread_count(self, entry):
         assert "threads" not in inspect.signature(entry).parameters
